@@ -79,6 +79,22 @@ EOF
 ./target/release/bench --validate-manifest "$tmp/figs_warm_manifest.json"
 echo "store-enabled figs is byte-identical cold and warm; warm is 100% hits"
 
+echo "== cross-tool store gate (runner on the store figs warmed) =="
+# figs and runner key the same design points identically and store one
+# payload shape per key, so the default runner matrix (every workload x
+# every scheme, default config, budget 200000) is fully answered by the
+# entries figs --all wrote.
+./target/release/runner --budget 200000 --store "$tmp/store" \
+  --telemetry "$tmp/runner_warm.json" --out "$tmp/runner_warm_matrix.json" --quiet
+python3 - "$tmp/runner_warm.json" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+store = m.get("store") or {}
+assert m["jobs"] == 0, f"runner on a figs-warmed store executed {m['jobs']} sim jobs"
+assert store.get("misses") == 0, f"runner missed the figs-warmed store: {store}"
+print(f"runner on the figs-warmed store: 0 sim jobs executed, {store.get('hits')} store hits")
+EOF
+
 echo "== store CLI smoke (stats / verify / gc) =="
 ./target/release/store --dir "$tmp/store" stats
 ./target/release/store --dir "$tmp/store" verify > /dev/null

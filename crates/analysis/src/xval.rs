@@ -62,7 +62,8 @@ use std::collections::BTreeMap;
 
 /// Dynamic per-load-PC counters merged from the simulator
 /// (`lvp_uarch::stats`) and the DLVP engine (`dlvp::engine`). The analysis
-/// crate only sees plain numbers; the bench layer does the merging.
+/// crate only sees plain numbers; `dlvp::DlvpSimSlice::dyn_stats` does the
+/// merging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynLoadStats {
     /// Committed executions of the load.

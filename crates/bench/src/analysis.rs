@@ -7,7 +7,8 @@
 //! pass ([`lvp_analysis::DepAnalysis`]: path contexts, store→load conflict
 //! graph, static predictability bounds) — simulates the trace under DLVP,
 //! merges the simulator's and the engine's per-PC counters into
-//! [`lvp_analysis::DynLoadStats`], and runs both gate rule sets:
+//! [`lvp_analysis::DynLoadStats`] ([`DlvpSimSlice::dyn_stats`]), and runs
+//! both gate rule sets:
 //! [`lvp_analysis::cross_validate`] (R1–R4) and
 //! [`lvp_analysis::cross_validate_dep`] (R5–R7). Path-hash collisions (the
 //! warn-level R8 audit) are counted in the report but never fail the gate.
@@ -17,8 +18,8 @@
 
 use dlvp::{DlvpConfig, DlvpSimSlice, PapConfig};
 use lvp_analysis::{
-    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, DynLoadStats, ProgramAnalysis,
-    Violation, XvalConfig, XvalLoad,
+    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, ProgramAnalysis, Violation,
+    XvalConfig, XvalLoad,
 };
 use lvp_json::{Json, ToJson};
 use lvp_store::SimService;
@@ -130,69 +131,42 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
     let dep = DepAnalysis::analyze(&program, &analysis);
     let trace = workload.trace(budget);
 
-    let run_span = |trace: &Trace| {
-        let mut job = if P::ENABLED {
-            Some(phases.span(0, &format!("job:{}/analyze/dlvp", workload.name)))
-        } else {
-            None
-        };
-        let sim = DlvpSimSlice::run(trace, CoreConfig::default(), dlvp, pap);
-        if let Some(j) = job.as_mut() {
-            j.charge(sim.cycles, sim.instructions, 1);
-            j.finish();
-        }
-        sim
-    };
-    let (sim, hit) = if service.enabled() {
-        let doc = DlvpSimSlice::request_doc(
-            trace.fingerprint(),
-            budget,
-            &CoreConfig::default(),
-            &dlvp,
-            &pap,
-        );
-        let key = service.key(&doc);
-        match service
-            .lookup(&key)
-            .and_then(|p| DlvpSimSlice::from_payload(&p))
-        {
-            Some(sim) => (sim, true),
-            None => {
-                let sim = run_span(&trace);
-                if let Err(e) = service.record(&key, &sim.to_payload()) {
-                    eprintln!("warning: result store write failed: {e}");
-                }
-                (sim, false)
+    let (sim, hit) = service.cached(
+        || {
+            DlvpSimSlice::request_doc(
+                trace.fingerprint(),
+                budget,
+                &CoreConfig::default(),
+                &dlvp,
+                &pap,
+            )
+        },
+        DlvpSimSlice::from_payload,
+        DlvpSimSlice::to_payload,
+        || {
+            let mut job = if P::ENABLED {
+                Some(phases.span(0, &format!("job:{}/analyze/dlvp", workload.name)))
+            } else {
+                None
+            };
+            let sim = DlvpSimSlice::run(&trace, CoreConfig::default(), dlvp, pap);
+            if let Some(j) = job.as_mut() {
+                j.charge(sim.cycles, sim.instructions, 1);
+                j.finish();
             }
-        }
-    } else {
-        (run_span(&trace), false)
-    };
+            sim
+        },
+    );
 
     let loads: Vec<XvalLoad> = analysis
         .loads
         .iter()
-        .map(|l| {
-            let s = sim.per_pc.get(&l.pc).copied().unwrap_or_default();
-            let eng = sim.outcomes.get(&l.pc).copied().unwrap_or_default();
-            XvalLoad {
-                pc: l.pc,
-                class: l.class,
-                conflict_free: l.conflict_free(),
-                ordered: l.ordered,
-                stats: DynLoadStats {
-                    executions: s.executions,
-                    conflict_exposed: s.conflict_exposed,
-                    ordering_violations: s.ordering_violations,
-                    injected: s.injected,
-                    value_correct: s.correct,
-                    attempts: eng.attempts,
-                    predictions: eng.predictions,
-                    addr_mispredicts: eng.addr_mispredicts,
-                    stale_mispredicts: eng.stale_mispredicts,
-                    lscd_suppressed: eng.lscd_suppressed,
-                },
-            }
+        .map(|l| XvalLoad {
+            pc: l.pc,
+            class: l.class,
+            conflict_free: l.conflict_free(),
+            ordered: l.ordered,
+            stats: sim.dyn_stats(l.pc),
         })
         .collect();
     let exercised = must_exercised(&trace, &dep);
@@ -229,7 +203,7 @@ pub fn analyze_workloads(
     dlvp: DlvpConfig,
     xval: &XvalConfig,
 ) -> Vec<WorkloadAnalysis> {
-    analyze_workloads_with(
+    analyze_workloads_serviced(
         workloads,
         budget,
         pap,
@@ -237,39 +211,18 @@ pub fn analyze_workloads(
         xval,
         &lvp_obs::NullPhases,
         &crate::telemetry::Progress::off(),
-    )
-}
-
-/// [`analyze_workloads`] with host telemetry: the batch runs under a lane-0
-/// `analyze` span with one `job:<workload>/analyze/dlvp` span per workload,
-/// charged with the validating simulation's cycles and instructions. The
-/// batch stays serial and in input order — the reports are byte-identical
-/// to [`analyze_workloads`]'s.
-pub fn analyze_workloads_with<P: lvp_obs::PhaseSink>(
-    workloads: &[Workload],
-    budget: u64,
-    pap: PapConfig,
-    dlvp: DlvpConfig,
-    xval: &XvalConfig,
-    phases: &P,
-    progress: &crate::telemetry::Progress,
-) -> Vec<WorkloadAnalysis> {
-    analyze_workloads_serviced(
-        workloads,
-        budget,
-        pap,
-        dlvp,
-        xval,
-        phases,
-        progress,
         &SimService::disabled(),
     )
 }
 
-/// [`analyze_workloads_with`] behind a [`SimService`]: workloads whose
-/// validating simulation hits the store get no `job:` span and charge no
-/// work, so a fully warm run's manifest reports zero jobs — exactly like
-/// the `figs`/`runner` pools.
+/// [`analyze_workloads`] with host telemetry, behind a [`SimService`]: the
+/// batch runs under a lane-0 `analyze` span with one
+/// `job:<workload>/analyze/dlvp` span per executed simulation, charged with
+/// its cycles and instructions. Workloads whose validating simulation hits
+/// the store get no `job:` span and charge no work, so a fully warm run's
+/// manifest reports zero jobs — exactly like the `figs`/`runner` pools. The
+/// batch stays serial and in input order; reports are byte-identical to
+/// [`analyze_workloads`]'s.
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_workloads_serviced<P: lvp_obs::PhaseSink>(
     workloads: &[Workload],

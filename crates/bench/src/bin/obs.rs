@@ -32,10 +32,10 @@
 //! counts. Host-timing output (the profiler, `overhead`) goes to stderr
 //! only and never into an artifact.
 
-use lvp_bench::{run_scheme, run_scheme_traced, sim_request_doc, SchemeKind};
+use lvp_bench::{run_scheme, run_scheme_with, sim_request_doc, SchemeKind};
 use lvp_json::ToJson;
 use lvp_obs::{
-    chrome_trace, LifecycleReport, ObsEvent, PhaseRecorder, PhaseSink, RunMeta, StoreOp,
+    chrome_trace, LifecycleReport, ObsEvent, PhaseRecorder, PhaseSink, RingSink, RunMeta, StoreOp,
 };
 use lvp_store::SimService;
 use lvp_trace::{read_trace, TraceWriter};
@@ -170,9 +170,18 @@ fn cmd_run(mut flags: Flags) -> ExitCode {
 
     let prof = PhaseRecorder::new();
     let trace = prof.time(0, "emulate", || w.trace(budget));
-    let (outcome, mut events, overwritten) = prof.time(0, "simulate", || {
-        run_scheme_traced(&trace, scheme, &SimConfig::default(), ring)
+    let (outcome, sink) = prof.time(0, "simulate", || {
+        run_scheme_with(
+            &trace,
+            scheme,
+            &SimConfig::default(),
+            RingSink::new(ring),
+            0,
+        )
     });
+    let ring = sink.into_ring();
+    let overwritten = ring.overwritten();
+    let mut events = ring.drain();
     let stats = &outcome.stats;
 
     // A store-enabled run shares the content-addressed key space with
@@ -437,7 +446,8 @@ fn cmd_overhead(mut flags: Flags) -> ExitCode {
         std::hint::black_box(&o);
 
         let t1 = std::time::Instant::now();
-        let (o, ev, _) = run_scheme_traced(&trace, SchemeKind::Dlvp, &cfg, ring);
+        let (o, sink) = run_scheme_with(&trace, SchemeKind::Dlvp, &cfg, RingSink::new(ring), 0);
+        let ev = sink.into_ring().drain();
         traced_best = traced_best.min(t1.elapsed().as_secs_f64());
         events = ev.len() as u64;
         std::hint::black_box((&o, &ev));

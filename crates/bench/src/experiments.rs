@@ -10,7 +10,7 @@ pub use dlvp::SchemeKind;
 use lvp_energy::{core_energy, EnergyInput, EnergyParams, PredictorEnergyInput};
 use lvp_json::{Json, ToJson};
 use lvp_mem::{stats_parse_error, stats_u64, StatsParseError};
-use lvp_obs::{ObsEvent, RingSink};
+use lvp_obs::{EventSink, NullSink};
 use lvp_trace::Trace;
 use lvp_uarch::{Core, SimConfig, SimStats, VpScheme};
 
@@ -157,173 +157,48 @@ impl SchemeOutcome {
 /// matter which thread runs it or how many run concurrently — the property
 /// the parallel experiment runner is built on.
 pub fn run_scheme(trace: &Trace, scheme: SchemeKind, cfg: &SimConfig) -> SchemeOutcome {
-    run_scheme_spun(trace, scheme, cfg, 0)
+    run_scheme_with(trace, scheme, cfg, NullSink, 0).0
 }
 
-/// [`run_scheme`] with a deliberate host-side busy-loop of `spin` iterations
-/// per simulated instruction (`Core::set_host_spin`). The spin burns only
-/// wall-clock — simulated state, stats, and serialized outcomes are
-/// bit-identical to `spin == 0` — which is exactly what the throughput
-/// regression gate's `--inject-slowdown` mode needs: a provable slowdown
-/// with provably unchanged results.
-pub fn run_scheme_spun(
+/// The one simulation entry point: [`run_scheme`] with an event `sink` and
+/// a deliberate host-side busy-loop of `spin` iterations per simulated
+/// instruction. Returns the outcome and the sink.
+///
+/// A config carrying a `SampleSpec` runs `lvp_uarch::run_sampled`,
+/// whose tier transitions go to the sink; any other config runs the flat
+/// cycle-level pass, whose lifecycle events go to the sink. Sinks only
+/// observe, and the spin (`Core::set_host_spin`) only burns wall-clock, so
+/// the outcome is bit-identical to [`run_scheme`]'s for every sink and
+/// spin — which is what lets the throughput gate's `--inject-slowdown`
+/// prove a slowdown with provably unchanged results.
+pub fn run_scheme_with<K: EventSink>(
     trace: &Trace,
     scheme: SchemeKind,
     cfg: &SimConfig,
+    mut sink: K,
     spin: u32,
-) -> SchemeOutcome {
-    // Sampled dispatch: a config carrying a SampleSpec runs the tiered
-    // fast-forward driver instead of the flat cycle-level pass. Configs
-    // without one (every committed artifact) take the unchanged path below.
+) -> (SchemeOutcome, K) {
     if let Some(spec) = cfg.sample {
-        let (stats, s) =
-            lvp_uarch::run_sampled_trace(&cfg.core, scheme.build(cfg), trace, spec, spin);
-        return SchemeOutcome::collect(scheme, stats, &s);
+        let (stats, s) = lvp_uarch::run_sampled(
+            &cfg.core,
+            scheme.build(cfg),
+            trace.records().iter().cloned(),
+            spec,
+            spin,
+            &mut sink,
+        );
+        return (SchemeOutcome::collect(scheme, stats, &s), sink);
     }
-    let mut core = Core::new(cfg.core.clone(), scheme.build(cfg));
+    let mut core = Core::with_sink(cfg.core.clone(), scheme.build(cfg), sink);
     core.set_host_spin(spin);
-    let (stats, s) = core.run_with_scheme(trace);
-    SchemeOutcome::collect(scheme, stats, &s)
-}
-
-/// [`run_scheme`] with event tracing: the core records up to
-/// `ring_capacity` lifecycle events into a ring sink. Returns the outcome,
-/// the recorded events oldest-first, and how many events the ring
-/// overwrote. The returned `SimStats` are byte-identical (via `ToJson`) to
-/// an untraced [`run_scheme`] of the same inputs — sinks only observe.
-pub fn run_scheme_traced(
-    trace: &Trace,
-    scheme: SchemeKind,
-    cfg: &SimConfig,
-    ring_capacity: usize,
-) -> (SchemeOutcome, Vec<ObsEvent>, u64) {
-    let core = Core::with_sink(
-        cfg.core.clone(),
-        scheme.build(cfg),
-        RingSink::new(ring_capacity),
-    );
     let (stats, s, sink) = core.run_traced(trace);
-    let ring = sink.into_ring();
-    let overwritten = ring.overwritten();
-    let outcome = SchemeOutcome::collect(scheme, stats, &s);
-    (outcome, ring.drain(), overwritten)
-}
-
-/// Per-workload comparison row for the Figure 6-style experiments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    pub workload: String,
-    pub suite: String,
-    pub baseline: SchemeOutcome,
-    pub schemes: Vec<SchemeOutcome>,
-}
-
-impl ComparisonRow {
-    /// Speedup of scheme `i` over the baseline.
-    pub fn speedup(&self, i: usize) -> f64 {
-        self.schemes[i].stats.speedup_over(&self.baseline.stats)
-    }
-
-    /// Runs the standard CAP/VTAGE/DLVP comparison on one workload.
-    pub fn standard(w: &lvp_workloads::Workload, budget: u64) -> ComparisonRow {
-        Self::with_schemes(
-            w,
-            budget,
-            &[SchemeKind::Cap, SchemeKind::Vtage, SchemeKind::Dlvp],
-        )
-    }
-
-    /// Runs a custom scheme list on one workload under the paper default
-    /// configuration.
-    pub fn with_schemes(
-        w: &lvp_workloads::Workload,
-        budget: u64,
-        schemes: &[SchemeKind],
-    ) -> ComparisonRow {
-        let trace = w.trace(budget);
-        let cfg = SimConfig::default();
-        let baseline = run_scheme(&trace, SchemeKind::Baseline, &cfg);
-        let schemes = schemes
-            .iter()
-            .map(|&s| run_scheme(&trace, s, &cfg))
-            .collect();
-        ComparisonRow {
-            workload: w.name.to_string(),
-            suite: w.suite.to_string(),
-            baseline,
-            schemes,
-        }
-    }
-}
-
-impl ToJson for ComparisonRow {
-    /// Includes the baseline, every scheme outcome, and per-scheme speedups.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("workload", self.workload.to_json()),
-            ("suite", self.suite.to_json()),
-            ("baseline", self.baseline.to_json()),
-            (
-                "schemes",
-                Json::Array(
-                    self.schemes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            let mut j = match s.to_json() {
-                                Json::Object(pairs) => pairs,
-                                _ => unreachable!("SchemeOutcome serializes to an object"),
-                            };
-                            j.push(("speedup".to_string(), self.speedup(i).to_json()));
-                            Json::Object(j)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs a scheme under oracle-replay recovery (Figure 10) — the
-/// `oracle_replay` preset.
-pub fn run_with_replay(trace: &Trace, scheme: SchemeKind) -> SchemeOutcome {
-    let cfg = SimConfig::preset("oracle_replay").expect("known preset");
-    run_scheme(trace, scheme, &cfg)
-}
-
-/// Runs DLVP with prefetch-on-probe-miss toggled (Figure 5): the `default`
-/// preset against `no_dlvp_prefetch`.
-pub fn run_dlvp_prefetch(trace: &Trace, prefetch: bool) -> SchemeOutcome {
-    let name = if prefetch {
-        "default"
-    } else {
-        "no_dlvp_prefetch"
-    };
-    let cfg = SimConfig::preset(name).expect("known preset");
-    run_scheme(trace, SchemeKind::Dlvp, &cfg)
-}
-
-/// Parses the per-workload budget from argv (first positional argument).
-pub fn budget_from_args() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(lvp_workloads::DEFAULT_BUDGET)
+    (SchemeOutcome::collect(scheme, stats, &s), sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_row_runs_all_schemes() {
-        let w = lvp_workloads::by_name("aifirf").expect("workload");
-        let row = ComparisonRow::standard(&w, 10_000);
-        assert_eq!(row.schemes.len(), 3);
-        assert_eq!(row.schemes[2].scheme, SchemeKind::Dlvp);
-        assert!(row.speedup(2) > 0.5 && row.speedup(2) < 2.0);
-        assert!(row.baseline.stats.cycles > 0);
-    }
+    use lvp_obs::{ObsEvent, RingSink};
 
     #[test]
     fn outcome_roundtrips_through_json_byte_exactly() {
@@ -352,7 +227,8 @@ mod tests {
     fn replay_never_flushes() {
         let w = lvp_workloads::by_name("viterbi").expect("workload");
         let t = w.trace(20_000);
-        let o = run_with_replay(&t, SchemeKind::Cap);
+        let cfg = SimConfig::preset("oracle_replay").expect("known preset");
+        let o = run_scheme(&t, SchemeKind::Cap, &cfg);
         assert_eq!(o.stats.vp_flushes, 0);
     }
 
@@ -388,10 +264,38 @@ mod tests {
         let cfg = SimConfig::default();
         for kind in SchemeKind::all() {
             let plain = run_scheme(&t, kind, &cfg);
-            let (traced, events, _lost) = run_scheme_traced(&t, kind, &cfg, 1024);
+            let (traced, sink) = run_scheme_with(&t, kind, &cfg, RingSink::new(1024), 0);
             assert_eq!(plain, traced, "{} diverged under tracing", kind.name());
             // Even the baseline records core pipeline lifecycle events.
+            let events = sink.into_ring().drain();
             assert!(!events.is_empty(), "{} recorded nothing", kind.name());
         }
+    }
+
+    #[test]
+    fn sampled_run_with_a_sink_matches_run_scheme_and_records_tier_transitions() {
+        let t = lvp_workloads::by_name("autcor")
+            .expect("workload")
+            .trace(20_000);
+        let cfg = SimConfig {
+            sample: Some(lvp_uarch::SampleSpec {
+                ff: 2_000,
+                warmup: 500,
+                detail: 1_000,
+                period: 3_000,
+            }),
+            ..SimConfig::default()
+        };
+        let plain = run_scheme(&t, SchemeKind::Dlvp, &cfg);
+        let (traced, sink) = run_scheme_with(&t, SchemeKind::Dlvp, &cfg, RingSink::new(4096), 0);
+        assert_eq!(traced, plain, "a sink must not change a sampled outcome");
+        assert!(traced.stats.sampling.is_some(), "the sampled path ran");
+        let events = sink.into_ring().drain();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ObsEvent::TierTransition { .. })),
+            "a sampled run records its tier transitions"
+        );
     }
 }

@@ -24,21 +24,23 @@
 //! benchmark's clothes, and fails the gate at any speed.
 //!
 //! `--inject-slowdown` threads a busy-loop into the core step
-//! ([`crate::run_scheme_spun`]) to prove the gate bites: results stay
+//! ([`crate::run_scheme_with`]'s `spin`) to prove the gate bites: results stay
 //! bit-identical, wall time multiplies, `--check` must fail.
 
 use crate::analysis::analyze_workload;
-use crate::experiments::run_scheme_spun;
-use crate::microbench::Bench;
+use crate::experiments::run_scheme_with;
+use crate::microbench::{Bench, Measurement};
 use crate::service::sim_request_doc;
 use crate::{SchemeKind, SchemeOutcome};
 use dlvp::{DlvpConfig, PapConfig};
 use lvp_analysis::XvalConfig;
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
 use lvp_json::{Json, ToJson};
-use lvp_obs::PhaseSink;
+use lvp_obs::{NullSink, PhaseSink};
 use lvp_store::{request_key, Store};
-use lvp_uarch::{CoreConfig, ExecutionTier, FunctionalTier, SampleSpec, SimConfig, SimpleTier};
+use lvp_uarch::{
+    CoreConfig, ExecutionTier, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier,
+};
 use std::time::Duration;
 
 /// The simcore phase's workload list (≥ 6, spanning suites and behaviours).
@@ -171,6 +173,38 @@ impl BenchRow {
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.phase, self.workload, self.scheme)
     }
+
+    /// A measured cell; its throughput is `sim_cycles` over the median.
+    fn measured(
+        (phase, workload, scheme): (&str, &str, &str),
+        budget: u64,
+        det: Vec<(&str, u64)>,
+        sim_cycles: u64,
+        m: &Measurement,
+    ) -> BenchRow {
+        let median_ns = m.median.as_nanos() as u64;
+        BenchRow {
+            phase: phase.into(),
+            workload: workload.into(),
+            scheme: scheme.into(),
+            budget,
+            det: det.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            median_ns,
+            min_ns: m.min.as_nanos() as u64,
+            max_ns: m.max.as_nanos() as u64,
+            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(sim_cycles, median_ns),
+        }
+    }
+
+    /// A measured simulation cell at [`SIMCORE_BUDGET`], whose
+    /// deterministic counters are the run's instructions and cycles.
+    fn sim(id: (&str, &str, &str), stats: &SimStats, m: &Measurement) -> BenchRow {
+        let det = vec![
+            ("instructions", stats.instructions),
+            ("sim_cycles", stats.cycles),
+        ];
+        BenchRow::measured(id, SIMCORE_BUDGET, det, stats.cycles, m)
+    }
 }
 
 /// Keys every row carries besides its deterministic counters; anything
@@ -254,11 +288,7 @@ impl BenchRow {
 
 /// One tier benchmark cell: phase name, scheme label, and the measured
 /// closure (which borrows the tier and the trace).
-type TierCell<'a> = (
-    &'static str,
-    String,
-    Box<dyn FnMut() -> lvp_uarch::SimStats + 'a>,
-);
+type TierCell<'a> = (&'static str, String, Box<dyn FnMut() -> SimStats + 'a>);
 
 /// Runs the full benchmark matrix serially (measurement never shares the
 /// machine with other jobs of the same run) and returns one row per cell.
@@ -268,6 +298,9 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let policy = policy.normalized();
     let mut rows = Vec::new();
     let cfg = SimConfig::default();
+    let run = |trace: &lvp_trace::Trace, scheme: SchemeKind, cfg: &SimConfig| {
+        run_scheme_with(trace, scheme, cfg, NullSink, spin).0
+    };
 
     let mut span = phases.span(0, "bench:simcore");
     let (mut total_cycles, mut total_instr) = (0u64, 0u64);
@@ -280,31 +313,21 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             } else {
                 None
             };
-            let outcome = run_scheme_spun(&trace, scheme, &cfg, spin);
+            let outcome = run(&trace, scheme, &cfg);
             let m = policy
                 .bench(format!("simcore_{name}_{}", scheme.label()))
-                .measure(|| std::hint::black_box(run_scheme_spun(&trace, scheme, &cfg, spin)));
-            let median_ns = m.median.as_nanos() as u64;
+                .measure(|| std::hint::black_box(run(&trace, scheme, &cfg)));
             if let Some(c) = cell.as_mut() {
                 c.charge(outcome.stats.cycles, outcome.stats.instructions, 1);
                 c.finish();
             }
             total_cycles += outcome.stats.cycles;
             total_instr += outcome.stats.instructions;
-            rows.push(BenchRow {
-                phase: "simcore".into(),
-                workload: name.into(),
-                scheme: outcome.scheme.name().into(),
-                budget: SIMCORE_BUDGET,
-                det: vec![
-                    ("instructions".into(), outcome.stats.instructions),
-                    ("sim_cycles".into(), outcome.stats.cycles),
-                ],
-                median_ns,
-                min_ns: m.min.as_nanos() as u64,
-                max_ns: m.max.as_nanos() as u64,
-                sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(outcome.stats.cycles, median_ns),
-            });
+            rows.push(BenchRow::sim(
+                ("simcore", name, outcome.scheme.name()),
+                &outcome.stats,
+                &m,
+            ));
         }
     }
     span.charge(total_cycles, total_instr, rows.len() as u64);
@@ -340,7 +363,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             (
                 "tier_sampled",
                 SchemeKind::Dlvp.name().into(),
-                Box::new(|| run_scheme_spun(&trace, SchemeKind::Dlvp, &sampled_cfg, spin).stats),
+                Box::new(|| run(&trace, SchemeKind::Dlvp, &sampled_cfg).stats),
             ),
         ];
         for (phase, scheme, mut run) in cells {
@@ -353,27 +376,13 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             let m = policy
                 .bench(format!("{phase}_{name}"))
                 .measure(|| std::hint::black_box(run()));
-            let median_ns = m.median.as_nanos() as u64;
             if let Some(c) = cell.as_mut() {
                 c.charge(stats.cycles, stats.instructions, 1);
                 c.finish();
             }
             tier_cycles += stats.cycles;
             tier_instr += stats.instructions;
-            rows.push(BenchRow {
-                phase: phase.into(),
-                workload: name.into(),
-                scheme,
-                budget: SIMCORE_BUDGET,
-                det: vec![
-                    ("instructions".into(), stats.instructions),
-                    ("sim_cycles".into(), stats.cycles),
-                ],
-                median_ns,
-                min_ns: m.min.as_nanos() as u64,
-                max_ns: m.max.as_nanos() as u64,
-                sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(stats.cycles, median_ns),
-            });
+            rows.push(BenchRow::sim((phase, name, &scheme), &stats, &m));
         }
     }
     span.charge(
@@ -405,31 +414,21 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             &cfg,
         ));
 
-        let outcome = run_scheme_spun(&trace, scheme, &cfg, spin);
+        let outcome = run(&trace, scheme, &cfg);
         let m = policy.bench(format!("store_cold_{name}")).measure(|| {
             store.gc(Some(0)).expect("evict benchmark store");
             assert!(store.get(&key).expect("store get").is_none());
-            let o = run_scheme_spun(&trace, scheme, &cfg, spin);
+            let o = run(&trace, scheme, &cfg);
             store.put(&key, &o.to_json()).expect("store put");
             std::hint::black_box(o);
         });
-        let median_ns = m.median.as_nanos() as u64;
         store_cycles += outcome.stats.cycles;
         store_instr += outcome.stats.instructions;
-        rows.push(BenchRow {
-            phase: "store_cold".into(),
-            workload: name.into(),
-            scheme: scheme.name().into(),
-            budget: SIMCORE_BUDGET,
-            det: vec![
-                ("instructions".into(), outcome.stats.instructions),
-                ("sim_cycles".into(), outcome.stats.cycles),
-            ],
-            median_ns,
-            min_ns: m.min.as_nanos() as u64,
-            max_ns: m.max.as_nanos() as u64,
-            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(outcome.stats.cycles, median_ns),
-        });
+        rows.push(BenchRow::sim(
+            ("store_cold", name, scheme.name()),
+            &outcome.stats,
+            &m,
+        ));
 
         // The cold cell's last iteration left the entry in place — the
         // warm cell hits it on every lookup.
@@ -446,21 +445,11 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             let o = SchemeOutcome::from_json(&payload).expect("payload decodes");
             std::hint::black_box(o);
         });
-        let median_ns = m.median.as_nanos() as u64;
-        rows.push(BenchRow {
-            phase: "store_warm".into(),
-            workload: name.into(),
-            scheme: scheme.name().into(),
-            budget: SIMCORE_BUDGET,
-            det: vec![
-                ("instructions".into(), decoded.stats.instructions),
-                ("sim_cycles".into(), decoded.stats.cycles),
-            ],
-            median_ns,
-            min_ns: m.min.as_nanos() as u64,
-            max_ns: m.max.as_nanos() as u64,
-            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(decoded.stats.cycles, median_ns),
-        });
+        rows.push(BenchRow::sim(
+            ("store_warm", name, scheme.name()),
+            &decoded.stats,
+            &m,
+        ));
     }
     let _ = std::fs::remove_dir_all(&store_root);
     span.charge(
@@ -490,28 +479,21 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
                 &XvalConfig::default(),
             ))
         });
-    let median_ns = m.median.as_nanos() as u64;
     span.charge(one.sim_cycles, one.sim_instructions, 1);
     span.finish();
-    rows.push(BenchRow {
-        phase: "analyze".into(),
-        workload: ANALYZE_WORKLOAD.into(),
-        scheme: "dlvp_xval".into(),
-        budget: ANALYZE_BUDGET,
-        det: vec![
-            ("loads".into(), one.loads.len() as u64),
-            (
-                "must_edges".into(),
-                one.dep.graph.must_edges().count() as u64,
-            ),
-            ("violations".into(), one.violations.len() as u64),
-            ("sim_cycles".into(), one.sim_cycles),
-        ],
-        median_ns,
-        min_ns: m.min.as_nanos() as u64,
-        max_ns: m.max.as_nanos() as u64,
-        sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(one.sim_cycles, median_ns),
-    });
+    let det = vec![
+        ("loads", one.loads.len() as u64),
+        ("must_edges", one.dep.graph.must_edges().count() as u64),
+        ("violations", one.violations.len() as u64),
+        ("sim_cycles", one.sim_cycles),
+    ];
+    rows.push(BenchRow::measured(
+        ("analyze", ANALYZE_WORKLOAD, "dlvp_xval"),
+        ANALYZE_BUDGET,
+        det,
+        one.sim_cycles,
+        &m,
+    ));
 
     let mut span = phases.span(0, "bench:fuzz_oracle");
     let profile = SynthProfile::preset(FUZZ_PROFILE).expect("fixed benchmark profile");
@@ -527,31 +509,27 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let m = policy
         .bench(format!("fuzz_{FUZZ_PROFILE}_x{FUZZ_SEEDS}"))
         .measure(|| std::hint::black_box(run_all()));
-    let median_ns = m.median.as_nanos() as u64;
     span.charge(0, dynamic, FUZZ_SEEDS);
     span.finish();
-    rows.push(BenchRow {
-        phase: "fuzz_oracle".into(),
-        workload: FUZZ_PROFILE.into(),
-        scheme: "differential".into(),
-        budget: FUZZ_SEEDS,
-        det: vec![
-            ("dynamic_instructions".into(), dynamic),
-            (
-                "findings".into(),
-                outcomes.iter().map(|o| o.findings.len() as u64).sum(),
-            ),
-            (
-                "soundness_defects".into(),
-                outcomes.iter().map(|o| o.soundness.len() as u64).sum(),
-            ),
-            ("program_hash_xor".into(), hash_xor),
-        ],
-        median_ns,
-        min_ns: m.min.as_nanos() as u64,
-        max_ns: m.max.as_nanos() as u64,
-        sim_cycles_per_sec: 0.0,
-    });
+    let det = vec![
+        ("dynamic_instructions", dynamic),
+        (
+            "findings",
+            outcomes.iter().map(|o| o.findings.len() as u64).sum(),
+        ),
+        (
+            "soundness_defects",
+            outcomes.iter().map(|o| o.soundness.len() as u64).sum(),
+        ),
+        ("program_hash_xor", hash_xor),
+    ];
+    rows.push(BenchRow::measured(
+        ("fuzz_oracle", FUZZ_PROFILE, "differential"),
+        FUZZ_SEEDS,
+        det,
+        0,
+        &m,
+    ));
 
     rows
 }

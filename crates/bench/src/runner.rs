@@ -108,6 +108,15 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// The configuration this job runs under: its variant's preset, with
+    /// its sampling spec.
+    pub fn config(&self) -> SimConfig {
+        SimConfig {
+            sample: self.sample,
+            ..self.variant.config()
+        }
+    }
+
     /// Deterministic per-job seed: FNV-1a over the job identity. Identical
     /// specs get identical seeds on every run, machine, and thread schedule.
     pub fn seed(&self) -> u64 {
@@ -290,22 +299,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one job. Pure: everything is constructed from the spec.
-pub fn run_job(spec: &JobSpec) -> JobResult {
-    let w = lvp_workloads::by_name(&spec.workload)
-        .unwrap_or_else(|| panic!("unknown workload '{}'", spec.workload));
-    let trace = w.trace(spec.budget);
-    let mut cfg = spec.variant.config();
-    cfg.sample = spec.sample;
-    let outcome = run_scheme(&trace, spec.scheme, &cfg);
-    JobResult {
-        seed: spec.seed(),
-        suite: w.suite.to_string(),
-        spec: spec.clone(),
-        outcome,
-    }
-}
-
 /// Applies `f` to every item on a scoped worker pool and returns results in
 /// **input order** — bit-identical for any `workers >= 1`, provided `f` is
 /// pure. Items are consumed via an atomic cursor; each result lands in its
@@ -461,11 +454,6 @@ pub fn run_matrix_serviced<P: PhaseSink>(
             .position(|w| *w == job.workload)
             .expect("job came from this spec")
     };
-    let job_config = |job: &JobSpec| {
-        let mut cfg = job.variant.config();
-        cfg.sample = job.sample;
-        cfg
-    };
     let mut span = phases.span(0, "simulate");
     let batch = par_map_cached(
         service,
@@ -475,20 +463,10 @@ pub fn run_matrix_serviced<P: PhaseSink>(
                 fingerprints[workload_index(job)],
                 spec.budget,
                 job.scheme.name(),
-                &job_config(job),
+                &job.config(),
             )
         },
-        |job, payload| {
-            let outcome = SchemeOutcome::from_json(payload).ok()?;
-            let wi = workload_index(job);
-            Some(JobResult {
-                seed: job.seed(),
-                suite: workload_list[wi].suite.to_string(),
-                spec: job.clone(),
-                outcome,
-            })
-        },
-        |r| r.outcome.to_json(),
+        |_, payload| SchemeOutcome::from_json(payload).ok(),
         workers,
         phases,
         progress,
@@ -500,17 +478,8 @@ pub fn run_matrix_serviced<P: PhaseSink>(
                 job.scheme.name()
             )
         },
-        |r: &JobResult| (r.outcome.stats.cycles, r.outcome.stats.instructions),
-        |job| {
-            let wi = workload_index(job);
-            let outcome = run_scheme(&traces[wi], job.scheme, &job_config(job));
-            JobResult {
-                seed: job.seed(),
-                suite: workload_list[wi].suite.to_string(),
-                spec: job.clone(),
-                outcome,
-            }
-        },
+        |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
+        |job| run_scheme(&traces[workload_index(job)], job.scheme, &job.config()),
     );
     span.charge(
         batch.executed.sim_cycles,
@@ -520,7 +489,16 @@ pub fn run_matrix_serviced<P: PhaseSink>(
     span.finish();
     MatrixResults {
         spec: spec.clone(),
-        jobs: batch.results,
+        jobs: jobs
+            .into_iter()
+            .zip(batch.results)
+            .map(|(job, outcome)| JobResult {
+                seed: job.seed(),
+                suite: workload_list[workload_index(&job)].suite.to_string(),
+                spec: job,
+                outcome,
+            })
+            .collect(),
     }
 }
 

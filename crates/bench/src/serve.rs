@@ -28,11 +28,13 @@
 
 use crate::experiments::{run_scheme, SchemeOutcome};
 use crate::runner::{par_map, ConfigVariant, JobResult, JobSpec, MatrixResults, MatrixSpec};
-use crate::service::sim_request_doc;
+use crate::service::{par_map_cached, sim_request_doc, Provenance};
+use crate::telemetry::Progress;
 use dlvp::SchemeKind;
 use lvp_json::{Json, ToJson};
+use lvp_obs::NullPhases;
 use lvp_store::SimService;
-use lvp_uarch::{SampleSpec, SimConfig};
+use lvp_uarch::SampleSpec;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -40,14 +42,6 @@ use std::path::{Path, PathBuf};
 /// Version stamp on every batch request; bumped when the job document
 /// shape changes so a stale client fails loudly instead of mis-parsing.
 pub const QUEUE_SCHEMA_VERSION: u64 = 1;
-
-fn u(j: &Json, key: &str) -> Option<u64> {
-    match j.get(key)? {
-        Json::U64(n) => Some(*n),
-        Json::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
 
 /// Serializes one job spec for the queue. The `sample` key appears only
 /// when sampling is on, mirroring [`MatrixSpec::to_json`].
@@ -83,16 +77,15 @@ pub fn job_from_json(j: &Json) -> Result<JobSpec, String> {
         .ok_or("job missing 'variant'")?;
     let variant = ConfigVariant::from_name(variant_name)
         .ok_or_else(|| format!("unknown variant '{variant_name}'"))?;
-    let budget = u(j, "budget").ok_or("job missing 'budget'")?;
-    let sample = match j.get("sample") {
-        None => None,
-        Some(sj) => Some(SampleSpec {
-            ff: u(sj, "ff").ok_or("sample missing 'ff'")?,
-            warmup: u(sj, "warmup").ok_or("sample missing 'warmup'")?,
-            detail: u(sj, "detail").ok_or("sample missing 'detail'")?,
-            period: u(sj, "period").ok_or("sample missing 'period'")?,
-        }),
-    };
+    let budget = j
+        .get("budget")
+        .and_then(Json::as_u64)
+        .ok_or("job missing 'budget'")?;
+    let sample = j
+        .get("sample")
+        .map(SampleSpec::from_json)
+        .transpose()
+        .map_err(|e| format!("job sample: {e}"))?;
     Ok(JobSpec {
         workload,
         scheme,
@@ -125,7 +118,10 @@ impl BatchRequest {
 
     pub fn parse(text: &str) -> Result<BatchRequest, String> {
         let j = Json::parse(text).map_err(|e| format!("malformed batch request: {e}"))?;
-        let version = u(&j, "schema_version").ok_or("batch missing 'schema_version'")?;
+        let version = j
+            .get("schema_version")
+            .and_then(Json::as_u64)
+            .ok_or("batch missing 'schema_version'")?;
         if version != QUEUE_SCHEMA_VERSION {
             return Err(format!(
                 "batch schema_version {version}, this server speaks {QUEUE_SCHEMA_VERSION}"
@@ -210,149 +206,91 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// How one response line's outcome was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// Answered from the result store (memo or disk).
-    Store,
-    /// Simulated by this server, then recorded.
-    Computed,
-    /// Coalesced onto an identical request earlier in the same batch.
-    Deduped,
-}
-
-impl Provenance {
-    pub fn name(self) -> &'static str {
-        match self {
-            Provenance::Store => "store",
-            Provenance::Computed => "computed",
-            Provenance::Deduped => "deduped",
-        }
-    }
-}
-
 /// Executes a batch behind the service and returns one response line per
-/// job, in request order. Identical requests are coalesced in flight:
-/// duplicates of a canonical key simulate once and report `"deduped"`.
-/// Jobs naming unknown workloads get an `"error"` line instead of
-/// poisoning the whole batch.
+/// job, in request order, with its store `key` and [`Provenance`]. The
+/// batch runs through [`par_map_cached`], so identical requests are
+/// coalesced in flight: duplicates of a canonical key simulate once and
+/// report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
+/// instead of poisoning the whole batch.
 pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -> Vec<Json> {
-    let line_head = |index: usize| {
-        vec![
-            ("id", req.id.to_json()),
-            ("index", (index as u64).to_json()),
-        ]
+    // Response lines always carry keys, so a disabled service is stood in
+    // for by a batch-local memo.
+    let local;
+    let service = if service.enabled() {
+        service
+    } else {
+        local = SimService::in_memory();
+        &local
     };
 
-    // Trace each unique (workload, budget) once, shared across the batch.
-    let mut trace_specs: Vec<(String, u64)> = Vec::new();
-    for job in &req.jobs {
-        let key = (job.workload.clone(), job.budget);
-        if lvp_workloads::by_name(&job.workload).is_some() && !trace_specs.contains(&key) {
-            trace_specs.push(key);
+    // Trace and fingerprint each unique (workload, budget) once, shared
+    // across the batch.
+    let valid: Vec<&JobSpec> = req
+        .jobs
+        .iter()
+        .filter(|job| lvp_workloads::by_name(&job.workload).is_some())
+        .collect();
+    let mut trace_specs: Vec<(&str, u64)> = Vec::new();
+    for job in &valid {
+        if !trace_specs.contains(&(&job.workload, job.budget)) {
+            trace_specs.push((&job.workload, job.budget));
         }
     }
-    let traces: Vec<lvp_trace::Trace> = par_map(&trace_specs, workers, |(w, budget)| {
-        lvp_workloads::by_name(w)
+    let traces: Vec<(lvp_trace::Trace, u64)> = par_map(&trace_specs, workers, |&(w, budget)| {
+        let trace = lvp_workloads::by_name(w)
             .expect("trace_specs holds only known workloads")
-            .trace(*budget)
+            .trace(budget);
+        let fingerprint = trace.fingerprint();
+        (trace, fingerprint)
     });
     let trace_of = |job: &JobSpec| {
-        trace_specs
+        let i = trace_specs
             .iter()
-            .position(|(w, b)| *w == job.workload && *b == job.budget)
-            .map(|i| &traces[i])
+            .position(|&(w, b)| w == job.workload && b == job.budget)
+            .expect("valid jobs are traced");
+        &traces[i]
     };
-    let job_config = |job: &JobSpec| {
-        let mut cfg: SimConfig = job.variant.config();
-        cfg.sample = job.sample;
-        cfg
-    };
-
-    // Key every valid job and coalesce in-flight duplicates: the first
-    // occurrence of a key owns the execution, later ones borrow it.
-    let mut keys: Vec<Option<String>> = vec![None; req.jobs.len()];
-    let mut owner_of_key: HashMap<String, usize> = HashMap::new();
-    let mut owners: Vec<usize> = Vec::new();
-    let mut borrowed: Vec<usize> = vec![usize::MAX; req.jobs.len()];
-    let mut deduped = 0u64;
-    for (i, job) in req.jobs.iter().enumerate() {
-        let Some(trace) = trace_of(job) else { continue };
-        let doc = sim_request_doc(
-            trace.fingerprint(),
-            job.budget,
-            job.scheme.name(),
-            &job_config(job),
-        );
-        let key = service.key(&doc);
-        match owner_of_key.get(&key) {
-            Some(&first) => {
-                borrowed[i] = first;
-                deduped += 1;
-            }
-            None => {
-                owner_of_key.insert(key.clone(), i);
-                owners.push(i);
-            }
-        }
-        keys[i] = Some(key);
-    }
-    service.note_deduped(deduped);
-
-    // Owners: answer from the store, else simulate and record.
-    let mut outcomes: Vec<Option<(SchemeOutcome, Provenance)>> = vec![None; req.jobs.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for &i in &owners {
-        let key = keys[i].as_ref().expect("owners are keyed");
-        match service
-            .lookup(key)
-            .and_then(|p| SchemeOutcome::from_json(&p).ok())
-        {
-            Some(outcome) => outcomes[i] = Some((outcome, Provenance::Store)),
-            None => misses.push(i),
-        }
-    }
-    let computed = par_map(&misses, workers, |&i| {
-        let job = &req.jobs[i];
-        let trace = trace_of(job).expect("missed jobs were keyed, so traced");
-        run_scheme(trace, job.scheme, &job_config(job))
-    });
-    for (&i, outcome) in misses.iter().zip(computed) {
-        let key = keys[i].as_ref().expect("missed jobs were keyed");
-        if let Err(e) = service.record(key, &outcome.to_json()) {
-            eprintln!("warning: result store write failed: {e}");
-        }
-        outcomes[i] = Some((outcome, Provenance::Computed));
-    }
+    let batch = par_map_cached(
+        service,
+        &valid,
+        |job| {
+            sim_request_doc(
+                trace_of(job).1,
+                job.budget,
+                job.scheme.name(),
+                &job.config(),
+            )
+        },
+        |_, payload| SchemeOutcome::from_json(payload).ok(),
+        workers,
+        &NullPhases,
+        &Progress::off(),
+        |_| String::new(),
+        |_| (0, 0),
+        |job| run_scheme(&trace_of(job).0, job.scheme, &job.config()),
+    );
 
     // Fan results back out to request order.
+    let mut answered = batch
+        .keys
+        .into_iter()
+        .zip(batch.provenance)
+        .zip(batch.results);
     req.jobs
         .iter()
         .enumerate()
         .map(|(i, job)| {
-            let mut pairs = line_head(i);
-            let slot = if borrowed[i] != usize::MAX {
-                borrowed[i]
+            let mut pairs = vec![("id", req.id.to_json()), ("index", (i as u64).to_json())];
+            if lvp_workloads::by_name(&job.workload).is_some() {
+                let ((key, prov), outcome) = answered.next().expect("one answer per valid job");
+                pairs.push(("key", key.to_json()));
+                pairs.push(("source", Json::Str(prov.name().to_string())));
+                pairs.push(("outcome", outcome.to_json()));
             } else {
-                i
-            };
-            match (&keys[i], &outcomes[slot]) {
-                (Some(key), Some((outcome, prov))) => {
-                    let prov = if borrowed[i] != usize::MAX {
-                        Provenance::Deduped
-                    } else {
-                        *prov
-                    };
-                    pairs.push(("key", key.to_json()));
-                    pairs.push(("source", Json::Str(prov.name().to_string())));
-                    pairs.push(("outcome", outcome.to_json()));
-                }
-                _ => {
-                    pairs.push((
-                        "error",
-                        Json::Str(format!("unknown workload '{}'", job.workload)),
-                    ));
-                }
+                pairs.push((
+                    "error",
+                    Json::Str(format!("unknown workload '{}'", job.workload)),
+                ));
             }
             Json::obj(pairs)
         })
@@ -571,7 +509,10 @@ pub fn client_run_matrix(
         if let Some(e) = line.get("error").and_then(Json::as_str) {
             return Err(format!("server error: {e}"));
         }
-        let index = u(line, "index").ok_or("response line missing 'index'")? as usize;
+        let index = line
+            .get("index")
+            .and_then(Json::as_u64)
+            .ok_or("response line missing 'index'")? as usize;
         if index >= jobs.len() || outcomes[index].is_some() {
             return Err(format!("response line has bad index {index}"));
         }
@@ -579,15 +520,9 @@ pub fn client_run_matrix(
             .get("source")
             .and_then(Json::as_str)
             .ok_or("response line missing 'source'")?;
-        let slot = sources
-            .entry(match source {
-                "store" => "store",
-                "computed" => "computed",
-                "deduped" => "deduped",
-                other => return Err(format!("unknown provenance '{other}'")),
-            })
-            .or_insert(0);
-        *slot += 1;
+        let prov = Provenance::from_name(source)
+            .ok_or_else(|| format!("unknown provenance '{source}'"))?;
+        *sources.entry(prov.name()).or_insert(0) += 1;
         let outcome = line
             .get("outcome")
             .ok_or("response line missing 'outcome'")?;

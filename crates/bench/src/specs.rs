@@ -16,7 +16,7 @@
 //! explores is readable from `SimConfig::preset_names()` plus this file.
 
 use crate::analysis::analyze_workload;
-use crate::experiments::{run_scheme, ComparisonRow, SchemeKind, SchemeOutcome};
+use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
 use crate::report;
 use crate::runner::par_map_metered;
 use crate::service::{par_map_cached, sim_request_doc};
@@ -88,30 +88,32 @@ pub enum SimOutput {
 }
 
 impl SimOutput {
-    /// The result-store payload for this output. Tagged so the two arms
-    /// cannot be confused when a payload is decoded.
-    pub fn to_payload(&self) -> Json {
-        match self {
-            SimOutput::Outcome(o) => Json::obj([
-                ("type", Json::Str("outcome".to_string())),
-                ("outcome", o.to_json()),
-            ]),
-            SimOutput::Stats(s) => Json::obj([
-                ("type", Json::Str("stats".to_string())),
-                ("stats", s.to_json()),
-            ]),
+    /// Decodes a result-store payload for a request of `scheme`: a registry
+    /// scheme's payload is a bare [`SchemeOutcome`] (the payload `runner`,
+    /// `serve` and `obs` store under the same key), D-VTAGE's a bare
+    /// [`SimStats`]. `None` on any shape mismatch (the caller treats that as
+    /// a cache miss and recomputes).
+    pub fn from_payload(scheme: SimScheme, j: &Json) -> Option<SimOutput> {
+        match scheme {
+            SimScheme::Kind(_) => SchemeOutcome::from_json(j).ok().map(SimOutput::Outcome),
+            SimScheme::Dvtage => SimStats::from_json(j).ok().map(SimOutput::Stats),
         }
     }
 
-    /// Inverse of [`SimOutput::to_payload`]; `None` on any shape mismatch
-    /// (the caller treats that as a cache miss and recomputes).
-    pub fn from_payload(j: &Json) -> Option<SimOutput> {
-        match j.get("type").and_then(Json::as_str)? {
-            "outcome" => Some(SimOutput::Outcome(
-                SchemeOutcome::from_json(j.get("outcome")?).ok()?,
-            )),
-            "stats" => Some(SimOutput::Stats(SimStats::from_json(j.get("stats")?).ok()?)),
-            _ => None,
+    fn stats(&self) -> &SimStats {
+        match self {
+            SimOutput::Outcome(o) => &o.stats,
+            SimOutput::Stats(s) => s,
+        }
+    }
+}
+
+impl ToJson for SimOutput {
+    /// The result-store payload: the bare outcome or the bare stats.
+    fn to_json(&self) -> Json {
+        match self {
+            SimOutput::Outcome(o) => o.to_json(),
+            SimOutput::Stats(s) => s.to_json(),
         }
     }
 }
@@ -209,8 +211,7 @@ impl ResultSet {
             preset,
         };
         match self.sims.get(&req) {
-            Some(SimOutput::Outcome(o)) => &o.stats,
-            Some(SimOutput::Stats(s)) => s,
+            Some(out) => out.stats(),
             None => panic!("spec did not request ({workload}, {scheme:?}, {preset})"),
         }
     }
@@ -319,10 +320,6 @@ pub fn run_specs_serviced<P: PhaseSink>(
     span.finish();
     let traces: HashMap<&'static str, Trace> = workload_names.iter().copied().zip(built).collect();
 
-    let sim_work = |out: &SimOutput| match out {
-        SimOutput::Outcome(o) => (o.stats.cycles, o.stats.instructions),
-        SimOutput::Stats(s) => (s.cycles, s.instructions),
-    };
     let fingerprints: HashMap<&'static str, u64> = if service.enabled() {
         traces
             .iter()
@@ -339,13 +336,12 @@ pub fn run_specs_serviced<P: PhaseSink>(
             let cfg = SimConfig::preset(req.preset).expect("spec requests name registered presets");
             sim_request_doc(fingerprints[req.workload], budget, req.scheme.label(), &cfg)
         },
-        |_, payload| SimOutput::from_payload(payload),
-        SimOutput::to_payload,
+        |req, payload| SimOutput::from_payload(req.scheme, payload),
         workers,
         phases,
         progress,
         |req| format!("job:{}/{}/{}", req.workload, req.preset, req.scheme.label()),
-        sim_work,
+        |out| (out.stats().cycles, out.stats().instructions),
         |req| run_request(req, &traces[req.workload]),
     );
     span.charge(
@@ -402,22 +398,37 @@ fn across_workloads(pairs: &[(SimScheme, &'static str)]) -> Vec<SimRequest> {
     v
 }
 
-/// Reassembles a [`ComparisonRow`] (baseline + the given schemes, all on
-/// the `default` preset) from pooled outcomes — the spec-pipeline face of
-/// `ComparisonRow::with_schemes`.
-fn row_from(set: &ResultSet, w: &lvp_workloads::Workload, schemes: &[SchemeKind]) -> ComparisonRow {
-    ComparisonRow {
-        workload: w.name.to_string(),
-        suite: w.suite.to_string(),
-        baseline: set.outcome(w.name, SchemeKind::Baseline, "default").clone(),
+/// One workload's baseline and scheme outcomes, all on the `default`
+/// preset, borrowed from the pooled results.
+struct Row<'a> {
+    workload: &'static str,
+    baseline: &'a SchemeOutcome,
+    schemes: Vec<&'a SchemeOutcome>,
+}
+
+impl Row<'_> {
+    /// Speedup of scheme `i` over the baseline.
+    fn speedup(&self, i: usize) -> f64 {
+        self.schemes[i].stats.speedup_over(&self.baseline.stats)
+    }
+}
+
+fn row_from<'a>(
+    set: &'a ResultSet,
+    w: &lvp_workloads::Workload,
+    schemes: &[SchemeKind],
+) -> Row<'a> {
+    Row {
+        workload: w.name,
+        baseline: set.outcome(w.name, SchemeKind::Baseline, "default"),
         schemes: schemes
             .iter()
-            .map(|&k| set.outcome(w.name, k, "default").clone())
+            .map(|&k| set.outcome(w.name, k, "default"))
             .collect(),
     }
 }
 
-/// The standard experiment header (string form of `report::header`).
+/// The standard experiment header.
 fn header(o: &mut String, id: &str, title: &str, budget: u64) {
     o.push_str("================================================================\n");
     o.push_str(&format!("{id}: {title}\n"));
@@ -757,7 +768,7 @@ fn fig06_render(set: &ResultSet) -> String {
         "CAP vs VTAGE vs DLVP (Figure 6)",
         set.budget(),
     );
-    let rows: Vec<ComparisonRow> = lvp_workloads::all()
+    let rows: Vec<Row> = lvp_workloads::all()
         .iter()
         .map(|w| {
             row_from(

@@ -6,11 +6,13 @@
 //! consumer built the document — and bumping the key schema version makes
 //! every previously stored entry unreachable rather than misinterpreted.
 
+use lvp_bench::specs::{run_specs_serviced, SPECS};
 use lvp_bench::{
-    run_matrix_serviced, sim_request_doc, ConfigVariant, MatrixSpec, Progress, SchemeKind,
+    execute_batch, run_matrix_serviced, sim_request_doc, BatchRequest, ConfigVariant, MatrixSpec,
+    Progress, SchemeKind,
 };
 use lvp_json::Json;
-use lvp_obs::NullPhases;
+use lvp_obs::{NullPhases, PhaseRecorder};
 use lvp_store::{request_key, request_key_versioned, SimService, Store, KEY_SCHEMA_VERSION};
 use lvp_uarch::{SampleSpec, SimConfig};
 use std::collections::{HashMap, HashSet};
@@ -184,4 +186,102 @@ fn distinct_dimensions_change_the_key() {
         .into_iter()
         .collect();
     assert_eq!(keys.len(), 4, "every request dimension must reach the key");
+}
+
+/// The Figure 6 design points at a small budget, as `figs` requests them
+/// and as the equivalent `runner` matrix.
+const CROSS_BUDGET: u64 = 2_000;
+
+fn fig06_matrix() -> MatrixSpec {
+    let mut spec = MatrixSpec::full(CROSS_BUDGET);
+    spec.schemes = vec![
+        SchemeKind::Baseline,
+        SchemeKind::Cap,
+        SchemeKind::Vtage,
+        SchemeKind::Dlvp,
+    ];
+    spec
+}
+
+fn run_fig06(svc: &SimService) -> (String, u64) {
+    let spec = SPECS
+        .iter()
+        .find(|s| s.name == "fig06_comparison")
+        .expect("fig06_comparison is registered");
+    let rec = PhaseRecorder::new();
+    let text = run_specs_serviced(&[spec], CROSS_BUDGET, 2, &rec, &Progress::off(), svc)
+        .remove(0)
+        .text;
+    (text, executed_jobs(&rec))
+}
+
+fn run_fig06_matrix(svc: &SimService) -> (String, u64) {
+    let rec = PhaseRecorder::new();
+    let results = run_matrix_serviced(&fig06_matrix(), 2, &rec, &Progress::off(), svc);
+    (results.to_json().pretty(), executed_jobs(&rec))
+}
+
+/// Sim jobs a run actually executed: its `job:` spans.
+fn executed_jobs(rec: &PhaseRecorder) -> u64 {
+    rec.spans()
+        .iter()
+        .filter(|s| s.name.starts_with("job:"))
+        .count() as u64
+}
+
+#[test]
+fn figs_then_runner_executes_no_jobs() {
+    let dir = temp_dir("figs-runner");
+    let (fig, fig_jobs) = run_fig06(&SimService::open(&dir).expect("open service"));
+    assert_eq!(fig_jobs, fig06_matrix().expand().len() as u64);
+
+    let svc = SimService::open(&dir).expect("open service");
+    let (matrix, jobs) = run_fig06_matrix(&svc);
+    assert_eq!(jobs, 0, "runner re-executed design points figs stored");
+    let c = svc.counters();
+    assert_eq!((c.misses, c.writes), (0, 0), "counters: {c:?}");
+
+    let cold = run_fig06_matrix(&SimService::disabled()).0;
+    assert_eq!(matrix, cold, "a warm runner matrix is byte-identical");
+    assert_eq!(fig, run_fig06(&SimService::disabled()).0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runner_then_figs_executes_no_jobs() {
+    let dir = temp_dir("runner-figs");
+    let (_, matrix_jobs) = run_fig06_matrix(&SimService::open(&dir).expect("open service"));
+    assert_eq!(matrix_jobs, fig06_matrix().expand().len() as u64);
+
+    let svc = SimService::open(&dir).expect("open service");
+    let (fig, jobs) = run_fig06(&svc);
+    assert_eq!(jobs, 0, "figs re-executed design points runner stored");
+    let c = svc.counters();
+    assert_eq!((c.misses, c.writes), (0, 0), "counters: {c:?}");
+    assert_eq!(fig, run_fig06(&SimService::disabled()).0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_answers_figs_design_points_from_the_store() {
+    let dir = temp_dir("figs-serve");
+    run_fig06(&SimService::open(&dir).expect("open service"));
+
+    let req = BatchRequest {
+        id: "cross-tool".into(),
+        jobs: fig06_matrix().expand(),
+    };
+    let svc = SimService::open(&dir).expect("open service");
+    let lines = execute_batch(&req, &svc, 2);
+    assert_eq!(lines.len(), req.jobs.len());
+    for line in &lines {
+        assert_eq!(
+            line.get("source").and_then(Json::as_str),
+            Some("store"),
+            "{}",
+            line.compact()
+        );
+    }
+    assert_eq!(svc.counters().misses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

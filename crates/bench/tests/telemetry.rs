@@ -6,11 +6,11 @@ use lvp_bench::perf::{bench_doc, BenchPolicy, DEFAULT_TOL_REL};
 use lvp_bench::runner::{run_matrix, run_matrix_with, MatrixSpec};
 use lvp_bench::specs::{self, run_specs, run_specs_with};
 use lvp_bench::{
-    analysis, config_hash, par_map, par_map_metered, run_scheme, run_scheme_spun, Manifest,
+    analysis, config_hash, par_map, par_map_metered, run_scheme, run_scheme_with, Manifest,
     Progress, SchemeKind,
 };
 use lvp_json::{Json, ToJson};
-use lvp_obs::{host_trace, NullPhases, PhaseRecorder, PhaseSink};
+use lvp_obs::{host_trace, NullPhases, NullSink, PhaseRecorder, PhaseSink};
 use lvp_uarch::SimConfig;
 
 const BUDGET: u64 = 8_000;
@@ -77,7 +77,7 @@ fn recorded_analysis_is_byte_identical() {
     let xval = lvp_analysis::XvalConfig::default();
     let plain = analysis::analyze_workloads(&workloads, BUDGET, pap, dcfg, &xval);
     let rec = PhaseRecorder::new();
-    let recorded = analysis::analyze_workloads_with(
+    let recorded = analysis::analyze_workloads_serviced(
         &workloads,
         BUDGET,
         pap,
@@ -85,6 +85,7 @@ fn recorded_analysis_is_byte_identical() {
         &xval,
         &rec,
         &Progress::off(),
+        &lvp_store::SimService::disabled(),
     );
     assert_eq!(
         analysis::report_json(&recorded, BUDGET).pretty(),
@@ -105,7 +106,7 @@ fn injected_slowdown_is_invisible_to_the_simulation() {
         .trace(BUDGET);
     let cfg = SimConfig::default();
     let plain = run_scheme(&trace, SchemeKind::Dlvp, &cfg);
-    let spun = run_scheme_spun(&trace, SchemeKind::Dlvp, &cfg, 40);
+    let (spun, _) = run_scheme_with(&trace, SchemeKind::Dlvp, &cfg, NullSink, 40);
     assert_eq!(spun.stats, plain.stats);
     assert_eq!(spun.to_json().pretty(), plain.to_json().pretty());
 }

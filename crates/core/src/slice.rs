@@ -12,6 +12,7 @@
 
 use crate::engine::{Dlvp, DlvpConfig, PcOutcome};
 use crate::pap::Pap;
+use lvp_analysis::DynLoadStats;
 use lvp_json::{Json, ToJson};
 use lvp_trace::Trace;
 use lvp_uarch::stats::PcLoadStats;
@@ -31,14 +32,6 @@ pub struct DlvpSimSlice {
     pub outcomes: BTreeMap<u64, PcOutcome>,
 }
 
-fn u(j: &Json, key: &str) -> Option<u64> {
-    match j.get(key) {
-        Some(Json::U64(v)) => Some(*v),
-        Some(Json::I64(v)) if *v >= 0 => Some(*v as u64),
-        _ => None,
-    }
-}
-
 impl DlvpSimSlice {
     /// Runs the validating simulation over `trace`.
     pub fn run(trace: &Trace, core: CoreConfig, dlvp: DlvpConfig, pap: PapConfig) -> DlvpSimSlice {
@@ -49,6 +42,26 @@ impl DlvpSimSlice {
             instructions: stats.instructions,
             per_pc: stats.per_pc,
             outcomes: scheme.per_pc_outcomes().clone(),
+        }
+    }
+
+    /// The merged simulator and engine counters of the load at `pc` (all
+    /// zero for a load that never executed), as the cross-validation gate
+    /// reads them.
+    pub fn dyn_stats(&self, pc: u64) -> DynLoadStats {
+        let s = self.per_pc.get(&pc).copied().unwrap_or_default();
+        let eng = self.outcomes.get(&pc).copied().unwrap_or_default();
+        DynLoadStats {
+            executions: s.executions,
+            conflict_exposed: s.conflict_exposed,
+            ordering_violations: s.ordering_violations,
+            injected: s.injected,
+            value_correct: s.correct,
+            attempts: eng.attempts,
+            predictions: eng.predictions,
+            addr_mispredicts: eng.addr_mispredicts,
+            stale_mispredicts: eng.stale_mispredicts,
+            lscd_suppressed: eng.lscd_suppressed,
         }
     }
 
@@ -123,24 +136,27 @@ impl DlvpSimSlice {
     pub fn from_payload(j: &Json) -> Option<DlvpSimSlice> {
         let mut per_pc = BTreeMap::new();
         for entry in j.get("per_pc")?.as_array()? {
-            per_pc.insert(u(entry, "pc")?, PcLoadStats::from_json(entry).ok()?);
+            per_pc.insert(
+                entry.get("pc").and_then(Json::as_u64)?,
+                PcLoadStats::from_json(entry).ok()?,
+            );
         }
         let mut outcomes = BTreeMap::new();
         for entry in j.get("outcomes")?.as_array()? {
             outcomes.insert(
-                u(entry, "pc")?,
+                entry.get("pc").and_then(Json::as_u64)?,
                 PcOutcome {
-                    attempts: u(entry, "attempts")?,
-                    predictions: u(entry, "predictions")?,
-                    addr_mispredicts: u(entry, "addr_mispredicts")?,
-                    stale_mispredicts: u(entry, "stale_mispredicts")?,
-                    lscd_suppressed: u(entry, "lscd_suppressed")?,
+                    attempts: entry.get("attempts").and_then(Json::as_u64)?,
+                    predictions: entry.get("predictions").and_then(Json::as_u64)?,
+                    addr_mispredicts: entry.get("addr_mispredicts").and_then(Json::as_u64)?,
+                    stale_mispredicts: entry.get("stale_mispredicts").and_then(Json::as_u64)?,
+                    lscd_suppressed: entry.get("lscd_suppressed").and_then(Json::as_u64)?,
                 },
             );
         }
         Some(DlvpSimSlice {
-            cycles: u(j, "cycles")?,
-            instructions: u(j, "instructions")?,
+            cycles: j.get("cycles").and_then(Json::as_u64)?,
+            instructions: j.get("instructions").and_then(Json::as_u64)?,
             per_pc,
             outcomes,
         })
@@ -188,6 +204,11 @@ mod tests {
         assert_eq!(back.cycles, 123);
         assert_eq!(back.per_pc[&0x1000].injected, 7);
         assert_eq!(back.outcomes[&0x1000].predictions, 7);
+
+        let merged = slice.dyn_stats(0x1000);
+        assert_eq!((merged.injected, merged.value_correct), (7, 6));
+        assert_eq!((merged.attempts, merged.addr_mispredicts), (9, 1));
+        assert_eq!(slice.dyn_stats(0x2000), DynLoadStats::default());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! 2. **Differential execution** — every [`SchemeKind`] runs the same
 //!    program; architectural counters must agree across schemes, traced and
 //!    untraced runs must be byte-identical, and lvp-obs lifecycle reports
-//!    must reconcile 1:1 with simulator statistics ([`oracle::check`]).
+//!    must reconcile 1:1 with simulator statistics ([`oracle::check_serviced`]).
 //! 3. **Alias discipline** — loads the analyzer proves conflict-free must
 //!    never be squashed by a store under any scheme.
 //!

@@ -40,8 +40,8 @@
 use crate::synth::SynthProgram;
 use dlvp::{DlvpSimSlice, SchemeKind};
 use lvp_analysis::{
-    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, DynLoadStats, ProgramAnalysis,
-    XvalConfig, XvalLoad,
+    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, ProgramAnalysis, XvalConfig,
+    XvalLoad,
 };
 use lvp_emu::{Emulator, RunOutcome, StopReason};
 use lvp_json::{Json, ToJson};
@@ -201,14 +201,11 @@ pub fn soundness(sp: &SynthProgram, analysis: &ProgramAnalysis, tolerance: f64) 
     out
 }
 
-/// Runs the full differential oracle over one synthesized program.
-pub fn check(sp: &SynthProgram, run: &RunOutcome, cfg: &OracleConfig) -> Vec<Finding> {
-    check_serviced(sp, run, cfg, &SimService::disabled())
-}
-
-/// [`check`] behind a [`SimService`]: the DLVP deep-check simulation
-/// (steps 7-8) is looked up in — and recorded to — the service, keyed by
-/// the trace fingerprint and the full simulator configuration. The
+/// Runs the full differential oracle over one synthesized program, behind a
+/// [`SimService`] (pass `SimService::disabled()` to always simulate): the
+/// DLVP deep-check simulation (steps 7-8) is looked up in — and recorded
+/// to — the service, keyed by the trace fingerprint and the full simulator
+/// configuration. The
 /// campaign and minimizer drivers share one in-memory service so repeated
 /// candidates (minimizer fixpoint rounds, duplicate seeds) simulate once;
 /// the findings are identical either way because the cached payload
@@ -397,56 +394,29 @@ pub fn check_serviced(
     // accuracy. The simulation goes through the result service — repeated
     // traces (minimizer rounds, duplicate seeds) are served from cache.
     let dep = DepAnalysis::analyze(&sp.program, &analysis);
-    let run_slice = || DlvpSimSlice::run(trace, cfg.sim.core.clone(), cfg.sim.dlvp, cfg.sim.pap);
-    let deep = if service.enabled() {
-        let doc = DlvpSimSlice::request_doc(
-            trace.fingerprint(),
-            sp.budget,
-            &cfg.sim.core,
-            &cfg.sim.dlvp,
-            &cfg.sim.pap,
-        );
-        let key = service.key(&doc);
-        match service
-            .lookup(&key)
-            .and_then(|p| DlvpSimSlice::from_payload(&p))
-        {
-            Some(slice) => slice,
-            None => {
-                let slice = run_slice();
-                if let Err(e) = service.record(&key, &slice.to_payload()) {
-                    eprintln!("warning: result store write failed: {e}");
-                }
-                slice
-            }
-        }
-    } else {
-        run_slice()
-    };
+    let (deep, _) = service.cached(
+        || {
+            DlvpSimSlice::request_doc(
+                trace.fingerprint(),
+                sp.budget,
+                &cfg.sim.core,
+                &cfg.sim.dlvp,
+                &cfg.sim.pap,
+            )
+        },
+        DlvpSimSlice::from_payload,
+        DlvpSimSlice::to_payload,
+        || DlvpSimSlice::run(trace, cfg.sim.core.clone(), cfg.sim.dlvp, cfg.sim.pap),
+    );
     let xval_loads: Vec<XvalLoad> = analysis
         .loads
         .iter()
-        .map(|l| {
-            let sim = deep.per_pc.get(&l.pc).copied().unwrap_or_default();
-            let eng = deep.outcomes.get(&l.pc).copied().unwrap_or_default();
-            XvalLoad {
-                pc: l.pc,
-                class: l.class,
-                conflict_free: l.conflict_free(),
-                ordered: l.ordered,
-                stats: DynLoadStats {
-                    executions: sim.executions,
-                    conflict_exposed: sim.conflict_exposed,
-                    ordering_violations: sim.ordering_violations,
-                    injected: sim.injected,
-                    value_correct: sim.correct,
-                    attempts: eng.attempts,
-                    predictions: eng.predictions,
-                    addr_mispredicts: eng.addr_mispredicts,
-                    stale_mispredicts: eng.stale_mispredicts,
-                    lscd_suppressed: eng.lscd_suppressed,
-                },
-            }
+        .map(|l| XvalLoad {
+            pc: l.pc,
+            class: l.class,
+            conflict_free: l.conflict_free(),
+            ordered: l.ordered,
+            stats: deep.dyn_stats(l.pc),
         })
         .collect();
     let const_free_sites = xval_loads

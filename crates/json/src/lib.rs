@@ -63,6 +63,15 @@ impl Json {
         }
     }
 
+    /// The value as an unsigned integer: a `U64`, or a non-negative `I64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::U64(x) => Some(x),
+            Json::I64(x) if x >= 0 => Some(x as u64),
+            _ => None,
+        }
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -34,14 +34,11 @@ pub fn stats_parse_error(detail: impl Into<String>) -> StatsParseError {
 /// Reads a required unsigned-integer field — the workhorse for parsing
 /// all-`u64` stats blocks back out of store payloads.
 pub fn stats_u64(j: &Json, key: &str) -> Result<u64, StatsParseError> {
-    match j.get(key) {
-        Some(&Json::U64(n)) => Ok(n),
-        Some(&Json::I64(n)) if n >= 0 => Ok(n as u64),
-        Some(other) => Err(stats_parse_error(format!(
-            "'{key}' must be an unsigned integer, got {other:?}"
-        ))),
-        None => Err(stats_parse_error(format!("missing key '{key}'"))),
-    }
+    let v = j
+        .get(key)
+        .ok_or_else(|| stats_parse_error(format!("missing key '{key}'")))?;
+    v.as_u64()
+        .ok_or_else(|| stats_parse_error(format!("'{key}' must be an unsigned integer, got {v:?}")))
 }
 
 fn stats_field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, StatsParseError> {

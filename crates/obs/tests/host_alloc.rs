@@ -2,18 +2,31 @@
 //! must not touch the heap at all. A counting global allocator wraps the
 //! system one; the disabled-sink span/charge/finish cycle must leave the
 //! allocation counter untouched, while the recording sink visibly must not.
+//! The counter is per thread, so the test harness and concurrently running
+//! tests cannot charge their allocations to the thread under test.
 
 use lvp_obs::{NullPhases, PhaseRecorder, PhaseSink};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread-local teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -22,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -33,7 +46,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn null_phases_never_allocates() {
     let sink = NullPhases;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..1_000u64 {
         let mut guard = sink.span(0, "hot-phase");
         guard.charge(i, i * 2, 1);
@@ -41,7 +54,7 @@ fn null_phases_never_allocates() {
         let v = sink.time(3, "nested", || i + 1);
         std::hint::black_box(v);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -53,10 +66,10 @@ fn null_phases_never_allocates() {
 fn recorder_does_allocate_as_a_control() {
     // The counting allocator itself must be live, or the zero-allocation
     // assertion above would be vacuous.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let rec = PhaseRecorder::new();
     rec.time(0, "control-span", || ());
     std::hint::black_box(rec.spans());
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(after > before, "recording sink should hit the allocator");
 }

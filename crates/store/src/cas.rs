@@ -26,10 +26,15 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 /// On-disk entry format version, recorded in every entry.
 pub const STORE_VERSION: u64 = 1;
+
+/// Per-process sequence number for temp-file names, so concurrent writers
+/// of one key in one process never share a temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Store failures carry the path that failed so CLI diagnostics are
 /// actionable.
@@ -160,7 +165,12 @@ impl Store {
             ("check", Json::Str(payload_check(payload))),
             ("payload", payload.clone()),
         ]);
-        let tmp = shard.join(format!(".tmp-{}-{}", &key[2..], std::process::id()));
+        let tmp = shard.join(format!(
+            ".tmp-{}-{}-{}",
+            &key[2..],
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         fs::write(&tmp, doc.pretty()).map_err(|e| io_err(&tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         Ok(true)
@@ -363,6 +373,45 @@ mod tests {
         let gc = store.gc(Some(2)).unwrap();
         assert_eq!((gc.kept, gc.evicted), (2, 3));
         assert_eq!(store.keys().unwrap().len(), 2);
+        fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn concurrent_same_key_puts_all_succeed_and_leave_no_temp_files() {
+        let store = temp_store("race");
+        // Each round releases eight writers of one fresh key at once, so
+        // their temp writes and renames overlap.
+        for round in 0..400u64 {
+            let key = request_key(&Json::U64(round));
+            let payload = Json::obj([("cycles", Json::U64(round))]);
+            let start = std::sync::Barrier::new(8);
+            let results: Vec<Result<bool, StoreError>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            store.put(&key, &payload)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("writer thread"))
+                    .collect()
+            });
+            for r in &results {
+                assert!(r.is_ok(), "round {round}: concurrent put failed: {r:?}");
+            }
+            assert_eq!(store.get(&key).unwrap(), Some(payload));
+        }
+        let report = store.verify().unwrap();
+        assert_eq!((report.ok, report.corrupt.len()), (400, 0));
+        for shard in read_dir_sorted(store.root()).unwrap() {
+            for entry in read_dir_sorted(&shard).unwrap() {
+                let name = entry.file_name().unwrap().to_string_lossy().into_owned();
+                assert!(!name.starts_with(".tmp-"), "temp file left behind: {name}");
+            }
+        }
         fs::remove_dir_all(store.root()).unwrap();
     }
 

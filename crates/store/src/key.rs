@@ -19,8 +19,10 @@ use lvp_json::Json;
 
 /// Version stamp mixed into every key. Bump when the meaning of cached
 /// payloads changes so stale entries become unreachable instead of being
-/// misinterpreted.
-pub const KEY_SCHEMA_VERSION: u64 = 1;
+/// misinterpreted. Version 2: each key kind stores exactly one payload
+/// shape; version 1 let one `sim` key hold either a bare outcome or a
+/// tagged envelope, whichever tool wrote first.
+pub const KEY_SCHEMA_VERSION: u64 = 2;
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

@@ -6,8 +6,9 @@
 //! crate knowing about traces, schemes or configs. Three modes:
 //!
 //! * **disabled** — pure pass-through; every lookup misses without
-//!   counting, [`SimService::cached`] always executes. Runs with the store
-//!   off take exactly the code path they took before this layer existed.
+//!   counting, [`SimService::cached`] always executes and builds no key.
+//!   Runs with the store off take exactly the code path they took before
+//!   this layer existed.
 //! * **in-memory** — process-local memo only. Used by the fuzz oracle to
 //!   dedup the identical scheme runs it previously rebuilt per seed.
 //! * **on-disk** — memo in front of a [`Store`]; hits persist across
@@ -88,11 +89,6 @@ impl SimService {
         self.memo.is_some()
     }
 
-    /// Whether results persist to disk.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// The canonical key for a request document.
     pub fn key(&self, request: &Json) -> String {
         request_key(request)
@@ -140,22 +136,35 @@ impl SimService {
     }
 
     /// Memoized execution of one request: looks up, else computes and
-    /// records. The single-request convenience path; batch consumers use
-    /// [`SimService::lookup`]/[`SimService::record`] directly so misses
-    /// can be sharded across a worker pool.
-    pub fn cached(&self, request: &Json, compute: impl FnOnce() -> Json) -> Json {
+    /// records. Returns the value and whether it came from the store.
+    ///
+    /// `request` is only built when the service is enabled, so a disabled
+    /// service computes no key (nor whatever the request document needs,
+    /// such as a trace fingerprint). A payload that `decode` rejects is
+    /// recomputed, exactly like an absent entry. Batch consumers use
+    /// `lvp_bench::service::par_map_cached`, which shards the misses of
+    /// many requests across a worker pool.
+    pub fn cached<T>(
+        &self,
+        request: impl FnOnce() -> Json,
+        decode: impl FnOnce(&Json) -> Option<T>,
+        encode: impl FnOnce(&T) -> Json,
+        compute: impl FnOnce() -> T,
+    ) -> (T, bool) {
         if !self.enabled() {
-            return compute();
+            return (compute(), false);
         }
-        let key = self.key(request);
-        if let Some(payload) = self.lookup(&key) {
-            return payload;
+        let key = self.key(&request());
+        if let Some(value) = self.lookup(&key).and_then(|p| decode(&p)) {
+            return (value, true);
         }
-        let payload = compute();
-        // Ignore persistence failures here: the computed value is correct
-        // and the run must not fail because a cache write did.
-        let _ = self.record(&key, &payload);
-        payload
+        let value = compute();
+        // The computed value is correct either way; a failed cache write
+        // only costs a recomputation next time.
+        if let Err(e) = self.record(&key, &encode(&value)) {
+            eprintln!("warning: result store write failed: {e}");
+        }
+        (value, false)
     }
 
     /// Notes `n` identical requests coalesced before execution.
@@ -184,16 +193,36 @@ mod tests {
         Json::obj([("n", Json::U64(n))])
     }
 
+    fn cached_u64(svc: &SimService, n: u64, calls: &mut u32, value: u64) -> (u64, bool) {
+        svc.cached(
+            || req(n),
+            |p| match p {
+                Json::U64(v) => Some(*v),
+                _ => None,
+            },
+            |v| Json::U64(*v),
+            || {
+                *calls += 1;
+                value
+            },
+        )
+    }
+
     #[test]
     fn disabled_service_always_computes() {
         let svc = SimService::disabled();
         let mut calls = 0;
         for _ in 0..3 {
-            let v = svc.cached(&req(1), || {
-                calls += 1;
-                Json::U64(9)
-            });
-            assert_eq!(v, Json::U64(9));
+            let v = svc.cached(
+                || unreachable!("a disabled service builds no request"),
+                |_| None,
+                |v: &u64| Json::U64(*v),
+                || {
+                    calls += 1;
+                    9u64
+                },
+            );
+            assert_eq!(v, (9, false));
         }
         assert_eq!(calls, 3);
         assert_eq!(svc.counters(), StoreCounters::default());
@@ -203,12 +232,9 @@ mod tests {
     fn in_memory_service_memoizes() {
         let svc = SimService::in_memory();
         let mut calls = 0;
-        for _ in 0..3 {
-            let v = svc.cached(&req(2), || {
-                calls += 1;
-                Json::U64(7)
-            });
-            assert_eq!(v, Json::U64(7));
+        assert_eq!(cached_u64(&svc, 2, &mut calls, 7), (7, false));
+        for _ in 0..2 {
+            assert_eq!(cached_u64(&svc, 2, &mut calls, 7), (7, true));
         }
         assert_eq!(calls, 1);
         let c = svc.counters();
@@ -216,17 +242,30 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_payload_is_recomputed() {
+        let svc = SimService::in_memory();
+        let key = svc.key(&req(5));
+        svc.record(&key, &Json::Str("not a number".into())).unwrap();
+        let mut calls = 0;
+        assert_eq!(cached_u64(&svc, 5, &mut calls, 50), (50, false));
+        assert_eq!(calls, 1, "a payload that does not decode is a miss");
+        assert_eq!(cached_u64(&svc, 5, &mut calls, 50), (50, true));
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
     fn disk_service_hits_across_instances() {
         let dir = std::env::temp_dir().join(format!("lvp-svc-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let mut calls = 0;
         let cold = SimService::open(&dir).unwrap();
-        cold.cached(&req(3), || Json::U64(30));
+        assert_eq!(cached_u64(&cold, 3, &mut calls, 30), (30, false));
         let c = cold.counters();
         assert_eq!((c.hits, c.misses, c.writes), (0, 1, 1));
 
         let warm = SimService::open(&dir).unwrap();
-        let v = warm.cached(&req(3), || unreachable!("warm lookup must hit"));
-        assert_eq!(v, Json::U64(30));
+        assert_eq!(cached_u64(&warm, 3, &mut calls, 30), (30, true));
+        assert_eq!(calls, 1, "warm lookup must hit");
         let c = warm.counters();
         assert_eq!((c.hits, c.misses, c.writes), (1, 0, 0));
         std::fs::remove_dir_all(&dir).unwrap();

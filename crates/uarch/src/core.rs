@@ -117,9 +117,6 @@ pub struct Core<S: VpScheme, K: EventSink = NullSink> {
     /// `i - fetch_buffer` (finite fetch/decode queue).
     rename_hist: VecDeque<u64>,
     fetch_bound: u64,
-    /// Print a per-instruction pipeline trace for the first N instructions
-    /// (debugging aid).
-    verbose_until: u64,
     /// Host-side busy-loop iterations per step (0 = off). A pure wall-clock
     /// tax for the `bench --inject-slowdown` regression-gate proof: it
     /// burns host time inside the hot step loop without reading or writing
@@ -172,16 +169,10 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             granule_stores: HashMap::new(),
             rename_hist: VecDeque::new(),
             fetch_bound: 0,
-            verbose_until: 0,
             host_spin: 0,
             sink,
             cfg,
         }
-    }
-
-    /// Enables a stderr pipeline trace for the first `n` instructions.
-    pub fn set_verbose(&mut self, n: u64) {
-        self.verbose_until = n;
     }
 
     /// Injects `iters` busy-loop iterations into every step — a deliberate
@@ -198,21 +189,14 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
     }
 
     /// Runs the whole trace and returns the statistics.
-    pub fn run(mut self, trace: &Trace) -> SimStats {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        self.stats
+    pub fn run(self, trace: &Trace) -> SimStats {
+        self.run_traced(trace).0
     }
 
     /// Runs the trace and also returns the scheme for counter inspection.
-    pub fn run_with_scheme(mut self, trace: &Trace) -> (SimStats, S) {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        (self.stats, self.scheme)
+    pub fn run_with_scheme(self, trace: &Trace) -> (SimStats, S) {
+        let (stats, scheme, _) = self.run_traced(trace);
+        (stats, scheme)
     }
 
     /// Runs the trace and returns the statistics, the scheme and the sink
@@ -712,29 +696,6 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 ldq: occupancy.2,
                 stq: occupancy.3,
             });
-        }
-
-        if rec.seq < self.verbose_until {
-            eprintln!(
-                "#{:<6} {:#8x} F{:<6} R{:<6} I{:<6} X{:<6} C{:<6} cm{:<6} src{:<6} {}{}{} {}",
-                rec.seq,
-                rec.pc,
-                fetch_cycle,
-                rename_cycle,
-                issue_cycle,
-                exec_start,
-                complete,
-                commit_cycle,
-                src_ready,
-                if injected { "VP" } else { "  " },
-                if verdict.predicted && verdict.correct {
-                    "+"
-                } else {
-                    " "
-                },
-                if branch_mispredicted { "MISP" } else { "" },
-                inst
-            );
         }
 
         // ---- redirects (branch / violation / value misprediction) --------

@@ -703,13 +703,9 @@ fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, ConfigError> {
 }
 
 fn get_u64(j: &Json, key: &str) -> Result<u64, ConfigError> {
-    match field(j, key)? {
-        Json::U64(n) => Ok(*n),
-        Json::I64(n) if *n >= 0 => Ok(*n as u64),
-        other => Err(bad(format!(
-            "'{key}' must be an unsigned integer, got {other:?}"
-        ))),
-    }
+    let v = field(j, key)?;
+    v.as_u64()
+        .ok_or_else(|| bad(format!("'{key}' must be an unsigned integer, got {v:?}")))
 }
 
 fn get_u32(j: &Json, key: &str) -> Result<u32, ConfigError> {
@@ -932,15 +928,19 @@ impl SimConfig {
             pap: parse_pap(field(j, "pap")?)?,
             cap: parse_cap(field(j, "cap")?)?,
             vtage: parse_vtage(field(j, "vtage")?)?,
-            sample: match j.get("sample") {
-                None => None,
-                Some(sj) => Some(SampleSpec {
-                    ff: get_u64(sj, "ff")?,
-                    warmup: get_u64(sj, "warmup")?,
-                    detail: get_u64(sj, "detail")?,
-                    period: get_u64(sj, "period")?,
-                }),
-            },
+            sample: j.get("sample").map(SampleSpec::from_json).transpose()?,
+        })
+    }
+}
+
+impl SampleSpec {
+    /// Parses the shape [`ToJson`] writes. Does *not* validate.
+    pub fn from_json(j: &Json) -> Result<SampleSpec, ConfigError> {
+        Ok(SampleSpec {
+            ff: get_u64(j, "ff")?,
+            warmup: get_u64(j, "warmup")?,
+            detail: get_u64(j, "detail")?,
+            period: get_u64(j, "period")?,
         })
     }
 }

@@ -26,7 +26,7 @@ use crate::simconfig::SampleSpec;
 use crate::stats::{SamplingStats, SimStats};
 use crate::vp::VpScheme;
 use lvp_mem::MemoryHierarchy;
-use lvp_obs::{EventSink, NullSink, ObsEvent, TierKind};
+use lvp_obs::{EventSink, ObsEvent, TierKind};
 use lvp_trace::{Trace, TraceRecord};
 
 /// Anything that can execute a trace and report statistics. The fidelity of
@@ -225,7 +225,7 @@ fn take_window<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> Trac
 ///
 /// Returns the accumulated detail-window stats — with
 /// [`SimStats::sampling`] populated — and the scheme. Tier transitions are
-/// emitted into `sink` (pass [`NullSink`] to discard them).
+/// emitted into `sink` (pass [`lvp_obs::NullSink`] to discard them).
 pub fn run_sampled<S, I, K>(
     cfg: &CoreConfig,
     mut scheme: S,
@@ -335,30 +335,16 @@ where
     (total, scheme)
 }
 
-/// [`run_sampled`] over an in-memory trace with no event sink — the common
-/// harness entry point.
-pub fn run_sampled_trace<S: VpScheme>(
-    cfg: &CoreConfig,
-    scheme: S,
-    trace: &Trace,
-    spec: SampleSpec,
-    spin: u32,
-) -> (SimStats, S) {
-    run_sampled(
-        cfg,
-        scheme,
-        trace.records().iter().cloned(),
-        spec,
-        spin,
-        NullSink,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulate;
     use crate::vp::NoVp;
+    use lvp_obs::NullSink;
+
+    fn sampled(cfg: &CoreConfig, t: &Trace, spec: SampleSpec) -> (SimStats, NoVp) {
+        run_sampled(cfg, NoVp, t.records().iter().cloned(), spec, 0, NullSink)
+    }
 
     fn trace(name: &str, budget: u64) -> Trace {
         lvp_workloads::by_name(name)
@@ -423,7 +409,7 @@ mod tests {
             detail: n,
             period: n,
         };
-        let (sampled, _) = run_sampled_trace(&CoreConfig::default(), NoVp, &t, spec, 0);
+        let (sampled, _) = sampled(&CoreConfig::default(), &t, spec);
         let mut full = simulate(&t, NoVp);
         assert_eq!(sampled.sampling.map(|s| s.windows), Some(1));
         full.sampling = sampled.sampling;
@@ -443,8 +429,8 @@ mod tests {
             period: 4_000,
         };
         let cfg = CoreConfig::default();
-        let (a, _) = run_sampled_trace(&cfg, NoVp, &t, spec, 0);
-        let (b, _) = run_sampled_trace(&cfg, NoVp, &t, spec, 0);
+        let (a, _) = sampled(&cfg, &t, spec);
+        let (b, _) = sampled(&cfg, &t, spec);
         assert_eq!(a, b, "sampling must be deterministic");
         let acct = a.sampling.expect("sampled stats carry accounting");
         assert_eq!(

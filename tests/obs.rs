@@ -4,15 +4,30 @@
 //! report's injection columns must reconcile exactly with
 //! `SimStats::per_pc`.
 
-use lvp_bench::{run_scheme, run_scheme_traced, SchemeKind};
+use lvp_bench::{run_scheme, run_scheme_with, SchemeKind, SchemeOutcome};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{chrome_trace, LifecycleReport, ObsEvent, RunMeta};
+use lvp_obs::{chrome_trace, LifecycleReport, ObsEvent, RingSink, RunMeta};
+use lvp_trace::Trace;
 use lvp_uarch::SimConfig;
 
-fn traced(workload: &str, budget: u64) -> (lvp_bench::SchemeOutcome, Vec<ObsEvent>, u64) {
+/// `run_scheme_with` into a ring of `capacity` events: the outcome, the
+/// surviving events oldest-first, and how many the ring overwrote.
+fn run_ring(
+    trace: &Trace,
+    scheme: SchemeKind,
+    cfg: &SimConfig,
+    capacity: usize,
+) -> (SchemeOutcome, Vec<ObsEvent>, u64) {
+    let (outcome, sink) = run_scheme_with(trace, scheme, cfg, RingSink::new(capacity), 0);
+    let ring = sink.into_ring();
+    let overwritten = ring.overwritten();
+    (outcome, ring.drain(), overwritten)
+}
+
+fn traced(workload: &str, budget: u64) -> (SchemeOutcome, Vec<ObsEvent>, u64) {
     let w = lvp_workloads::by_name(workload).expect("workload exists");
     let trace = w.trace(budget);
-    run_scheme_traced(
+    run_ring(
         &trace,
         SchemeKind::Dlvp,
         &SimConfig::default(),
@@ -29,7 +44,7 @@ fn traced_stats_byte_identical_to_nullsink_on_two_workloads() {
         let trace = w.trace(8_000);
         let cfg = SimConfig::default();
         let plain = run_scheme(&trace, SchemeKind::Dlvp, &cfg);
-        let (traced, events, _) = run_scheme_traced(&trace, SchemeKind::Dlvp, &cfg, 64_000);
+        let (traced, events, _) = run_ring(&trace, SchemeKind::Dlvp, &cfg, 64_000);
         assert!(!events.is_empty(), "{workload}: tracing recorded nothing");
         assert_eq!(
             plain.stats.to_json().pretty(),
@@ -51,7 +66,7 @@ fn baseline_stats_unchanged_by_tracing() {
     let trace = w.trace(6_000);
     let cfg = SimConfig::default();
     let plain = run_scheme(&trace, SchemeKind::Baseline, &cfg);
-    let (traced, _, _) = run_scheme_traced(&trace, SchemeKind::Baseline, &cfg, 64_000);
+    let (traced, _, _) = run_ring(&trace, SchemeKind::Baseline, &cfg, 64_000);
     assert_eq!(
         plain.stats.to_json().pretty(),
         traced.stats.to_json().pretty()
@@ -145,7 +160,7 @@ fn tiny_ring_overwrites_without_perturbing_stats() {
     let trace = w.trace(5_000);
     let cfg = SimConfig::default();
     let plain = run_scheme(&trace, SchemeKind::Dlvp, &cfg);
-    let (traced, events, overwritten) = run_scheme_traced(&trace, SchemeKind::Dlvp, &cfg, 32);
+    let (traced, events, overwritten) = run_ring(&trace, SchemeKind::Dlvp, &cfg, 32);
     assert_eq!(events.len(), 32);
     assert!(overwritten > 0);
     assert_eq!(
