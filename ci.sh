@@ -176,4 +176,14 @@ if ./target/release/bench --check --inject-slowdown \
 fi
 echo "throughput gate passes at HEAD and catches the injected slowdown"
 
+echo "== benchmark harness tests (benchmark/ compiles against the public API) =="
+# Building benchmark/ adds one line to its lock file (dlvp's lvp-analysis
+# edge); restore the committed file so the checkout stays untouched.
+cp benchmark/Cargo.lock "$tmp/benchmark.Cargo.lock"
+status=0
+cargo test -q --offline --manifest-path benchmark/Cargo.toml || status=$?
+cp "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock
+[ "$status" -eq 0 ]
+echo "benchmark harness builds and its tests pass"
+
 echo "CI OK"

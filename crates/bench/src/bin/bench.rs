@@ -25,97 +25,47 @@
 //! discarded warm-up, per cell. Deterministic counters are compared
 //! exactly; medians under the relative tolerance band. See DESIGN.md §12.
 
+use lvp_bench::cli::{self, Args};
 use lvp_bench::perf::{
     bench_doc, check, run_benchmarks, tier_speedups, Baseline, BenchPolicy, ANALYZE_BUDGET,
     ANALYZE_WORKLOAD, DEFAULT_TOL_REL, FUZZ_PROFILE, FUZZ_SEEDS, INJECT_SPIN, SIMCORE_BUDGET,
     SIMCORE_SCHEMES, SIMCORE_WORKLOADS, STORE_PHASES, TIER_PHASES, TIER_SAMPLE,
 };
-use lvp_bench::telemetry::{self, fmt_rate, Manifest};
+use lvp_bench::telemetry::{fmt_rate, Manifest};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{NullPhases, PhaseRecorder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!("usage: bench [--check] [--baseline PATH] [--out PATH] [--tol-rel X]");
-    eprintln!("             [--samples N] [--warmup-ms N] [--min-sample-ms N]");
-    eprintln!("             [--inject-slowdown] [--telemetry PATH] [--host-trace PATH]");
-    eprintln!("             [--validate-manifest PATH] [--list]");
-    std::process::exit(2);
+const USAGE: &str = "\
+usage: bench [--check] [--baseline PATH] [--out PATH] [--tol-rel X]
+             [--samples N] [--warmup-ms N] [--min-sample-ms N]
+             [--inject-slowdown] [--telemetry PATH] [--host-trace PATH]
+             [--validate-manifest PATH] [--list]
+";
+
+fn main() -> ExitCode {
+    cli::main("bench", USAGE, run)
 }
 
-struct Flags {
-    argv: Vec<String>,
+/// Reads and parses a JSON document.
+fn read_json(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
 }
 
-impl Flags {
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn take_bool(&mut self, flag: &str) -> bool {
-        if let Some(i) = self.argv.iter().position(|a| a == flag) {
-            self.argv.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
-}
-
-/// The CI telemetry smoke: 0 iff the manifest parses and re-serializes to
-/// the same bytes it was written with.
-fn validate_manifest(path: &PathBuf) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench: {} is not JSON: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Manifest::parse(&doc) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench: {} is not a telemetry manifest: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+/// The CI telemetry smoke: succeeds iff the manifest parses and
+/// re-serializes to the same bytes it was written with.
+fn validate_manifest(path: &Path) -> Result<(), String> {
+    let doc = read_json(path)?;
+    let manifest = Manifest::parse(&doc)
+        .map_err(|e| format!("{} is not a telemetry manifest: {e}", path.display()))?;
     if manifest.to_json().pretty() != doc.pretty() {
-        eprintln!(
-            "bench: {} does not round-trip the manifest schema",
+        return Err(format!(
+            "{} does not round-trip the manifest schema",
             path.display()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     println!(
         "manifest OK: tool {}, config {}, {} jobs on {} workers, {} sim cycles/s",
@@ -125,119 +75,101 @@ fn validate_manifest(path: &PathBuf) -> ExitCode {
         manifest.workers,
         fmt_rate(manifest.sim_cycles_per_sec),
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut flags = Flags {
-        argv: std::env::args().skip(1).collect(),
-    };
-    if flags.take_bool("--list") {
-        println!(
-            "simcore   : {} workloads x {} schemes, budget {}",
-            SIMCORE_WORKLOADS.len(),
-            SIMCORE_SCHEMES.len(),
-            SIMCORE_BUDGET
-        );
-        for w in SIMCORE_WORKLOADS {
-            for s in SIMCORE_SCHEMES {
-                println!("  simcore/{w}/{}", s.name());
-            }
+fn print_matrix() {
+    println!(
+        "simcore   : {} workloads x {} schemes, budget {}",
+        SIMCORE_WORKLOADS.len(),
+        SIMCORE_SCHEMES.len(),
+        SIMCORE_BUDGET
+    );
+    for w in SIMCORE_WORKLOADS {
+        for s in SIMCORE_SCHEMES {
+            println!("  simcore/{w}/{}", s.name());
         }
-        println!(
-            "tiers     : {} workloads x {} tiers, budget {} (sampled: ff {} / warm {} / detail {} / period {})",
-            SIMCORE_WORKLOADS.len(),
-            TIER_PHASES.len(),
-            SIMCORE_BUDGET,
-            TIER_SAMPLE.ff,
-            TIER_SAMPLE.warmup,
-            TIER_SAMPLE.detail,
-            TIER_SAMPLE.period,
-        );
-        for w in SIMCORE_WORKLOADS {
-            for p in TIER_PHASES {
-                println!("  {p}/{w}");
-            }
-        }
-        println!(
-            "store     : {} workloads x {{cold miss, warm hit}}, budget {}",
-            SIMCORE_WORKLOADS.len(),
-            SIMCORE_BUDGET
-        );
-        for w in SIMCORE_WORKLOADS {
-            for p in STORE_PHASES {
-                println!("  {p}/{w}");
-            }
-        }
-        println!("analyze   : {ANALYZE_WORKLOAD}, budget {ANALYZE_BUDGET}");
-        println!("fuzz_oracle: profile {FUZZ_PROFILE}, seeds 0..{FUZZ_SEEDS}");
-        flags.finish();
-        return ExitCode::SUCCESS;
     }
-    if let Some(path) = flags.take("--validate-manifest").map(PathBuf::from) {
-        flags.finish();
-        return validate_manifest(&path);
+    println!(
+        "tiers     : {} workloads x {} tiers, budget {} (sampled: ff {} / warm {} / detail {} / period {})",
+        SIMCORE_WORKLOADS.len(),
+        TIER_PHASES.len(),
+        SIMCORE_BUDGET,
+        TIER_SAMPLE.ff,
+        TIER_SAMPLE.warmup,
+        TIER_SAMPLE.detail,
+        TIER_SAMPLE.period,
+    );
+    for w in SIMCORE_WORKLOADS {
+        for p in TIER_PHASES {
+            println!("  {p}/{w}");
+        }
+    }
+    println!(
+        "store     : {} workloads x {{cold miss, warm hit}}, budget {}",
+        SIMCORE_WORKLOADS.len(),
+        SIMCORE_BUDGET
+    );
+    for w in SIMCORE_WORKLOADS {
+        for p in STORE_PHASES {
+            println!("  {p}/{w}");
+        }
+    }
+    println!("analyze   : {ANALYZE_WORKLOAD}, budget {ANALYZE_BUDGET}");
+    println!("fuzz_oracle: profile {FUZZ_PROFILE}, seeds 0..{FUZZ_SEEDS}");
+}
+
+fn run(args: &mut Args) -> cli::Result<ExitCode> {
+    if args.flag("--list") {
+        args.finish()?;
+        print_matrix();
+        return Ok(ExitCode::SUCCESS);
+    }
+    if let Some(path) = args.path("--validate-manifest")? {
+        args.finish()?;
+        validate_manifest(&path)?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let do_check = flags.take_bool("--check");
-    let baseline_path = flags
-        .take("--baseline")
-        .map(PathBuf::from)
+    let baseline_path = args
+        .path("--baseline")?
         .unwrap_or_else(|| PathBuf::from("BENCH_simcore.json"));
-    let out = flags.take("--out").map(PathBuf::from);
-    let tol_override: Option<f64> = flags.take_parsed("--tol-rel");
+    let out = args.path("--out")?;
+    let tol_override: Option<f64> = args.parsed("--tol-rel")?;
     let mut policy = BenchPolicy::default();
-    if let Some(n) = flags.take_parsed::<usize>("--samples") {
+    if let Some(n) = args.parsed("--samples")? {
         policy.samples = n;
     }
-    if let Some(ms) = flags.take_parsed::<u64>("--warmup-ms") {
+    if let Some(ms) = args.parsed("--warmup-ms")? {
         policy.warmup = Duration::from_millis(ms);
     }
-    if let Some(ms) = flags.take_parsed::<u64>("--min-sample-ms") {
+    if let Some(ms) = args.parsed("--min-sample-ms")? {
         policy.min_sample = Duration::from_millis(ms);
     }
-    let inject = flags.take_bool("--inject-slowdown");
-    let telemetry_path = flags.take("--telemetry").map(PathBuf::from);
-    let host_trace = flags.take("--host-trace").map(PathBuf::from);
-    flags.finish();
+    let telemetry = args.telemetry()?;
+    let do_check = args.flag("--check");
+    let inject = args.flag("--inject-slowdown");
+    args.finish()?;
 
     let spin = if inject { INJECT_SPIN } else { 0 };
     if inject {
         eprintln!("bench: injecting a {INJECT_SPIN}-iteration busy loop per simulated instruction");
     }
-
-    let want_telemetry = telemetry_path.is_some() || host_trace.is_some();
-    let rec = PhaseRecorder::new();
-    let rows = if want_telemetry {
-        run_benchmarks(&policy, spin, &rec)
-    } else {
-        run_benchmarks(&policy, spin, &NullPhases)
-    };
-    if want_telemetry {
-        let config = Json::obj([
-            (
-                "workloads",
-                Json::Array(SIMCORE_WORKLOADS.iter().map(|w| w.to_json()).collect()),
-            ),
-            ("budget", SIMCORE_BUDGET.to_json()),
-            ("samples", (policy.normalized().samples as u64).to_json()),
-            ("inject_slowdown", inject.to_json()),
-        ]);
-        if let Err(e) = telemetry::emit(
-            "bench",
-            &config,
-            SIMCORE_BUDGET,
-            (0..FUZZ_SEEDS).collect(),
-            1,
-            &rec,
-            None,
-            telemetry_path.as_deref(),
-            host_trace.as_deref(),
-        ) {
-            eprintln!("bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let rows = cli::with_telemetry!(
+        telemetry,
+        |phases| run_benchmarks(&policy, spin, phases),
+        |rec| {
+            let workloads = SIMCORE_WORKLOADS.iter().map(|w| w.to_json()).collect();
+            let config = Json::obj([
+                ("workloads", Json::Array(workloads)),
+                ("budget", SIMCORE_BUDGET.to_json()),
+                ("samples", (policy.normalized().samples as u64).to_json()),
+                ("inject_slowdown", inject.to_json()),
+            ]);
+            let seeds = (0..FUZZ_SEEDS).collect();
+            Manifest::build("bench", &config, SIMCORE_BUDGET, seeds, 1, rec, None)
+        },
+    )?;
 
     println!(
         "{:<12} {:<12} {:<14} {:>14} {:>14}",
@@ -268,36 +200,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &out {
-        let tol = tol_override.unwrap_or(DEFAULT_TOL_REL);
-        if let Err(e) = telemetry::write_json(path, &bench_doc(&policy, tol, &rows)) {
-            eprintln!("bench: {e}");
-            return ExitCode::FAILURE;
-        }
+        let doc = bench_doc(&policy, tol_override.unwrap_or(DEFAULT_TOL_REL), &rows);
+        cli::write(path, &(doc.pretty() + "\n"))?;
         println!("wrote {}", path.display());
     }
 
     if do_check {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("bench: {} is not JSON: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match Baseline::parse(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let baseline = Baseline::parse(&read_json(&baseline_path)?)?;
         let report = check(&baseline, &rows, tol_override);
         for note in &report.notes {
             eprintln!("note: {note}");
@@ -311,7 +220,7 @@ fn main() -> ExitCode {
             for f in &report.failures {
                 eprintln!("  {f}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "throughput gate PASSED against {} (tol rel {}, {} cells)",
@@ -320,5 +229,5 @@ fn main() -> ExitCode {
             rows.len()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

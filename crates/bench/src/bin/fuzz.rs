@@ -28,64 +28,24 @@
 //! an in-memory memo by default (duplicate programs across seeds simulate
 //! once), or the shared on-disk store with `--store DIR`.
 
-use lvp_bench::{par_map, par_map_metered, telemetry, Progress};
+use lvp_bench::cli::{self, Args, Error};
+use lvp_bench::{par_map, par_map_metered, Manifest, Progress};
 use lvp_fuzz::minimize::minimize;
 use lvp_fuzz::{campaign_report, plan, run_seed_serviced, OracleConfig, SeedOutcome, SynthProfile};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{NullPhases, PhaseRecorder, PhaseSink};
+use lvp_obs::PhaseSink;
 use lvp_store::SimService;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!("usage: fuzz [--profile P] [--seeds N] [--seed-base B] [--jobs J] [--out PATH]");
-    eprintln!("            [--minimize] [--inject-train-bug] [--inject-lscd-bug] [--smoke]");
-    eprintln!(
-        "            [--store DIR] [--telemetry PATH] [--host-trace PATH] [--quiet] [--list]"
-    );
-    eprintln!("profiles: {}", SynthProfile::preset_names().join(", "));
-    std::process::exit(2);
-}
-
-struct Flags {
-    argv: Vec<String>,
-}
-
-impl Flags {
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn take_bool(&mut self, flag: &str) -> bool {
-        if let Some(i) = self.argv.iter().position(|a| a == flag) {
-            self.argv.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
+fn usage() -> String {
+    format!(
+        "usage: fuzz [--profile P] [--seeds N] [--seed-base B] [--jobs J] [--out PATH]\n\
+         \x20           [--minimize] [--inject-train-bug] [--inject-lscd-bug] [--smoke]\n\
+         \x20           [--store DIR] [--telemetry PATH] [--host-trace PATH] [--quiet] [--list]\n\
+         profiles: {}\n",
+        SynthProfile::preset_names().join(", ")
+    )
 }
 
 /// Runs the seed campaign on the worker pool, one `job:` span per seed
@@ -117,10 +77,12 @@ fn run_campaign<P: PhaseSink>(
 }
 
 fn main() -> ExitCode {
-    let mut flags = Flags {
-        argv: std::env::args().skip(1).collect(),
-    };
-    if flags.take_bool("--list") {
+    cli::main("fuzz", &usage(), run)
+}
+
+fn run(args: &mut Args) -> cli::Result<ExitCode> {
+    if args.flag("--list") {
+        args.finish()?;
         for name in SynthProfile::preset_names() {
             let p = SynthProfile::preset(name).expect("catalogue entry");
             println!(
@@ -128,62 +90,49 @@ fn main() -> ExitCode {
                 p.loads, p.mix, p.store_conflict_density, p.branch_path_depth, p.iterations
             );
         }
-        flags.finish();
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let smoke = flags.take_bool("--smoke");
-    let profile_name = flags.take("--profile").unwrap_or_else(|| {
-        if smoke {
-            "smoke".into()
-        } else {
-            "mixed".into()
-        }
-    });
-    let seeds: u64 = flags
-        .take_parsed("--seeds")
-        .unwrap_or(if smoke { 25 } else { 50 });
-    let seed_base: u64 = flags.take_parsed("--seed-base").unwrap_or(0);
-    let jobs: usize = flags
-        .take_parsed("--jobs")
-        .unwrap_or_else(lvp_bench::default_jobs);
-    let out = flags.take("--out").map(PathBuf::from).unwrap_or_else(|| {
+    let profile_name = args.value("--profile")?;
+    let seeds: Option<u64> = args.parsed("--seeds")?;
+    let seed_base: u64 = args.parsed("--seed-base")?.unwrap_or(0);
+    let jobs = args.jobs()?;
+    let out = args.path("--out")?;
+    let store_dir = args.store()?;
+    let telemetry = args.telemetry()?;
+    let smoke = args.flag("--smoke");
+    let do_minimize = args.flag("--minimize");
+    let inject_train = args.flag("--inject-train-bug");
+    let inject_lscd = args.flag("--inject-lscd-bug");
+    let inject = inject_train || inject_lscd;
+    let quiet = args.quiet();
+    args.finish()?;
+
+    let profile_name = profile_name.unwrap_or_else(|| if smoke { "smoke" } else { "mixed" }.into());
+    let seeds = seeds.unwrap_or(if smoke { 25 } else { 50 });
+    let out = out.unwrap_or_else(|| {
         if smoke {
             PathBuf::from("results/fuzz/fuzz_corpus.json")
         } else {
             PathBuf::from(format!("results/fuzz/{profile_name}.json"))
         }
     });
-    let do_minimize = flags.take_bool("--minimize");
-    let inject_train = flags.take_bool("--inject-train-bug");
-    let inject_lscd = flags.take_bool("--inject-lscd-bug");
-    let inject = inject_train || inject_lscd;
-    let store_dir = flags.take("--store");
-    let telemetry_path = flags.take("--telemetry").map(PathBuf::from);
-    let host_trace = flags.take("--host-trace").map(PathBuf::from);
-    let quiet = flags.take_bool("--quiet");
-    flags.finish();
+    let profile = SynthProfile::preset(&profile_name)
+        .ok_or_else(|| Error::Usage(format!("unknown profile '{profile_name}'")))?;
+    if seeds == 0 {
+        return cli::usage("--seeds must be >= 1");
+    }
+    let seed_end = seed_base.checked_add(seeds).ok_or_else(|| {
+        Error::Usage(format!(
+            "--seed-base {seed_base} + --seeds {seeds} overflows u64"
+        ))
+    })?;
 
     // The oracle dedups identical deep-check sims in-process by default;
     // --store additionally persists them into the shared result store.
     let service = match store_dir.as_deref() {
-        Some(dir) => match SimService::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fuzz: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(dir) => SimService::open(dir)?,
         None => SimService::in_memory(),
     };
-
-    let profile = SynthProfile::preset(&profile_name)
-        .unwrap_or_else(|| usage(&format!("unknown profile '{profile_name}'")));
-    if seeds == 0 {
-        usage("--seeds must be >= 1");
-    }
-    if jobs == 0 {
-        usage("--jobs must be >= 1");
-    }
 
     let mut cfg = OracleConfig::default();
     if inject_train {
@@ -193,46 +142,23 @@ fn main() -> ExitCode {
         cfg.sim.dlvp.inject_lscd_bug = true;
     }
 
-    let seed_list: Vec<u64> = (seed_base..seed_base + seeds).collect();
+    let seed_list: Vec<u64> = (seed_base..seed_end).collect();
     let progress = Progress::new("fuzz", seed_list.len(), !quiet);
-    let want_telemetry = telemetry_path.is_some() || host_trace.is_some();
-    let rec = PhaseRecorder::new();
-    let outcomes = if want_telemetry {
-        run_campaign(&seed_list, jobs, &profile, &cfg, &rec, &progress, &service)
-    } else {
-        run_campaign(
-            &seed_list,
-            jobs,
-            &profile,
-            &cfg,
-            &NullPhases,
-            &progress,
-            &service,
-        )
-    };
-    if want_telemetry {
-        let config = Json::obj([
-            ("profile", profile_name.to_json()),
-            ("seeds", seeds.to_json()),
-            ("seed_base", seed_base.to_json()),
-            ("inject_train_bug", inject_train.to_json()),
-            ("inject_lscd_bug", inject_lscd.to_json()),
-        ]);
-        if let Err(e) = telemetry::emit(
-            "fuzz",
-            &config,
-            seeds,
-            seed_list.clone(),
-            jobs,
-            &rec,
-            service.enabled().then(|| service.counters()),
-            telemetry_path.as_deref(),
-            host_trace.as_deref(),
-        ) {
-            eprintln!("fuzz: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let outcomes = cli::with_telemetry!(
+        telemetry,
+        |phases| run_campaign(&seed_list, jobs, &profile, &cfg, phases, &progress, &service),
+        |rec| {
+            let config = Json::obj([
+                ("profile", profile_name.to_json()),
+                ("seeds", seeds.to_json()),
+                ("seed_base", seed_base.to_json()),
+                ("inject_train_bug", inject_train.to_json()),
+                ("inject_lscd_bug", inject_lscd.to_json()),
+            ]);
+            let store = service.enabled().then(|| service.counters());
+            Manifest::build("fuzz", &config, seeds, seed_list.clone(), jobs, rec, store)
+        },
+    )?;
 
     let mut report = campaign_report(&profile, &outcomes);
     let failing: Vec<u64> = outcomes
@@ -264,16 +190,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(dir) = out.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("fuzz: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&out, report.pretty() + "\n") {
-        eprintln!("fuzz: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    cli::write(&out, &(report.pretty() + "\n"))?;
 
     let findings: usize = outcomes.iter().map(|o| o.findings.len()).sum();
     let unsound = outcomes.iter().filter(|o| !o.soundness.is_empty()).count();
@@ -307,19 +224,18 @@ fn main() -> ExitCode {
             "training bug"
         };
         if failing.is_empty() {
-            eprintln!("fuzz: injected {what} was NOT caught over {seeds} seeds");
-            return ExitCode::FAILURE;
+            return Err(format!("injected {what} was NOT caught over {seeds} seeds").into());
         }
         println!(
             "fuzz: injected {what} caught on {} of {} seeds",
             failing.len(),
             outcomes.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if failing.is_empty() {
+    Ok(if failing.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

@@ -32,6 +32,7 @@
 //! counts. Host-timing output (the profiler, `overhead`) goes to stderr
 //! only and never into an artifact.
 
+use lvp_bench::cli::{self, Args};
 use lvp_bench::{run_scheme, run_scheme_with, sim_request_doc, SchemeKind};
 use lvp_json::ToJson;
 use lvp_obs::{
@@ -47,81 +48,15 @@ use std::process::ExitCode;
 
 const DEFAULT_BUDGET: u64 = 20_000;
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!("usage: obs run      [--workload W] [--scheme S] [--budget N] [--ring N]");
-    eprintln!("                    [--trace-out PATH] [--report-out PATH] [--store DIR]");
-    eprintln!("       obs record   <workload> <budget> <file>");
-    eprintln!("       obs stats    <file>");
-    eprintln!("       obs replay   <file> [baseline|dlvp|cap|vtage|tournament]");
-    eprintln!("       obs misp     [--workload W] [--budget N] [--top N]");
-    eprintln!("       obs overhead [--workload W] [--budget N] [--max-ratio X]");
-    std::process::exit(2);
-}
-
-/// Tiny `--flag value` parser shared by the flag-style subcommands.
-struct Flags {
-    argv: Vec<String>,
-}
-
-impl Flags {
-    fn new(argv: Vec<String>) -> Flags {
-        Flags { argv }
-    }
-
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
-}
-
-fn workload_or_die(name: &str) -> lvp_workloads::Workload {
-    lvp_workloads::by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown workload '{name}'; available:");
-        for w in lvp_workloads::all() {
-            eprintln!("  {:<12} [{}] {}", w.name, w.suite, w.description);
-        }
-        std::process::exit(2);
-    })
-}
-
-fn scheme_or_die(name: &str) -> SchemeKind {
-    SchemeKind::from_name(name).unwrap_or_else(|| usage(&format!("unknown scheme '{name}'")))
-}
-
-fn write_artifact(path: &PathBuf, bytes: &str) -> ExitCode {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("obs: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(path, bytes) {
-        eprintln!("obs: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
+const USAGE: &str = "\
+usage: obs run      [--workload W] [--scheme S] [--budget N] [--ring N]
+                    [--trace-out PATH] [--report-out PATH] [--store DIR]
+       obs record   <workload> <budget> <file>
+       obs stats    <file>
+       obs replay   <file> [baseline|dlvp|cap|vtage|tournament]
+       obs misp     [--workload W] [--budget N] [--top N]
+       obs overhead [--workload W] [--budget N] [--max-ratio X]
+";
 
 /// Cross-checks the lifecycle report against `SimStats::per_pc` — the
 /// logic lives on [`LifecycleReport::reconcile_injections`] so the fuzz
@@ -135,38 +70,29 @@ fn reconcile(report: &LifecycleReport, stats: &SimStats) -> Result<u64, String> 
     )
 }
 
-fn cmd_run(mut flags: Flags) -> ExitCode {
-    let workload = flags.take("--workload").unwrap_or_else(|| "aifirf".into());
-    let scheme_name = flags.take("--scheme").unwrap_or_else(|| "dlvp".into());
-    let budget: u64 = flags.take_parsed("--budget").unwrap_or(DEFAULT_BUDGET);
-    let ring: usize = flags
-        .take_parsed("--ring")
+fn cmd_run(args: &mut Args) -> cli::Result<ExitCode> {
+    let workload = args.value("--workload")?.unwrap_or_else(|| "aifirf".into());
+    let scheme_name = args.value("--scheme")?.unwrap_or_else(|| "dlvp".into());
+    let budget: u64 = args.parsed("--budget")?.unwrap_or(DEFAULT_BUDGET);
+    let ring: usize = args
+        .parsed("--ring")?
         .unwrap_or_else(|| (budget as usize).saturating_mul(8).max(1));
     let slug = format!("{workload}_{}", scheme_name.to_ascii_lowercase());
-    let trace_out = flags
-        .take("--trace-out")
-        .map(PathBuf::from)
+    let trace_out = args
+        .path("--trace-out")?
         .unwrap_or_else(|| PathBuf::from(format!("results/obs/{slug}.chrome.json")));
-    let report_out = flags
-        .take("--report-out")
-        .map(PathBuf::from)
+    let report_out = args
+        .path("--report-out")?
         .unwrap_or_else(|| PathBuf::from(format!("results/obs/{slug}.report.json")));
-    let store_flag = flags.take("--store");
-    flags.finish();
+    let store = args.store()?;
+    args.finish()?;
 
-    let service = match SimService::from_flag(store_flag.as_deref()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("obs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let w = workload_or_die(&workload);
-    let scheme = scheme_or_die(&scheme_name);
+    let w = cli::workload(&workload)?;
+    let scheme = cli::scheme(&scheme_name)?;
     if ring == 0 {
-        usage("--ring must be >= 1");
+        return cli::usage("--ring must be >= 1");
     }
+    let service = SimService::from_flag(store.as_deref())?;
 
     let prof = PhaseRecorder::new();
     let trace = prof.time(0, "emulate", || w.trace(budget));
@@ -218,13 +144,9 @@ fn cmd_run(mut flags: Flags) -> ExitCode {
     }
 
     // Satellite: an empty run must be a typed error, not a silent 0.0 IPC.
-    let ipc = match stats.try_ipc() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("obs: {workload}/{}: {e}", scheme.name());
-            return ExitCode::FAILURE;
-        }
-    };
+    let ipc = stats
+        .try_ipc()
+        .map_err(|e| format!("{workload}/{}: {e}", scheme.name()))?;
 
     let meta = RunMeta {
         workload: workload.clone(),
@@ -246,21 +168,12 @@ fn cmd_run(mut flags: Flags) -> ExitCode {
             Ok(pcs) => eprintln!(
                 "obs: report reconciled with SimStats::per_pc across {pcs} predicted load PCs"
             ),
-            Err(msg) => {
-                eprintln!("obs: RECONCILIATION FAILED\n{msg}");
-                return ExitCode::FAILURE;
-            }
+            Err(msg) => return Err(format!("RECONCILIATION FAILED\n{msg}").into()),
         }
     }
 
-    let rc = write_artifact(&trace_out, &(chrome.compact() + "\n"));
-    if rc != ExitCode::SUCCESS {
-        return rc;
-    }
-    let rc = write_artifact(&report_out, &report.to_json().pretty());
-    if rc != ExitCode::SUCCESS {
-        return rc;
-    }
+    cli::write(&trace_out, &(chrome.compact() + "\n"))?;
+    cli::write(&report_out, &report.to_json().pretty())?;
 
     println!(
         "{workload}/{}: {} cycles, IPC {ipc:.3}, coverage {}, accuracy {}",
@@ -285,24 +198,18 @@ fn cmd_run(mut flags: Flags) -> ExitCode {
         );
     }
     eprint!("{}", prof.report(stats.instructions));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_record(args: &[String]) -> ExitCode {
-    let [workload, budget, file] = args else {
-        usage("record takes <workload> <budget> <file>")
+fn cmd_record(args: &mut Args) -> cli::Result<ExitCode> {
+    let [workload, budget, file] = &args.positionals()?[..] else {
+        return cli::usage("record takes <workload> <budget> <file>");
     };
-    let w = workload_or_die(workload);
-    let budget: u64 = budget
-        .parse()
-        .unwrap_or_else(|_| usage("record: budget must be an integer"));
-    let out = match File::create(file) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("obs: cannot create {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let w = cli::workload(workload)?;
+    let Ok(budget) = budget.parse::<u64>() else {
+        return cli::usage("record: budget must be an integer");
     };
+    let out = File::create(file).map_err(|e| format!("cannot create {file}: {e}"))?;
     // Stream straight from the emulator to disk: each record is written as
     // it executes, so the capture never holds the trace in memory.
     let written = (|| -> std::io::Result<u64> {
@@ -314,15 +221,9 @@ fn cmd_record(args: &[String]) -> ExitCode {
         writer.finish()?;
         Ok(n)
     })();
-    let written = match written {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("obs: cannot write {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let written = written.map_err(|e| format!("cannot write {file}: {e}"))?;
     println!("recorded {written} instructions of {workload} to {file}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn read_trace_file(file: &str) -> Result<lvp_trace::Trace, String> {
@@ -330,17 +231,11 @@ fn read_trace_file(file: &str) -> Result<lvp_trace::Trace, String> {
     read_trace(BufReader::new(f)).map_err(|e| format!("cannot parse {file}: {e}"))
 }
 
-fn cmd_stats(args: &[String]) -> ExitCode {
-    let [file] = args else {
-        usage("stats takes <file>")
+fn cmd_stats(args: &mut Args) -> cli::Result<ExitCode> {
+    let [file] = &args.positionals()?[..] else {
+        return cli::usage("stats takes <file>");
     };
-    let trace = match read_trace_file(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let trace = read_trace_file(file)?;
     println!("instructions : {}", trace.len());
     println!("loads        : {}", trace.load_count());
     println!("stores       : {}", trace.store_count());
@@ -355,36 +250,24 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         "store-conflicting loads: {:.1}%",
         conf.total_fraction() * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let file = match args.first() {
-        Some(f) => f,
-        None => usage("replay takes <file> [scheme]"),
+fn cmd_replay(args: &mut Args) -> cli::Result<ExitCode> {
+    let (file, scheme_name) = match &args.positionals()?[..] {
+        [file] => (file.clone(), "dlvp".to_string()),
+        [file, scheme, ..] => (file.clone(), scheme.clone()),
+        [] => return cli::usage("replay takes <file> [scheme]"),
     };
-    let trace = match read_trace_file(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scheme_name = args.get(1).map(String::as_str).unwrap_or("dlvp");
-    let scheme = scheme_or_die(scheme_name);
+    let trace = read_trace_file(&file)?;
+    let scheme = cli::scheme(&scheme_name)?;
     let base = simulate(&trace, NoVp);
     let stats = if scheme == SchemeKind::Baseline {
         base.clone()
     } else {
         run_scheme(&trace, scheme, &SimConfig::default()).stats
     };
-    let ipc = match stats.try_ipc() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("obs: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ipc = stats.try_ipc().map_err(|e| format!("{file}: {e}"))?;
     println!(
         "{}: {} cycles, IPC {ipc:.3}, speedup {:+.2}%, coverage {}, accuracy {}",
         scheme.name(),
@@ -393,16 +276,16 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         fmt_pct(stats.try_coverage(), 1),
         fmt_pct(stats.try_accuracy(), 2)
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_misp(mut flags: Flags) -> ExitCode {
-    let workload = flags.take("--workload").unwrap_or_else(|| "autcor".into());
-    let budget: u64 = flags.take_parsed("--budget").unwrap_or(200_000);
-    let top: usize = flags.take_parsed("--top").unwrap_or(6);
-    flags.finish();
+fn cmd_misp(args: &mut Args) -> cli::Result<ExitCode> {
+    let workload = args.value("--workload")?.unwrap_or_else(|| "autcor".into());
+    let budget: u64 = args.parsed("--budget")?.unwrap_or(200_000);
+    let top: usize = args.parsed("--top")?.unwrap_or(6);
+    args.finish()?;
 
-    let w = workload_or_die(&workload);
+    let w = cli::workload(&workload)?;
     let t = w.trace(budget);
     let core = lvp_uarch::Core::new(CoreConfig::default(), dlvp::Vtage::paper_default());
     let (s, v) = core.run_with_scheme(&t);
@@ -421,16 +304,16 @@ fn cmd_misp(mut flags: Flags) -> ExitCode {
             prog.fetch(**pc).map(|i| i.to_string()).unwrap_or_default()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_overhead(mut flags: Flags) -> ExitCode {
-    let workload = flags.take("--workload").unwrap_or_else(|| "aifirf".into());
-    let budget: u64 = flags.take_parsed("--budget").unwrap_or(DEFAULT_BUDGET);
-    let max_ratio: f64 = flags.take_parsed("--max-ratio").unwrap_or(2.0);
-    flags.finish();
+fn cmd_overhead(args: &mut Args) -> cli::Result<ExitCode> {
+    let workload = args.value("--workload")?.unwrap_or_else(|| "aifirf".into());
+    let budget: u64 = args.parsed("--budget")?.unwrap_or(DEFAULT_BUDGET);
+    let max_ratio: f64 = args.parsed("--max-ratio")?.unwrap_or(2.0);
+    args.finish()?;
 
-    let w = workload_or_die(&workload);
+    let w = cli::workload(&workload)?;
     let trace = w.trace(budget);
     let cfg = SimConfig::default();
     let ring = (budget as usize).saturating_mul(8).max(1);
@@ -463,22 +346,22 @@ fn cmd_overhead(mut flags: Flags) -> ExitCode {
         traced_best * 1e3
     );
     if ratio > max_ratio {
-        eprintln!("obs: tracing overhead {ratio:.2}x exceeds the {max_ratio:.2}x budget");
-        return ExitCode::FAILURE;
+        return Err(
+            format!("tracing overhead {ratio:.2}x exceeds the {max_ratio:.2}x budget").into(),
+        );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("run") => cmd_run(Flags::new(argv[1..].to_vec())),
-        Some("record") => cmd_record(&argv[1..]),
-        Some("stats") => cmd_stats(&argv[1..]),
-        Some("replay") => cmd_replay(&argv[1..]),
-        Some("misp") => cmd_misp(Flags::new(argv[1..].to_vec())),
-        Some("overhead") => cmd_overhead(Flags::new(argv[1..].to_vec())),
-        Some("--help") | Some("-h") | Some("help") => usage(""),
-        _ => usage("missing subcommand"),
-    }
+    cli::main("obs", USAGE, |args| match args.shift().as_deref() {
+        Some("run") => cmd_run(args),
+        Some("record") => cmd_record(args),
+        Some("stats") => cmd_stats(args),
+        Some("replay") => cmd_replay(args),
+        Some("misp") => cmd_misp(args),
+        Some("overhead") => cmd_overhead(args),
+        Some("--help" | "-h" | "help") => cli::usage(""),
+        _ => cli::usage("missing subcommand"),
+    })
 }

@@ -20,75 +20,36 @@
 //! Submit work with `runner --client DIR` (byte-identical `matrix.json` to
 //! a local run) or by dropping request files into the queue directly.
 
-use lvp_bench::default_jobs;
+use lvp_bench::cli::{self, Args};
 use lvp_bench::serve::{serve, ServeConfig};
 use lvp_store::SimService;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!("usage: serve --queue DIR [--store DIR] [--jobs N] [--once] [--poll-ms MS]");
-    eprintln!("             [--socket PATH] [--quiet]");
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: serve --queue DIR [--store DIR] [--jobs N] [--once] [--poll-ms MS]
+             [--socket PATH] [--quiet]
+";
 
 fn main() -> ExitCode {
-    let mut queue: Option<PathBuf> = None;
-    let mut store: Option<String> = None;
-    let mut jobs = default_jobs();
-    let mut once = false;
-    let mut poll_ms = 50u64;
-    let mut socket: Option<PathBuf> = None;
-    let mut quiet = false;
+    cli::main("serve", USAGE, run)
+}
 
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--queue" => queue = Some(PathBuf::from(value(&mut i, "--queue"))),
-            "--store" => store = Some(value(&mut i, "--store")),
-            "--jobs" => {
-                jobs = value(&mut i, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--jobs must be an integer"));
-                if jobs == 0 {
-                    usage("--jobs must be >= 1");
-                }
-            }
-            "--once" => once = true,
-            "--poll-ms" => {
-                poll_ms = value(&mut i, "--poll-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--poll-ms must be an integer"));
-            }
-            "--socket" => socket = Some(PathBuf::from(value(&mut i, "--socket"))),
-            "--quiet" => quiet = true,
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
+fn run(args: &mut Args) -> cli::Result<ExitCode> {
+    let queue = args.path("--queue")?;
+    let store = args.store()?;
+    let jobs = args.jobs()?;
+    let poll_ms: u64 = args.parsed("--poll-ms")?.unwrap_or(50);
+    let socket = args.path("--socket")?;
+    let once = args.flag("--once");
+    let quiet = args.quiet();
+    args.finish()?;
     let Some(queue) = queue else {
-        usage("--queue DIR is required");
+        return cli::usage("--queue DIR is required");
     };
 
     // One warm memo per server; --store makes hits durable across restarts.
     let service = match store.as_deref() {
-        Some(dir) => match SimService::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(dir) => SimService::open(dir)?,
         None => SimService::in_memory(),
     };
     let cfg = ServeConfig {
@@ -112,22 +73,15 @@ fn main() -> ExitCode {
             if once { ", once" } else { "" },
         );
     }
-    match serve(&cfg, &service) {
-        Ok(stats) => {
-            let c = service.counters();
-            println!(
-                "serve: {} batches, {} jobs ({} errors); store hits {} misses {} writes {} deduped {}",
-                stats.batches, stats.jobs, stats.errors, c.hits, c.misses, c.writes, c.deduped
-            );
-            if stats.errors > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let stats = serve(&cfg, &service)?;
+    let c = service.counters();
+    println!(
+        "serve: {} batches, {} jobs ({} errors); store hits {} misses {} writes {} deduped {}",
+        stats.batches, stats.jobs, stats.errors, c.hits, c.misses, c.writes, c.deduped
+    );
+    Ok(if stats.errors > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
 }

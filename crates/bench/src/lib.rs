@@ -20,6 +20,7 @@
 //! the figures show).
 
 pub mod analysis;
+pub mod cli;
 pub mod experiments;
 pub mod microbench;
 pub mod perf;

@@ -1,7 +1,8 @@
-//! A minimal micro-benchmark harness (std-only; the offline build
-//! environment has no `criterion`). Measures median wall time per iteration
-//! over several samples, with a warm-up pass, and prints throughput when an
-//! element count is given.
+//! The one timing harness (std-only; the offline build environment has no
+//! `criterion`): median wall time per iteration over several samples, after
+//! a discarded warm-up. The `bench` regression gate times every cell with
+//! [`BenchPolicy::measure`]; [`Bench`] prints the same measurement for the
+//! cargo benches under `benches/`.
 //!
 //! ```no_run
 //! use lvp_bench::microbench::Bench;
@@ -10,60 +11,42 @@
 
 use std::time::{Duration, Instant};
 
-/// Builder for one measurement.
-pub struct Bench {
-    name: String,
-    samples: usize,
-    min_sample_time: Duration,
-    warmup: Duration,
-    elements: Option<u64>,
-}
-
-impl Bench {
-    /// A measurement with default settings: 12 samples of ≥50ms after 200ms
-    /// of warm-up.
-    pub fn new(name: impl Into<String>) -> Bench {
-        Bench {
-            name: name.into(),
-            samples: 12,
-            min_sample_time: Duration::from_millis(50),
-            warmup: Duration::from_millis(200),
-            elements: None,
-        }
-    }
-
-    /// Report per-element throughput (e.g. trace records per second).
-    pub fn elements(mut self, n: u64) -> Bench {
-        self.elements = Some(n);
-        self
-    }
-
-    /// Number of timed samples.
-    pub fn samples(mut self, n: usize) -> Bench {
-        self.samples = n.max(1);
-        self
-    }
-
-    /// Warm-up duration (iterations run and **discarded** before timing —
-    /// caches, branch predictors and the allocator settle first).
-    pub fn warmup(mut self, d: Duration) -> Bench {
-        self.warmup = d;
-        self
-    }
-
+/// Measurement settings: median-of-`samples` with warm-up discard.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BenchPolicy {
+    /// Timed samples; the gate clamps it to >= 5 ([`BenchPolicy::normalized`])
+    /// so the median is taken over a real distribution, never a best-of-few.
+    pub samples: usize,
+    /// Warm-up wall-clock: iterations run and **discarded** before timing,
+    /// so caches, branch predictors and the allocator settle first.
+    pub warmup: Duration,
     /// Minimum wall-clock per timed sample; the warm-up pass picks an
     /// iteration count that reaches it.
-    pub fn min_sample_time(mut self, d: Duration) -> Bench {
-        self.min_sample_time = d;
+    pub min_sample: Duration,
+}
+
+impl Default for BenchPolicy {
+    fn default() -> BenchPolicy {
+        BenchPolicy {
+            samples: 5,
+            warmup: Duration::from_millis(100),
+            min_sample: Duration::from_millis(30),
+        }
+    }
+}
+
+impl BenchPolicy {
+    /// Enforces the N >= 5 floor.
+    pub fn normalized(mut self) -> BenchPolicy {
+        self.samples = self.samples.max(5);
         self
     }
 
-    /// Runs the measurement without printing: warm-up (discarded), then
-    /// `samples` timed samples of `iters` iterations each. The regression
-    /// gate consumes this; `run` adds the human-readable line on top.
+    /// Times `f`: warm-up (discarded), then `samples` timed samples of a
+    /// fixed iteration count each.
     pub fn measure<T>(&self, mut f: impl FnMut() -> T) -> Measurement {
         // Warm-up: also discovers a per-sample iteration count so that each
-        // sample lasts at least `min_sample_time`.
+        // sample lasts at least `min_sample`.
         let warm_start = Instant::now();
         let mut iters_per_sample = 0u64;
         let mut one = Duration::ZERO;
@@ -74,9 +57,9 @@ impl Bench {
             iters_per_sample += 1;
         }
         let per_iter = one.max(Duration::from_nanos(1));
-        let iters = (self.min_sample_time.as_nanos() / per_iter.as_nanos()).max(1) as u64;
+        let iters = (self.min_sample.as_nanos() / per_iter.as_nanos()).max(1) as u64;
 
-        let mut times: Vec<Duration> = (0..self.samples)
+        let mut times: Vec<Duration> = (0..self.samples.max(1))
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..iters {
@@ -94,11 +77,46 @@ impl Bench {
             iters_per_sample: iters,
         }
     }
+}
 
-    /// Runs `f` repeatedly and prints `name: median time [min .. max]`.
-    /// Returns the median per-iteration time.
+/// The result of one [`BenchPolicy::measure`]: median-of-N per-iteration
+/// wall time with the sample extremes (warm-up iterations already
+/// discarded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Measurement {
+    pub median: Duration,
+    pub min: Duration,
+    pub max: Duration,
+    /// Timed samples taken (the N of median-of-N).
+    pub samples: usize,
+    /// Iterations per timed sample, chosen during warm-up.
+    pub iters_per_sample: u64,
+}
+
+/// One named, printed measurement under the default [`BenchPolicy`].
+pub struct Bench {
+    name: String,
+    elements: Option<u64>,
+}
+
+impl Bench {
+    pub fn new(name: impl Into<String>) -> Bench {
+        Bench {
+            name: name.into(),
+            elements: None,
+        }
+    }
+
+    /// Report per-element throughput (e.g. trace records per second).
+    pub fn elements(mut self, n: u64) -> Bench {
+        self.elements = Some(n);
+        self
+    }
+
+    /// Measures `f` and prints `name: median time [min .. max]`. Returns
+    /// the median per-iteration time.
     pub fn run<T>(self, f: impl FnMut() -> T) -> Duration {
-        let m = self.measure(f);
+        let m = BenchPolicy::default().measure(f);
         match self.elements {
             Some(n) if m.median > Duration::ZERO => {
                 let rate = n as f64 / m.median.as_secs_f64();
@@ -120,19 +138,6 @@ impl Bench {
     }
 }
 
-/// The result of one [`Bench::measure`]: median-of-N per-iteration wall
-/// time with the sample extremes (warm-up iterations already discarded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Measurement {
-    pub median: Duration,
-    pub min: Duration,
-    pub max: Duration,
-    /// Timed samples taken (the N of median-of-N).
-    pub samples: usize,
-    /// Iterations per timed sample, chosen during warm-up.
-    pub iters_per_sample: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,10 +146,17 @@ mod tests {
     fn measures_something_positive() {
         // The workload must defeat const-folding, or the measured median can
         // round to zero in release builds.
-        let d = Bench::new("noop").samples(3).run(|| {
+        let policy = BenchPolicy {
+            samples: 3,
+            warmup: Duration::from_millis(5),
+            min_sample: Duration::from_millis(1),
+        };
+        let m = policy.measure(|| {
             (0..std::hint::black_box(10_000u64))
                 .fold(0u64, |a, b| a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         });
-        assert!(d > Duration::ZERO);
+        assert!(m.median > Duration::ZERO);
+        assert_eq!(m.samples, 3);
+        assert!(m.min <= m.median && m.median <= m.max);
     }
 }

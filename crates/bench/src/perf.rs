@@ -12,7 +12,7 @@
 //!   seed range of the `smoke` profile.
 //!
 //! Each cell is measured as **median-of-N (N ≥ 5) per-run wall time after
-//! a discarded warm-up** ([`Bench::measure`]): the warm-up settles caches
+//! a discarded warm-up** ([`BenchPolicy::measure`]): the warm-up settles caches
 //! and the allocator, and the median is robust to one-off scheduler noise
 //! that would whipsaw a mean-based gate. `bench --check` compares current
 //! medians against the committed baseline under a relative tolerance band
@@ -29,7 +29,8 @@
 
 use crate::analysis::analyze_workload;
 use crate::experiments::run_scheme_with;
-use crate::microbench::{Bench, Measurement};
+pub use crate::microbench::BenchPolicy;
+use crate::microbench::Measurement;
 use crate::service::sim_request_doc;
 use crate::{SchemeKind, SchemeOutcome};
 use dlvp::{DlvpConfig, PapConfig};
@@ -41,7 +42,6 @@ use lvp_store::{request_key, Store};
 use lvp_uarch::{
     CoreConfig, ExecutionTier, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier,
 };
-use std::time::Duration;
 
 /// The simcore phase's workload list (≥ 6, spanning suites and behaviours).
 pub const SIMCORE_WORKLOADS: [&str; 6] = [
@@ -102,54 +102,18 @@ pub const DEFAULT_TOL_REL: f64 = 1.0;
 /// tolerance band without stretching the run unreasonably.
 pub const INJECT_SPIN: u32 = 2_500;
 
-/// Measurement policy for every cell: median-of-N with warm-up discard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchPolicy {
-    /// Timed samples per cell; clamped to ≥ 5 so the median is taken over
-    /// a real distribution, never a best-of-few.
-    pub samples: usize,
-    /// Warm-up wall-clock discarded before sampling.
-    pub warmup: Duration,
-    /// Minimum wall-clock per timed sample.
-    pub min_sample: Duration,
-}
-
-impl Default for BenchPolicy {
-    fn default() -> BenchPolicy {
-        BenchPolicy {
-            samples: 5,
-            warmup: Duration::from_millis(100),
-            min_sample: Duration::from_millis(30),
-        }
-    }
-}
-
-impl BenchPolicy {
-    /// Enforces the N ≥ 5 floor.
-    pub fn normalized(mut self) -> BenchPolicy {
-        self.samples = self.samples.max(5);
-        self
-    }
-
-    fn bench(&self, name: String) -> Bench {
-        Bench::new(name)
-            .samples(self.samples)
-            .warmup(self.warmup)
-            .min_sample_time(self.min_sample)
-    }
-
-    fn to_json(self) -> Json {
-        Json::obj([
-            ("samples", (self.samples as u64).to_json()),
-            ("warmup_ms", (self.warmup.as_millis() as u64).to_json()),
-            (
-                "min_sample_ms",
-                (self.min_sample.as_millis() as u64).to_json(),
-            ),
-            ("aggregate", "median".to_json()),
-            ("warmup_discarded", true.to_json()),
-        ])
-    }
+/// The measurement policy as the baseline document records it.
+fn policy_json(policy: BenchPolicy) -> Json {
+    Json::obj([
+        ("samples", (policy.samples as u64).to_json()),
+        ("warmup_ms", (policy.warmup.as_millis() as u64).to_json()),
+        (
+            "min_sample_ms",
+            (policy.min_sample.as_millis() as u64).to_json(),
+        ),
+        ("aggregate", "median".to_json()),
+        ("warmup_discarded", true.to_json()),
+    ])
 }
 
 /// One benchmark cell: identity, exact deterministic counters, and the
@@ -314,9 +278,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
                 None
             };
             let outcome = run(&trace, scheme, &cfg);
-            let m = policy
-                .bench(format!("simcore_{name}_{}", scheme.label()))
-                .measure(|| std::hint::black_box(run(&trace, scheme, &cfg)));
+            let m = policy.measure(|| std::hint::black_box(run(&trace, scheme, &cfg)));
             if let Some(c) = cell.as_mut() {
                 c.charge(outcome.stats.cycles, outcome.stats.instructions, 1);
                 c.finish();
@@ -373,9 +335,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
                 None
             };
             let stats = run();
-            let m = policy
-                .bench(format!("{phase}_{name}"))
-                .measure(|| std::hint::black_box(run()));
+            let m = policy.measure(|| std::hint::black_box(run()));
             if let Some(c) = cell.as_mut() {
                 c.charge(stats.cycles, stats.instructions, 1);
                 c.finish();
@@ -415,7 +375,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
         ));
 
         let outcome = run(&trace, scheme, &cfg);
-        let m = policy.bench(format!("store_cold_{name}")).measure(|| {
+        let m = policy.measure(|| {
             store.gc(Some(0)).expect("evict benchmark store");
             assert!(store.get(&key).expect("store get").is_none());
             let o = run(&trace, scheme, &cfg);
@@ -437,7 +397,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             .expect("store get")
             .and_then(|p| SchemeOutcome::from_json(&p).ok())
             .expect("warm entry present and decodable");
-        let m = policy.bench(format!("store_warm_{name}")).measure(|| {
+        let m = policy.measure(|| {
             let payload = store
                 .get(&key)
                 .expect("store get")
@@ -468,17 +428,15 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
         DlvpConfig::default(),
         &XvalConfig::default(),
     );
-    let m = policy
-        .bench(format!("analyze_{ANALYZE_WORKLOAD}"))
-        .measure(|| {
-            std::hint::black_box(analyze_workload(
-                &w,
-                ANALYZE_BUDGET,
-                PapConfig::default(),
-                DlvpConfig::default(),
-                &XvalConfig::default(),
-            ))
-        });
+    let m = policy.measure(|| {
+        std::hint::black_box(analyze_workload(
+            &w,
+            ANALYZE_BUDGET,
+            PapConfig::default(),
+            DlvpConfig::default(),
+            &XvalConfig::default(),
+        ))
+    });
     span.charge(one.sim_cycles, one.sim_instructions, 1);
     span.finish();
     let det = vec![
@@ -506,9 +464,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let outcomes = run_all();
     let dynamic: u64 = outcomes.iter().map(|o| o.dynamic as u64).sum();
     let hash_xor = outcomes.iter().fold(0u64, |h, o| h ^ o.program_hash);
-    let m = policy
-        .bench(format!("fuzz_{FUZZ_PROFILE}_x{FUZZ_SEEDS}"))
-        .measure(|| std::hint::black_box(run_all()));
+    let m = policy.measure(|| std::hint::black_box(run_all()));
     span.charge(0, dynamic, FUZZ_SEEDS);
     span.finish();
     let det = vec![
@@ -563,7 +519,7 @@ pub fn bench_doc(policy: &BenchPolicy, tol_rel: f64, rows: &[BenchRow]) -> Json 
         ("benchmark", "simcore".to_json()),
         ("version", 2u64.to_json()),
         ("unit", "simulated cycles per wall-clock second".to_json()),
-        ("policy", policy.normalized().to_json()),
+        ("policy", policy_json(policy.normalized())),
         ("tolerance", Json::obj([("rel", tol_rel.to_json())])),
         (
             "runs",

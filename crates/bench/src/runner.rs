@@ -262,14 +262,6 @@ impl MatrixResults {
         ])
     }
 
-    /// Writes the canonical pretty form, creating parent directories.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json().pretty())
-    }
-
     /// Finds one job's outcome.
     pub fn outcome(
         &self,

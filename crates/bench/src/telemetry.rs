@@ -16,7 +16,6 @@
 use lvp_json::{Json, ToJson};
 use lvp_obs::{sim_cycles_per_sec, PhaseRecorder, PhaseSpan};
 use lvp_store::StoreCounters;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -351,48 +350,6 @@ impl Manifest {
             phases,
         })
     }
-}
-
-/// Writes `doc` to `path` (creating parent directories) with a trailing
-/// newline.
-pub fn write_json(path: &Path, doc: &Json) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, doc.pretty() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// One-stop telemetry emission for the CLIs: builds the manifest from a
-/// finished recorder and writes the requested files — the manifest to
-/// `telemetry`, the Chrome host-phase trace (one lane per worker, via
-/// [`lvp_obs::host_trace`]) to `host_trace`.
-#[allow(clippy::too_many_arguments)]
-pub fn emit(
-    tool: &str,
-    config: &Json,
-    budget: u64,
-    seeds: Vec<u64>,
-    workers: usize,
-    rec: &PhaseRecorder,
-    store: Option<StoreCounters>,
-    telemetry: Option<&Path>,
-    host_trace: Option<&Path>,
-) -> Result<(), String> {
-    if telemetry.is_none() && host_trace.is_none() {
-        return Ok(());
-    }
-    let manifest = Manifest::build(tool, config, budget, seeds, workers, rec, store);
-    if let Some(path) = telemetry {
-        write_json(path, &manifest.to_json())?;
-        eprintln!("{tool}: wrote telemetry manifest {}", path.display());
-    }
-    if let Some(path) = host_trace {
-        write_json(path, &lvp_obs::host_trace(&manifest.phases))?;
-        eprintln!("{tool}: wrote host trace {}", path.display());
-    }
-    Ok(())
 }
 
 /// Formats a cycles-per-second rate as a compact human string (`2.31M`).

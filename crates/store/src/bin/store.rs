@@ -10,9 +10,10 @@ use lvp_json::Json;
 use lvp_store::Store;
 use std::process::ExitCode;
 
+/// A usage error: exit status 2, as for every tool in the workspace.
 fn usage() -> ExitCode {
     eprintln!("usage: store --dir DIR <stats|verify|gc> [--max-entries N]");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
