@@ -120,6 +120,29 @@ wait "$client_pid"
 cmp "$tmp/local_matrix.json" "$tmp/served_matrix.json"
 echo "served matrix is byte-identical to the local run"
 
+# A degenerate sample spec must be rejected at the service boundary: the
+# reply is an error line (serve exits 1) and nothing is simulated or stored.
+mkdir -p "$tmp/bad_queue/new"
+cat > "$tmp/bad_queue/new/degenerate.json" <<'EOF'
+{"schema_version": 1, "id": "degenerate", "jobs": [
+  {"workload": "aifirf", "scheme": "dlvp", "variant": "default", "budget": 10000,
+   "sample": {"ff": 0, "warmup": 0, "detail": 5, "period": 1}}]}
+EOF
+if ./target/release/serve --queue "$tmp/bad_queue" --store "$tmp/bad_store" \
+  --once --quiet; then
+  echo "serve accepted a degenerate sample spec" >&2
+  exit 1
+fi
+python3 - "$tmp/bad_queue/done/degenerate.jsonl" \
+  "$(./target/release/store --dir "$tmp/bad_store" stats)" <<'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+assert len(lines) == 1 and "error" in lines[0], f"expected one error line, got {lines}"
+entries = json.loads(sys.argv[2])["entries"]
+assert entries == 0, f"a rejected batch stored {entries} entries"
+print("serve rejected the degenerate sample spec:", lines[0]["error"])
+EOF
+
 echo "== obs smoke (trace artifacts are schedule-invariant) =="
 ./target/release/obs run --workload aifirf --scheme dlvp --budget 10000 \
   --trace-out "$tmp/obs1.chrome.json" --report-out "$tmp/obs1.report.json"

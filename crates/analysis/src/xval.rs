@@ -62,7 +62,7 @@ use std::collections::BTreeMap;
 
 /// Dynamic per-load-PC counters merged from the simulator
 /// (`lvp_uarch::stats`) and the DLVP engine (`dlvp::engine`). The analysis
-/// crate only sees plain numbers; `dlvp::DlvpSimSlice::dyn_stats` does the
+/// crate only sees plain numbers; `dlvp::DlvpSimSlice::xval_loads` does the
 /// merging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynLoadStats {

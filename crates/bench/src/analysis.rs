@@ -7,7 +7,7 @@
 //! pass ([`lvp_analysis::DepAnalysis`]: path contexts, store→load conflict
 //! graph, static predictability bounds) — simulates the trace under DLVP,
 //! merges the simulator's and the engine's per-PC counters into
-//! [`lvp_analysis::DynLoadStats`] ([`DlvpSimSlice::dyn_stats`]), and runs
+//! [`lvp_analysis::XvalLoad`]s ([`DlvpSimSlice::xval_loads`]), and runs
 //! both gate rule sets:
 //! [`lvp_analysis::cross_validate`] (R1–R4) and
 //! [`lvp_analysis::cross_validate_dep`] (R5–R7). Path-hash collisions (the
@@ -21,7 +21,7 @@ use lvp_analysis::{
     cross_validate, cross_validate_dep, DepAnalysis, DepInputs, ProgramAnalysis, Violation,
     XvalConfig, XvalLoad,
 };
-use lvp_json::{Json, ToJson};
+use lvp_json::{FromJson, Json, ToJson};
 use lvp_store::SimService;
 use lvp_trace::Trace;
 use lvp_uarch::CoreConfig;
@@ -141,8 +141,8 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
                 &pap,
             )
         },
-        DlvpSimSlice::from_payload,
-        DlvpSimSlice::to_payload,
+        |j| DlvpSimSlice::from_json(j).ok(),
+        DlvpSimSlice::to_json,
         || {
             let mut job = if P::ENABLED {
                 Some(phases.span(0, &format!("job:{}/analyze/dlvp", workload.name)))
@@ -158,17 +158,7 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
         },
     );
 
-    let loads: Vec<XvalLoad> = analysis
-        .loads
-        .iter()
-        .map(|l| XvalLoad {
-            pc: l.pc,
-            class: l.class,
-            conflict_free: l.conflict_free(),
-            ordered: l.ordered,
-            stats: sim.dyn_stats(l.pc),
-        })
-        .collect();
+    let loads = sim.xval_loads(&analysis);
     let exercised = must_exercised(&trace, &dep);
     let mut violations = cross_validate(&loads, xval);
     violations.extend(cross_validate_dep(

@@ -11,6 +11,7 @@
 use crate::runner::default_jobs;
 use crate::telemetry::Manifest;
 use crate::SchemeKind;
+use lvp_json::ToJson;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;

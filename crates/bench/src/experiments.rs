@@ -8,8 +8,7 @@
 
 pub use dlvp::SchemeKind;
 use lvp_energy::{core_energy, EnergyInput, EnergyParams, PredictorEnergyInput};
-use lvp_json::{Json, ToJson};
-use lvp_mem::{stats_parse_error, stats_u64, StatsParseError};
+use lvp_json::{entries, json_struct, DecodeError, FromJson, Json};
 use lvp_obs::{EventSink, NullSink};
 use lvp_trace::Trace;
 use lvp_uarch::{Core, SimConfig, SimStats, VpScheme};
@@ -84,68 +83,27 @@ impl SchemeOutcome {
     }
 }
 
-impl ToJson for SchemeOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("scheme", self.scheme.to_json()),
-            ("cycles", self.cycles.to_json()),
-            ("coverage", self.coverage.to_json()),
-            ("accuracy", self.accuracy.to_json()),
-            (
-                "extra",
-                Json::obj(self.extra.iter().map(|(k, v)| (k.clone(), v.to_json()))),
-            ),
-            ("predictor_bits", self.predictor_bits.to_json()),
-            ("predictor_reads", self.predictor_reads.to_json()),
-            ("predictor_writes", self.predictor_writes.to_json()),
-            ("stats", self.stats.to_json()),
-        ])
-    }
-}
-
-fn outcome_f64(j: &Json, key: &str) -> Result<f64, StatsParseError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| stats_parse_error(format!("'{key}' must be a number")))
-}
+// The payload `figs`, `runner`, `serve` and `obs` share through the
+// store. Counters are `u64` and every float is written with the
+// shortest-roundtrip formatter, so a decoded outcome re-encodes to the
+// stored bytes.
+json_struct!(SchemeOutcome {
+    scheme,
+    cycles,
+    coverage,
+    accuracy,
+    extra with entries,
+    predictor_bits,
+    predictor_reads,
+    predictor_writes,
+    stats,
+});
 
 impl SchemeOutcome {
-    /// Inverse of [`ToJson::to_json`]: rebuilds an outcome from a cached
-    /// store payload. Counters are `u64` (exact) and every float was
-    /// written with the shortest-roundtrip formatter, so re-serializing
-    /// the parsed outcome reproduces the original bytes.
-    pub fn from_json(j: &Json) -> Result<SchemeOutcome, StatsParseError> {
-        let name = j
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or_else(|| stats_parse_error("'scheme' must be a string"))?;
-        let scheme = SchemeKind::from_name(name)
-            .ok_or_else(|| stats_parse_error(format!("unknown scheme '{name}'")))?;
-        let extra = match j.get("extra") {
-            Some(Json::Object(pairs)) => pairs
-                .iter()
-                .map(|(k, v)| {
-                    v.as_f64().map(|x| (k.clone(), x)).ok_or_else(|| {
-                        stats_parse_error(format!("extra counter '{k}' must be a number"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(stats_parse_error("'extra' must be an object")),
-        };
-        let stats = j
-            .get("stats")
-            .ok_or_else(|| stats_parse_error("missing key 'stats'"))?;
-        Ok(SchemeOutcome {
-            scheme,
-            stats: SimStats::from_json(stats)?,
-            cycles: stats_u64(j, "cycles")?,
-            coverage: outcome_f64(j, "coverage")?,
-            accuracy: outcome_f64(j, "accuracy")?,
-            extra,
-            predictor_bits: stats_u64(j, "predictor_bits")?,
-            predictor_reads: stats_u64(j, "predictor_reads")?,
-            predictor_writes: stats_u64(j, "predictor_writes")?,
-        })
+    /// Decodes a stored outcome ([`FromJson`], callable without the trait
+    /// in scope).
+    pub fn from_json(j: &Json) -> Result<SchemeOutcome, DecodeError> {
+        <SchemeOutcome as FromJson>::from_json(j)
     }
 }
 
@@ -198,6 +156,7 @@ pub fn run_scheme_with<K: EventSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::ToJson;
     use lvp_obs::{ObsEvent, RingSink};
 
     #[test]

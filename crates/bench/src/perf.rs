@@ -36,7 +36,7 @@ use crate::{SchemeKind, SchemeOutcome};
 use dlvp::{DlvpConfig, PapConfig};
 use lvp_analysis::XvalConfig;
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
-use lvp_json::{Json, ToJson};
+use lvp_json::{DecodeError, Fields, FromJson, Json, ToJson};
 use lvp_obs::{NullSink, PhaseSink};
 use lvp_store::{request_key, Store};
 use lvp_uarch::{
@@ -206,46 +206,27 @@ impl ToJson for BenchRow {
     }
 }
 
-impl BenchRow {
-    /// Parses a serialized row (baseline or `--out` document).
-    pub fn from_json(j: &Json) -> Result<BenchRow, String> {
-        let pairs = match j {
-            Json::Object(p) => p,
-            other => return Err(format!("bench row is not an object: {other:?}")),
-        };
-        let string = |key: &str| -> Result<String, String> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("row missing string '{key}'"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::U64(v)) => Ok(*v),
-                _ => Err(format!("row missing u64 '{key}'")),
-            }
-        };
-        let det = pairs
+impl FromJson for BenchRow {
+    /// Parses a serialized row (baseline or `--out` document): the meta
+    /// keys by name, every other key as a `det` counter.
+    fn from_json(j: &Json) -> Result<BenchRow, DecodeError> {
+        let f = Fields::of(j)?;
+        let det = f
+            .pairs()
             .iter()
             .filter(|(k, _)| !ROW_META_KEYS.contains(&k.as_str()))
-            .map(|(k, v)| match v {
-                Json::U64(n) => Ok((k.clone(), *n)),
-                other => Err(format!("counter '{k}' is not a u64: {other:?}")),
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+            .map(|(k, v)| Ok((k.clone(), u64::from_json(v).map_err(|e| e.at(k))?)))
+            .collect::<Result<Vec<_>, DecodeError>>()?;
         Ok(BenchRow {
-            phase: string("phase")?,
-            workload: string("workload")?,
-            scheme: string("scheme")?,
-            budget: num("budget")?,
+            phase: f.req("phase")?,
+            workload: f.req("workload")?,
+            scheme: f.req("scheme")?,
+            budget: f.req("budget")?,
             det,
-            median_ns: num("median_ns_per_run")?,
-            min_ns: num("min_ns_per_run")?,
-            max_ns: num("max_ns_per_run")?,
-            sim_cycles_per_sec: j
-                .get("sim_cycles_per_sec")
-                .and_then(Json::as_f64)
-                .ok_or("row missing 'sim_cycles_per_sec'")?,
+            median_ns: f.req("median_ns_per_run")?,
+            min_ns: f.req("min_ns_per_run")?,
+            max_ns: f.req("max_ns_per_run")?,
+            sim_cycles_per_sec: f.req("sim_cycles_per_sec")?,
         })
     }
 }
@@ -553,13 +534,9 @@ impl Baseline {
             .and_then(|t| t.get("rel"))
             .and_then(Json::as_f64)
             .unwrap_or(DEFAULT_TOL_REL);
-        let rows = doc
-            .get("runs")
-            .and_then(Json::as_array)
-            .ok_or("baseline missing 'runs'")?
-            .iter()
-            .map(BenchRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let rows = Fields::of(doc)
+            .and_then(|f| f.req("runs"))
+            .map_err(|e| format!("baseline: {e}"))?;
         Ok(Baseline { tol_rel, rows })
     }
 }

@@ -23,7 +23,7 @@
 use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
 use crate::service::{par_map_cached, sim_request_doc};
 use crate::telemetry::Progress;
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_struct, DecodeError, FromJson, Json, ToJson};
 use lvp_obs::{NullPhases, PhaseSink};
 use lvp_store::SimService;
 use lvp_uarch::{SampleSpec, SimConfig};
@@ -94,6 +94,14 @@ impl ToJson for ConfigVariant {
     }
 }
 
+impl FromJson for ConfigVariant {
+    fn from_json(j: &Json) -> Result<ConfigVariant, DecodeError> {
+        let name = String::from_json(j)?;
+        ConfigVariant::from_name(&name)
+            .ok_or_else(|| DecodeError::new(format!("unknown variant '{name}'")))
+    }
+}
+
 /// One unit of work: run `scheme` on `workload` under `variant`'s config for
 /// `budget` dynamic instructions.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,6 +114,15 @@ pub struct JobSpec {
     /// `None` (every committed artifact) runs the flat cycle-level path.
     pub sample: Option<SampleSpec>,
 }
+
+// The queue document `serve` reads (same optional `sample` key).
+json_struct!(JobSpec {
+    workload,
+    scheme,
+    variant,
+    budget,
+    ?sample,
+});
 
 impl JobSpec {
     /// The configuration this job runs under: its variant's preset, with
@@ -201,22 +218,15 @@ impl MatrixSpec {
     }
 }
 
-impl ToJson for MatrixSpec {
-    /// The `sample` key appears only when sampling is on, so unsampled
-    /// results files keep their exact pre-sampling bytes.
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("workloads", self.workloads.to_json()),
-            ("schemes", self.schemes.to_json()),
-            ("variants", self.variants.to_json()),
-            ("budget", self.budget.to_json()),
-        ];
-        if let Some(sample) = &self.sample {
-            pairs.push(("sample", sample.to_json()));
-        }
-        Json::obj(pairs)
-    }
-}
+// The `sample` key appears only when sampling is on, so unsampled results
+// files keep their exact pre-sampling bytes.
+json_struct!(MatrixSpec {
+    workloads,
+    schemes,
+    variants,
+    budget,
+    ?sample,
+});
 
 /// One finished job.
 #[derive(Debug, Clone, PartialEq)]

@@ -27,14 +27,12 @@
 //! path and the only one the runner's `--client` mode uses.
 
 use crate::experiments::{run_scheme, SchemeOutcome};
-use crate::runner::{par_map, ConfigVariant, JobResult, JobSpec, MatrixResults, MatrixSpec};
+use crate::runner::{par_map, JobResult, JobSpec, MatrixResults, MatrixSpec};
 use crate::service::{par_map_cached, sim_request_doc, Provenance};
 use crate::telemetry::Progress;
-use dlvp::SchemeKind;
-use lvp_json::{Json, ToJson};
+use lvp_json::{DecodeError, Fields, Json, ToJson};
 use lvp_obs::NullPhases;
 use lvp_store::SimService;
-use lvp_uarch::SampleSpec;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -42,58 +40,6 @@ use std::path::{Path, PathBuf};
 /// Version stamp on every batch request; bumped when the job document
 /// shape changes so a stale client fails loudly instead of mis-parsing.
 pub const QUEUE_SCHEMA_VERSION: u64 = 1;
-
-/// Serializes one job spec for the queue. The `sample` key appears only
-/// when sampling is on, mirroring [`MatrixSpec::to_json`].
-pub fn job_to_json(spec: &JobSpec) -> Json {
-    let mut pairs = vec![
-        ("workload", spec.workload.to_json()),
-        ("scheme", Json::Str(spec.scheme.name().to_string())),
-        ("variant", spec.variant.to_json()),
-        ("budget", spec.budget.to_json()),
-    ];
-    if let Some(sample) = &spec.sample {
-        pairs.push(("sample", sample.to_json()));
-    }
-    Json::obj(pairs)
-}
-
-/// Parses one queued job spec (the inverse of [`job_to_json`]).
-pub fn job_from_json(j: &Json) -> Result<JobSpec, String> {
-    let workload = j
-        .get("workload")
-        .and_then(Json::as_str)
-        .ok_or("job missing 'workload'")?
-        .to_string();
-    let scheme_name = j
-        .get("scheme")
-        .and_then(Json::as_str)
-        .ok_or("job missing 'scheme'")?;
-    let scheme = SchemeKind::from_name(scheme_name)
-        .ok_or_else(|| format!("unknown scheme '{scheme_name}'"))?;
-    let variant_name = j
-        .get("variant")
-        .and_then(Json::as_str)
-        .ok_or("job missing 'variant'")?;
-    let variant = ConfigVariant::from_name(variant_name)
-        .ok_or_else(|| format!("unknown variant '{variant_name}'"))?;
-    let budget = j
-        .get("budget")
-        .and_then(Json::as_u64)
-        .ok_or("job missing 'budget'")?;
-    let sample = j
-        .get("sample")
-        .map(SampleSpec::from_json)
-        .transpose()
-        .map_err(|e| format!("job sample: {e}"))?;
-    Ok(JobSpec {
-        workload,
-        scheme,
-        variant,
-        budget,
-        sample,
-    })
-}
 
 /// One submitted batch of sim requests.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,41 +55,43 @@ impl BatchRequest {
         Json::obj([
             ("schema_version", QUEUE_SCHEMA_VERSION.to_json()),
             ("id", self.id.to_json()),
-            (
-                "jobs",
-                Json::Array(self.jobs.iter().map(job_to_json).collect()),
-            ),
+            ("jobs", self.jobs.to_json()),
         ])
     }
 
     pub fn parse(text: &str) -> Result<BatchRequest, String> {
         let j = Json::parse(text).map_err(|e| format!("malformed batch request: {e}"))?;
-        let version = j
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("batch missing 'schema_version'")?;
+        BatchRequest::decode(&j).map_err(|e| e.to_string())
+    }
+
+    /// Every job's sample spec is validated here, at the service boundary
+    /// (as `runner --sample` does), so a degenerate spec fails the whole
+    /// batch before anything is simulated or stored.
+    fn decode(j: &Json) -> Result<BatchRequest, DecodeError> {
+        let f = Fields::of(j)?;
+        let version: u64 = f.req("schema_version")?;
         if version != QUEUE_SCHEMA_VERSION {
-            return Err(format!(
+            return Err(DecodeError::new(format!(
                 "batch schema_version {version}, this server speaks {QUEUE_SCHEMA_VERSION}"
-            ));
+            ))
+            .at("schema_version"));
         }
-        let id = j
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("batch missing 'id'")?
-            .to_string();
+        let id: String = f.req("id")?;
         if id.is_empty() || !id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-') {
-            return Err(format!(
+            return Err(DecodeError::new(format!(
                 "batch id '{id}' must be non-empty [a-zA-Z0-9-] (it names queue files)"
-            ));
+            ))
+            .at("id"));
         }
-        let jobs = j
-            .get("jobs")
-            .and_then(Json::as_array)
-            .ok_or("batch missing 'jobs'")?
-            .iter()
-            .map(job_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let jobs: Vec<JobSpec> = f.req("jobs")?;
+        for (i, job) in jobs.iter().enumerate() {
+            if let Some(sample) = &job.sample {
+                sample.validate().map_err(|e| {
+                    let at = format!("jobs.{i}.sample");
+                    DecodeError::new(e.to_string()).at(&at)
+                })?;
+            }
+        }
         Ok(BatchRequest { id, jobs })
     }
 }
@@ -464,7 +412,7 @@ pub fn fresh_batch_id(jobs: &[JobSpec]) -> String {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for job in jobs {
-        for b in job_to_json(job).canonical().bytes() {
+        for b in job.to_json().canonical().bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x1_0000_0000_01b3);
         }
@@ -509,25 +457,16 @@ pub fn client_run_matrix(
         if let Some(e) = line.get("error").and_then(Json::as_str) {
             return Err(format!("server error: {e}"));
         }
-        let index = line
-            .get("index")
-            .and_then(Json::as_u64)
-            .ok_or("response line missing 'index'")? as usize;
+        let (index, source, outcome): (usize, String, SchemeOutcome) = Fields::of(line)
+            .and_then(|f| Ok((f.req("index")?, f.req("source")?, f.req("outcome")?)))
+            .map_err(|e| format!("bad response line: {e}"))?;
         if index >= jobs.len() || outcomes[index].is_some() {
             return Err(format!("response line has bad index {index}"));
         }
-        let source = line
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or("response line missing 'source'")?;
-        let prov = Provenance::from_name(source)
+        let prov = Provenance::from_name(&source)
             .ok_or_else(|| format!("unknown provenance '{source}'"))?;
         *sources.entry(prov.name()).or_insert(0) += 1;
-        let outcome = line
-            .get("outcome")
-            .ok_or("response line missing 'outcome'")?;
-        outcomes[index] =
-            Some(SchemeOutcome::from_json(outcome).map_err(|e| format!("bad outcome: {e}"))?);
+        outcomes[index] = Some(outcome);
     }
     let results = jobs
         .into_iter()
@@ -556,7 +495,10 @@ pub fn client_run_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_matrix;
+    use crate::runner::{run_matrix, ConfigVariant};
+    use dlvp::SchemeKind;
+    use lvp_json::FromJson;
+    use lvp_uarch::SampleSpec;
 
     fn tiny_spec() -> MatrixSpec {
         MatrixSpec {
@@ -577,7 +519,7 @@ mod tests {
     #[test]
     fn job_specs_round_trip_through_queue_json() {
         for job in tiny_spec().expand() {
-            let back = job_from_json(&job_to_json(&job)).expect("round trip");
+            let back = JobSpec::from_json(&job.to_json()).expect("round trip");
             assert_eq!(back, job);
         }
         let mut sampled = tiny_spec();
@@ -588,9 +530,62 @@ mod tests {
             period: 1_000,
         });
         for job in sampled.expand() {
-            assert_eq!(job_from_json(&job_to_json(&job)).expect("round trip"), job);
+            assert_eq!(JobSpec::from_json(&job.to_json()).expect("round trip"), job);
         }
-        assert!(job_from_json(&Json::obj([("workload", Json::Str("x".into()))])).is_err());
+        assert!(JobSpec::from_json(&Json::obj([("workload", Json::Str("x".into()))])).is_err());
+    }
+
+    #[test]
+    fn degenerate_sample_specs_fail_the_batch_before_anything_runs() {
+        let root = temp_queue("degenerate");
+        let store = root.join("store");
+        let service = SimService::open(&store).expect("store opens");
+        let mut ids = Vec::new();
+        for (i, (ff, warmup, detail, period)) in
+            [(0, 0, 5, 1), (0, 0, 0, 0)].into_iter().enumerate()
+        {
+            let mut spec = tiny_spec();
+            spec.sample = Some(SampleSpec {
+                ff,
+                warmup,
+                detail,
+                period,
+            });
+            let req = BatchRequest {
+                id: format!("degenerate-{i}"),
+                jobs: spec.expand(),
+            };
+            submit(&root, &req).expect("submit");
+            ids.push(req.id);
+        }
+        let cfg = ServeConfig {
+            queue: root.clone(),
+            workers: 1,
+            once: true,
+            poll_ms: 5,
+            socket: None,
+            quiet: true,
+        };
+        let stats = serve(&cfg, &service).expect("serve runs");
+        assert_eq!((stats.batches, stats.errors), (2, 2));
+        for id in ids {
+            let text = std::fs::read_to_string(root.join("done").join(format!("{id}.jsonl")))
+                .expect("response written");
+            let line = Json::parse(text.trim()).expect("one JSON line");
+            let err = line
+                .get("error")
+                .and_then(Json::as_str)
+                .expect("error line");
+            assert!(err.contains("jobs.0.sample"), "{err}");
+            assert!(err.contains("degenerate sample spec"), "{err}");
+        }
+        assert_eq!(service.counters(), lvp_store::StoreCounters::default());
+        let stored = lvp_store::Store::open(&store)
+            .expect("store")
+            .keys()
+            .expect("keys");
+        assert!(stored.is_empty(), "nothing may be stored: {stored:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

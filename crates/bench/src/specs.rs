@@ -27,7 +27,7 @@ use dlvp::{
 };
 use lvp_analysis::{EdgeKind, XvalConfig};
 use lvp_energy::{PrfComparison, SramMacro};
-use lvp_json::{Json, ToJson};
+use lvp_json::{FromJson, Json, ToJson};
 use lvp_obs::{NullPhases, PhaseSink};
 use lvp_store::SimService;
 use lvp_trace::{repeat::THRESHOLDS, ConflictProfile, RepeatProfile, Trace};

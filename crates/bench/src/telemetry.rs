@@ -13,7 +13,7 @@
 //! byte-identical with telemetry on or off — manifests go to their own
 //! files and carry the non-determinism (wall-clock) explicitly.
 
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_struct, DecodeError, Fields, FromJson, Json};
 use lvp_obs::{sim_cycles_per_sec, PhaseRecorder, PhaseSpan};
 use lvp_store::StoreCounters;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,18 +57,14 @@ pub struct JobRecord {
     pub sim_cycles_per_sec: f64,
 }
 
-impl ToJson for JobRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", self.label.to_json()),
-            ("worker", self.worker.to_json()),
-            ("wall_ns", self.wall_ns.to_json()),
-            ("sim_cycles", self.sim_cycles.to_json()),
-            ("instructions", self.instructions.to_json()),
-            ("sim_cycles_per_sec", self.sim_cycles_per_sec.to_json()),
-        ])
-    }
-}
+json_struct!(JobRecord {
+    label,
+    worker,
+    wall_ns,
+    sim_cycles,
+    instructions,
+    sim_cycles_per_sec,
+});
 
 /// Worker-pool occupancy: how much of `workers × wall` was spent inside
 /// spans, per worker and in aggregate. Idle time is the straggler signal
@@ -111,20 +107,13 @@ impl PoolStats {
     }
 }
 
-impl ToJson for PoolStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("workers", self.workers.to_json()),
-            ("wall_ns", self.wall_ns.to_json()),
-            (
-                "busy_ns",
-                Json::Array(self.busy_ns.iter().map(|b| b.to_json()).collect()),
-            ),
-            ("idle_ns", self.idle_ns.to_json()),
-            ("occupancy", self.occupancy.to_json()),
-        ])
-    }
-}
+json_struct!(PoolStats {
+    workers,
+    wall_ns,
+    busy_ns,
+    idle_ns,
+    occupancy,
+});
 
 /// The structured telemetry manifest a tool run emits with `--telemetry`.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,8 +137,7 @@ pub struct Manifest {
     /// Aggregate simulated-cycle throughput over the whole run wall-clock.
     pub sim_cycles_per_sec: f64,
     /// Result-store counters, present only when the run used a
-    /// [`lvp_store::SimService`] — manifests from store-disabled runs keep
-    /// their exact pre-store bytes, and old manifests still parse.
+    /// [`lvp_store::SimService`].
     pub store: Option<StoreCounters>,
     pub pool: PoolStats,
     pub per_job: Vec<JobRecord>,
@@ -207,150 +195,41 @@ impl Manifest {
         }
     }
 
-    /// Serializes the manifest (the `--telemetry` file body). The `store`
-    /// key appears only for store-enabled runs, so store-off manifests
-    /// keep their exact pre-store bytes.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("version", self.version.to_json()),
-            ("tool", self.tool.to_json()),
-            ("config_hash", self.config_hash.to_json()),
-            ("budget", self.budget.to_json()),
-            ("workers", self.workers.to_json()),
-            (
-                "seeds",
-                Json::Array(self.seeds.iter().map(|s| s.to_json()).collect()),
-            ),
-            ("wall_ns", self.wall_ns.to_json()),
-            ("jobs", self.jobs.to_json()),
-            ("sim_cycles", self.sim_cycles.to_json()),
-            ("instructions", self.instructions.to_json()),
-            ("sim_cycles_per_sec", self.sim_cycles_per_sec.to_json()),
-        ];
-        if let Some(c) = &self.store {
-            pairs.push((
-                "store",
-                Json::obj([
-                    ("hits", c.hits.to_json()),
-                    ("misses", c.misses.to_json()),
-                    ("writes", c.writes.to_json()),
-                    ("deduped", c.deduped.to_json()),
-                ]),
-            ));
-        }
-        pairs.extend([
-            ("pool", self.pool.to_json()),
-            (
-                "per_job",
-                Json::Array(self.per_job.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "phases",
-                Json::Array(self.phases.iter().map(ToJson::to_json).collect()),
-            ),
-        ]);
-        Json::obj(pairs)
-    }
-
-    /// Parses a manifest document — the inverse of [`Manifest::to_json`],
-    /// used by the round-trip tests and the CI telemetry-smoke validator.
-    pub fn parse(j: &Json) -> Result<Manifest, String> {
-        let num = |j: &Json, key: &str| -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::U64(v)) => Ok(*v),
-                Some(other) => Err(format!("'{key}' is not a u64: {other:?}")),
-                None => Err(format!("missing '{key}'")),
-            }
-        };
-        let float = |j: &Json, key: &str| -> Result<f64, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric '{key}'"))
-        };
-        let string = |j: &Json, key: &str| -> Result<String, String> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string '{key}'"))
-        };
-        let array = |j: &Json, key: &str| -> Result<Vec<Json>, String> {
-            j.get(key)
-                .and_then(Json::as_array)
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| format!("missing array '{key}'"))
-        };
-
-        let version = num(j, "version")?;
+    /// Decodes a manifest document, rejecting other schema versions
+    /// before reading the rest. Used by the round-trip tests and the CI
+    /// telemetry-smoke validator.
+    pub fn parse(j: &Json) -> Result<Manifest, DecodeError> {
+        let version: u64 = Fields::of(j)?.req("version")?;
         if version != MANIFEST_VERSION {
-            return Err(format!(
+            return Err(DecodeError::new(format!(
                 "unsupported manifest version {version} (expected {MANIFEST_VERSION})"
-            ));
+            ))
+            .at("version"));
         }
-        let pool_json = j.get("pool").ok_or("missing 'pool'")?;
-        let pool = PoolStats {
-            workers: num(pool_json, "workers")?,
-            wall_ns: num(pool_json, "wall_ns")?,
-            busy_ns: array(pool_json, "busy_ns")?
-                .iter()
-                .map(|b| match b {
-                    Json::U64(v) => Ok(*v),
-                    other => Err(format!("busy_ns entry is not a u64: {other:?}")),
-                })
-                .collect::<Result<_, _>>()?,
-            idle_ns: num(pool_json, "idle_ns")?,
-            occupancy: float(pool_json, "occupancy")?,
-        };
-        let store = match j.get("store") {
-            None => None,
-            Some(s) => Some(StoreCounters {
-                hits: num(s, "hits")?,
-                misses: num(s, "misses")?,
-                writes: num(s, "writes")?,
-                deduped: num(s, "deduped")?,
-            }),
-        };
-        let per_job = array(j, "per_job")?
-            .iter()
-            .map(|r| {
-                Ok(JobRecord {
-                    label: string(r, "label")?,
-                    worker: num(r, "worker")?,
-                    wall_ns: num(r, "wall_ns")?,
-                    sim_cycles: num(r, "sim_cycles")?,
-                    instructions: num(r, "instructions")?,
-                    sim_cycles_per_sec: float(r, "sim_cycles_per_sec")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let phases = array(j, "phases")?
-            .iter()
-            .map(PhaseSpan::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Manifest {
-            version,
-            tool: string(j, "tool")?,
-            config_hash: string(j, "config_hash")?,
-            budget: num(j, "budget")?,
-            workers: num(j, "workers")?,
-            seeds: array(j, "seeds")?
-                .iter()
-                .map(|s| match s {
-                    Json::U64(v) => Ok(*v),
-                    other => Err(format!("seed is not a u64: {other:?}")),
-                })
-                .collect::<Result<_, _>>()?,
-            wall_ns: num(j, "wall_ns")?,
-            jobs: num(j, "jobs")?,
-            sim_cycles: num(j, "sim_cycles")?,
-            instructions: num(j, "instructions")?,
-            sim_cycles_per_sec: float(j, "sim_cycles_per_sec")?,
-            store,
-            pool,
-            per_job,
-            phases,
-        })
+        Manifest::from_json(j)
     }
 }
+
+// The `--telemetry` file body. The `store` key appears only for
+// store-enabled runs, so store-off manifests keep their exact pre-store
+// bytes and old manifests still parse.
+json_struct!(Manifest {
+    version,
+    tool,
+    config_hash,
+    budget,
+    workers,
+    seeds,
+    wall_ns,
+    jobs,
+    sim_cycles,
+    instructions,
+    sim_cycles_per_sec,
+    ?store,
+    pool,
+    per_job,
+    phases,
+});
 
 /// Formats a cycles-per-second rate as a compact human string (`2.31M`).
 pub fn fmt_rate(rate: f64) -> String {
@@ -443,6 +322,7 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::ToJson;
     use lvp_obs::PhaseSink;
 
     #[test]

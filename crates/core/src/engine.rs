@@ -79,6 +79,14 @@ pub struct PcOutcome {
     pub lscd_suppressed: u64,
 }
 
+lvp_json::json_struct!(PcOutcome {
+    attempts,
+    predictions,
+    addr_mispredicts,
+    stale_mispredicts,
+    lscd_suppressed,
+});
+
 /// Decoupled Load Value Prediction over an address predictor `A`.
 pub struct Dlvp<A: AddressPredictor> {
     cfg: DlvpConfig,

@@ -13,7 +13,7 @@ use crate::pap::Pap;
 use crate::tournament::Tournament;
 use crate::vtage::Vtage;
 use crate::Cap;
-use lvp_json::{Json, ToJson};
+use lvp_json::{DecodeError, FromJson, Json, ToJson};
 use lvp_uarch::{NoVp, SimConfig, VpScheme};
 
 /// Which scheme to run.
@@ -96,6 +96,15 @@ impl SchemeKind {
 impl ToJson for SchemeKind {
     fn to_json(&self) -> Json {
         Json::Str(self.name().to_string())
+    }
+}
+
+impl FromJson for SchemeKind {
+    /// Accepts anything [`SchemeKind::from_name`] does.
+    fn from_json(j: &Json) -> Result<SchemeKind, DecodeError> {
+        let name = String::from_json(j)?;
+        SchemeKind::from_name(&name)
+            .ok_or_else(|| DecodeError::new(format!("unknown scheme '{name}'")))
     }
 }
 

@@ -5,15 +5,15 @@
 //! `Dlvp<Pap>` — and read the same outputs from it: cycle/instruction
 //! totals, the simulator's per-PC load counters, and the engine's per-PC
 //! predictor outcomes. [`DlvpSimSlice`] is that slice plus a lossless
-//! JSON payload codec, so the content-addressed result store can serve
-//! one consumer's simulation to the other: the request document
+//! JSON codec (its store payload), so the content-addressed result store
+//! can serve one consumer's simulation to the other: the request document
 //! ([`DlvpSimSlice::request_doc`]) hashes identically for identical
 //! `(trace, configs, budget)` no matter which tool asks.
 
 use crate::engine::{Dlvp, DlvpConfig, PcOutcome};
 use crate::pap::Pap;
-use lvp_analysis::DynLoadStats;
-use lvp_json::{Json, ToJson};
+use lvp_analysis::{DynLoadStats, ProgramAnalysis, XvalLoad};
+use lvp_json::{json_struct, pc_map, Json, ToJson};
 use lvp_trace::Trace;
 use lvp_uarch::stats::PcLoadStats;
 use lvp_uarch::{Core, CoreConfig, PapConfig};
@@ -45,10 +45,25 @@ impl DlvpSimSlice {
         }
     }
 
+    /// The cross-validation gate's input: each load's static verdicts
+    /// from `analysis`, joined with its dynamic counters from this run.
+    pub fn xval_loads(&self, analysis: &ProgramAnalysis) -> Vec<XvalLoad> {
+        analysis
+            .loads
+            .iter()
+            .map(|l| XvalLoad {
+                pc: l.pc,
+                class: l.class,
+                conflict_free: l.conflict_free(),
+                ordered: l.ordered,
+                stats: self.dyn_stats(l.pc),
+            })
+            .collect()
+    }
+
     /// The merged simulator and engine counters of the load at `pc` (all
-    /// zero for a load that never executed), as the cross-validation gate
-    /// reads them.
-    pub fn dyn_stats(&self, pc: u64) -> DynLoadStats {
+    /// zero for a load that never executed).
+    fn dyn_stats(&self, pc: u64) -> DynLoadStats {
         let s = self.per_pc.get(&pc).copied().unwrap_or_default();
         let eng = self.outcomes.get(&pc).copied().unwrap_or_default();
         DynLoadStats {
@@ -85,87 +100,21 @@ impl DlvpSimSlice {
             ("pap", pap.to_json()),
         ])
     }
-
-    /// Serializes the slice as a store payload.
-    pub fn to_payload(&self) -> Json {
-        let keyed = |pc: u64, fields: Json| {
-            let mut obj = vec![("pc".to_string(), pc.to_json())];
-            if let Json::Object(pairs) = fields {
-                obj.extend(pairs);
-            }
-            Json::Object(obj)
-        };
-        Json::obj([
-            ("cycles", self.cycles.to_json()),
-            ("instructions", self.instructions.to_json()),
-            (
-                "per_pc",
-                Json::Array(
-                    self.per_pc
-                        .iter()
-                        .map(|(&pc, s)| keyed(pc, s.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "outcomes",
-                Json::Array(
-                    self.outcomes
-                        .iter()
-                        .map(|(&pc, o)| {
-                            keyed(
-                                pc,
-                                Json::obj([
-                                    ("attempts", o.attempts.to_json()),
-                                    ("predictions", o.predictions.to_json()),
-                                    ("addr_mispredicts", o.addr_mispredicts.to_json()),
-                                    ("stale_mispredicts", o.stale_mispredicts.to_json()),
-                                    ("lscd_suppressed", o.lscd_suppressed.to_json()),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Inverse of [`DlvpSimSlice::to_payload`]; `None` (treated as a cache
-    /// miss) on any shape mismatch. Exact — every field is `u64` and both
-    /// maps re-enter their ordered form.
-    pub fn from_payload(j: &Json) -> Option<DlvpSimSlice> {
-        let mut per_pc = BTreeMap::new();
-        for entry in j.get("per_pc")?.as_array()? {
-            per_pc.insert(
-                entry.get("pc").and_then(Json::as_u64)?,
-                PcLoadStats::from_json(entry).ok()?,
-            );
-        }
-        let mut outcomes = BTreeMap::new();
-        for entry in j.get("outcomes")?.as_array()? {
-            outcomes.insert(
-                entry.get("pc").and_then(Json::as_u64)?,
-                PcOutcome {
-                    attempts: entry.get("attempts").and_then(Json::as_u64)?,
-                    predictions: entry.get("predictions").and_then(Json::as_u64)?,
-                    addr_mispredicts: entry.get("addr_mispredicts").and_then(Json::as_u64)?,
-                    stale_mispredicts: entry.get("stale_mispredicts").and_then(Json::as_u64)?,
-                    lscd_suppressed: entry.get("lscd_suppressed").and_then(Json::as_u64)?,
-                },
-            );
-        }
-        Some(DlvpSimSlice {
-            cycles: j.get("cycles").and_then(Json::as_u64)?,
-            instructions: j.get("instructions").and_then(Json::as_u64)?,
-            per_pc,
-            outcomes,
-        })
-    }
 }
+
+// The store payload. Exact: every field is `u64` and both maps re-enter
+// their ordered form, so a decoded payload re-encodes to the same bytes.
+json_struct!(DlvpSimSlice {
+    cycles,
+    instructions,
+    per_pc with pc_map,
+    outcomes with pc_map,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::FromJson;
 
     #[test]
     fn slice_payload_round_trips_exactly() {
@@ -198,9 +147,9 @@ mod tests {
             per_pc,
             outcomes,
         };
-        let payload = slice.to_payload();
-        let back = DlvpSimSlice::from_payload(&payload).expect("parses");
-        assert_eq!(back.to_payload().pretty(), payload.pretty());
+        let payload = slice.to_json();
+        let back = DlvpSimSlice::from_json(&payload).expect("parses");
+        assert_eq!(back.to_json().pretty(), payload.pretty());
         assert_eq!(back.cycles, 123);
         assert_eq!(back.per_pc[&0x1000].injected, 7);
         assert_eq!(back.outcomes[&0x1000].predictions, 7);
@@ -212,20 +161,20 @@ mod tests {
     }
 
     #[test]
-    fn from_payload_rejects_malformed_shapes() {
-        assert!(DlvpSimSlice::from_payload(&Json::Null).is_none());
+    fn payload_decode_rejects_malformed_shapes() {
+        assert!(DlvpSimSlice::from_json(&Json::Null).is_err());
         let good = DlvpSimSlice {
             cycles: 1,
             instructions: 1,
             per_pc: BTreeMap::new(),
             outcomes: BTreeMap::new(),
         }
-        .to_payload();
+        .to_json();
         let mut missing = good.clone();
         if let Json::Object(pairs) = &mut missing {
             pairs.retain(|(k, _)| k != "outcomes");
         }
-        assert!(DlvpSimSlice::from_payload(&missing).is_none());
+        assert!(DlvpSimSlice::from_json(&missing).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::oracle::{check_serviced, execute, soundness, Finding, OracleConfig};
 use crate::profile::SynthProfile;
 use crate::synth::{synthesize, StorePlacement, SynthProgram};
 use lvp_analysis::ProgramAnalysis;
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_struct, Json, ToJson};
 use lvp_store::SimService;
 
 /// Everything the campaign records about one seed.
@@ -41,38 +41,30 @@ impl SeedOutcome {
     }
 }
 
-impl ToJson for SeedOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", self.seed.to_json()),
-            (
-                "program_hash",
-                format!("{:016x}", self.program_hash).to_json(),
-            ),
-            ("instructions", (self.instructions as u64).to_json()),
-            ("dynamic", (self.dynamic as u64).to_json()),
-            (
-                "declared",
-                Json::Array(
-                    self.declared
-                        .iter()
-                        .map(|&c| (c as u64).to_json())
-                        .collect(),
-                ),
-            ),
-            (
-                "conflicting_sites",
-                (self.conflicting_sites as u64).to_json(),
-            ),
-            (
-                "soundness",
-                Json::Array(self.soundness.iter().map(|s| s.to_json()).collect()),
-            ),
-            (
-                "findings",
-                Json::Array(self.findings.iter().map(|f| f.to_json()).collect()),
-            ),
-        ])
+json_struct!(SeedOutcome {
+    seed,
+    program_hash with hex64,
+    instructions,
+    dynamic,
+    declared,
+    conflicting_sites,
+    soundness,
+    findings,
+});
+
+/// The program hash's codec: 16 lowercase hex digits, as the pinned
+/// corpus records it.
+mod hex64 {
+    use lvp_json::{DecodeError, FromJson, Json};
+
+    pub fn to_json(hash: &u64) -> Json {
+        Json::Str(format!("{hash:016x}"))
+    }
+
+    pub fn from_json(j: &Json) -> Result<u64, DecodeError> {
+        let s = String::from_json(j)?;
+        u64::from_str_radix(&s, 16)
+            .map_err(|_| DecodeError::new(format!("'{s}' is not a hex hash")))
     }
 }
 
@@ -153,6 +145,7 @@ pub fn campaign_report(profile: &SynthProfile, outcomes: &[SeedOutcome]) -> Json
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::FromJson;
 
     #[test]
     fn seed_outcome_is_deterministic() {
@@ -162,6 +155,8 @@ mod tests {
         let b = run_seed(&p, 1, &cfg);
         assert_eq!(a.program_hash, b.program_hash);
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
+        let back = SeedOutcome::from_json(&a.to_json()).expect("outcome decodes");
+        assert_eq!(back.to_json().pretty(), a.to_json().pretty());
     }
 
     #[test]

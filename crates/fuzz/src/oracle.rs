@@ -41,10 +41,9 @@ use crate::synth::SynthProgram;
 use dlvp::{DlvpSimSlice, SchemeKind};
 use lvp_analysis::{
     cross_validate, cross_validate_dep, DepAnalysis, DepInputs, ProgramAnalysis, XvalConfig,
-    XvalLoad,
 };
 use lvp_emu::{Emulator, RunOutcome, StopReason};
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_struct, FromJson, ToJson};
 use lvp_obs::{LifecycleReport, RingSink, RunMeta};
 use lvp_store::SimService;
 use lvp_uarch::{Core, ExecutionTier, FunctionalTier, SimConfig, SimStats};
@@ -106,15 +105,11 @@ impl Finding {
     }
 }
 
-impl ToJson for Finding {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("scheme", self.scheme.to_json()),
-            ("invariant", self.invariant.to_json()),
-            ("detail", self.detail.to_json()),
-        ])
-    }
-}
+json_struct!(Finding {
+    scheme,
+    invariant,
+    detail,
+});
 
 /// Runs the synthesized program on the functional emulator.
 pub fn execute(sp: &SynthProgram) -> RunOutcome {
@@ -404,21 +399,11 @@ pub fn check_serviced(
                 &cfg.sim.pap,
             )
         },
-        DlvpSimSlice::from_payload,
-        DlvpSimSlice::to_payload,
+        |j| DlvpSimSlice::from_json(j).ok(),
+        DlvpSimSlice::to_json,
         || DlvpSimSlice::run(trace, cfg.sim.core.clone(), cfg.sim.dlvp, cfg.sim.pap),
     );
-    let xval_loads: Vec<XvalLoad> = analysis
-        .loads
-        .iter()
-        .map(|l| XvalLoad {
-            pc: l.pc,
-            class: l.class,
-            conflict_free: l.conflict_free(),
-            ordered: l.ordered,
-            stats: deep.dyn_stats(l.pc),
-        })
-        .collect();
+    let xval_loads = deep.xval_loads(&analysis);
     let const_free_sites = xval_loads
         .iter()
         .filter(|l| {

@@ -9,7 +9,7 @@
 //! the soundness check holds the *achieved* mix (as judged by
 //! `lvp_analysis`) against the declared one.
 
-use lvp_json::{Json, ToJson};
+use lvp_json::json_struct;
 
 /// Declarative knobs for the program synthesizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,33 +176,21 @@ impl SynthProfile {
     }
 }
 
-impl ToJson for SynthProfile {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("loads", (self.loads as u64).to_json()),
-            (
-                "mix",
-                Json::Array(self.mix.iter().map(|&w| (w as u64).to_json()).collect()),
-            ),
-            ("mix_tolerance", self.mix_tolerance.to_json()),
-            (
-                "store_conflict_density",
-                self.store_conflict_density.to_json(),
-            ),
-            (
-                "branch_path_depth",
-                (self.branch_path_depth as u64).to_json(),
-            ),
-            ("region_words", self.region_words.to_json()),
-            ("iterations", self.iterations.to_json()),
-        ])
-    }
-}
+json_struct!(SynthProfile {
+    name,
+    loads,
+    mix,
+    mix_tolerance,
+    store_conflict_density,
+    branch_path_depth,
+    region_words,
+    iterations,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::ToJson;
 
     #[test]
     fn presets_validate() {

@@ -16,6 +16,12 @@
 //!    back; [`Json::parse`] is a small recursive-descent parser for the
 //!    subset the writer emits (i.e. standard JSON).
 //!
+//! Typed values cross the boundary through [`ToJson`] and its inverse
+//! [`FromJson`]. A persisted struct declares its format once with
+//! [`json_struct!`] (a unit enum with [`json_enum!`]), which generates
+//! both directions from one field list; every decoder reports a
+//! [`DecodeError`] naming the offending key.
+//!
 //! ```
 //! use lvp_json::{Json, ToJson};
 //! let v = Json::obj([("cycles", 123u64.to_json()), ("ipc", 1.5.to_json())]);
@@ -24,6 +30,9 @@
 //! ```
 
 use std::fmt::Write as _;
+
+mod decode;
+pub use decode::{entries, pc_map, DecodeError, Fields, FromJson};
 
 /// A JSON value. Objects preserve insertion order so serialization is
 /// deterministic and diffs stay readable.
@@ -608,6 +617,12 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+}
+
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (*self).to_json()
@@ -727,6 +742,126 @@ mod tests {
                 ("rows.1.cycles".to_string(), 20.0),
             ]
         );
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Inner {
+        ways: usize,
+        ratio: f64,
+    }
+    json_struct!(Inner { ways, ratio });
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        Flush,
+        OracleReplay,
+    }
+    json_enum!(Mode {
+        Flush => "flush",
+        OracleReplay => "oracle_replay",
+    });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outer {
+        name: String,
+        mode: Mode,
+        denoms: [u32; 3],
+        inner: Inner,
+        btb: Option<u64>,
+        extra: Vec<(String, f64)>,
+        per_pc: std::collections::BTreeMap<u64, Inner>,
+        sample: Option<Inner>,
+    }
+    json_struct!(Outer {
+        name,
+        mode,
+        denoms,
+        inner,
+        btb,
+        extra with entries,
+        per_pc with pc_map,
+        ?sample,
+    });
+
+    fn outer() -> Outer {
+        Outer {
+            name: "x".into(),
+            mode: Mode::OracleReplay,
+            denoms: [1, 2, 4],
+            inner: Inner {
+                ways: 8,
+                ratio: 0.5,
+            },
+            btb: None,
+            extra: vec![("paq".into(), 2.0), ("lscd".into(), 0.25)],
+            per_pc: [(
+                0x40,
+                Inner {
+                    ways: 1,
+                    ratio: 1.0,
+                },
+            )]
+            .into_iter()
+            .collect(),
+            sample: None,
+        }
+    }
+
+    #[test]
+    fn declared_codecs_emit_the_field_list_and_round_trip() {
+        let o = outer();
+        assert_eq!(
+            o.to_json().compact(),
+            concat!(
+                r#"{"name":"x","mode":"oracle_replay","denoms":[1,2,4],"#,
+                r#""inner":{"ways":8,"ratio":0.5},"btb":null,"extra":{"paq":2.0,"lscd":0.25},"#,
+                r#""per_pc":[{"pc":64,"ways":1,"ratio":1.0}]}"#
+            )
+        );
+        let text = o.to_json().pretty();
+        assert_eq!(Outer::from_json(&Json::parse(&text).unwrap()).unwrap(), o);
+        let sampled = Outer {
+            sample: Some(Inner {
+                ways: 2,
+                ratio: 0.0,
+            }),
+            btb: Some(7),
+            ..outer()
+        };
+        assert!(sampled
+            .to_json()
+            .compact()
+            .ends_with(r#""sample":{"ways":2,"ratio":0.0}}"#));
+        assert_eq!(Outer::from_json(&sampled.to_json()).unwrap(), sampled);
+    }
+
+    #[test]
+    fn decode_errors_name_the_offending_key() {
+        let err = |j: Json| Outer::from_json(&j).unwrap_err().to_string();
+        let mut j = outer().to_json();
+        if let Json::Object(pairs) = &mut j {
+            pairs.retain(|(k, _)| k != "inner");
+        }
+        assert_eq!(err(j), "malformed JSON at 'inner': missing key");
+        let text = outer().to_json().compact();
+        let bad_ways = Json::parse(&text.replace(r#""ways":8"#, r#""ways":"8""#)).unwrap();
+        assert_eq!(
+            err(bad_ways),
+            "malformed JSON at 'inner.ways': expected an unsigned integer, got a string"
+        );
+        let bad_pc = Json::parse(&text.replace(r#""pc":64"#, r#""pc":-1"#)).unwrap();
+        assert!(err(bad_pc).contains("'per_pc.0.pc'"));
+        let bad_mode = Json::parse(&text.replace("oracle_replay", "replay")).unwrap();
+        assert!(err(bad_mode)
+            .contains("unknown value 'replay' (expected one of: flush, oracle_replay)"));
+        let short = Json::parse(&text.replace("[1,2,4]", "[1,2]")).unwrap();
+        assert!(err(short).contains("expected 3 elements, got 2"));
+        assert_eq!(
+            err(Json::Null),
+            "malformed JSON: expected an object, got null"
+        );
+        assert!(u8::from_json(&Json::U64(256)).is_err());
+        assert_eq!(u8::from_json(&Json::U64(255)), Ok(255));
     }
 
     #[test]

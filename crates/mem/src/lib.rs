@@ -32,6 +32,5 @@ pub use cache::{Access, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{
     DataAccess, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProbeOutcome, ServedBy,
 };
-pub use json::{stats_parse_error, stats_u64, StatsParseError};
 pub use prefetch::{StrideConfig, StridePrefetcher, StrideStats};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

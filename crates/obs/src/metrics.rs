@@ -5,7 +5,7 @@
 //! edges are fixed at construction (no data-driven re-bucketing), which
 //! keeps histograms comparable across runs and schemes.
 
-use lvp_json::{Json, ToJson};
+use lvp_json::{entries, Json, ToJson};
 
 /// A histogram over `u64` samples with fixed, strictly-ascending bucket
 /// edges. Bucket `i` covers `[edges[i], edges[i+1])`; samples below
@@ -211,10 +211,7 @@ impl MetricsRegistry {
 impl ToJson for MetricsRegistry {
     fn to_json(&self) -> Json {
         Json::obj([
-            (
-                "counters",
-                Json::obj(self.counters.iter().map(|(k, v)| (k.clone(), v.to_json()))),
-            ),
+            ("counters", entries::to_json(&self.counters)),
             (
                 "histograms",
                 Json::Array(self.histograms.iter().map(ToJson::to_json).collect()),

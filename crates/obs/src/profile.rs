@@ -30,7 +30,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use lvp_json::{Json, ToJson};
+use lvp_json::json_struct;
 
 /// Simulated million-instructions-per-second for a run that committed
 /// `instructions` in `wall` of host time. Zero when `wall` is zero.
@@ -79,48 +79,18 @@ impl PhaseSpan {
     pub fn sim_cycles_per_sec(&self) -> f64 {
         sim_cycles_per_sec(self.sim_cycles, self.dur_ns)
     }
-
-    /// Parses a span from its [`ToJson`] form.
-    pub fn from_json(j: &Json) -> Result<PhaseSpan, String> {
-        let num = |key: &str| -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::U64(v)) => Ok(*v),
-                Some(other) => Err(format!("phase span field '{key}' is not a u64: {other:?}")),
-                None => Err(format!("phase span is missing '{key}'")),
-            }
-        };
-        let name = j
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("phase span is missing 'name'")?
-            .to_string();
-        Ok(PhaseSpan {
-            name,
-            lane: num("lane")? as u32,
-            depth: num("depth")? as u32,
-            start_ns: num("start_ns")?,
-            dur_ns: num("dur_ns")?,
-            sim_cycles: num("sim_cycles")?,
-            instructions: num("instructions")?,
-            jobs: num("jobs")?,
-        })
-    }
 }
 
-impl ToJson for PhaseSpan {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("lane", (self.lane as u64).to_json()),
-            ("depth", (self.depth as u64).to_json()),
-            ("start_ns", self.start_ns.to_json()),
-            ("dur_ns", self.dur_ns.to_json()),
-            ("sim_cycles", self.sim_cycles.to_json()),
-            ("instructions", self.instructions.to_json()),
-            ("jobs", self.jobs.to_json()),
-        ])
-    }
-}
+json_struct!(PhaseSpan {
+    name,
+    lane,
+    depth,
+    start_ns,
+    dur_ns,
+    sim_cycles,
+    instructions,
+    jobs,
+});
 
 /// The host-phase recording interface. `ENABLED` is `const` so that with
 /// [`NullPhases`] every call site monomorphizes to nothing — the same
@@ -370,6 +340,7 @@ impl PhaseSink for PhaseRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::{FromJson, Json, ToJson};
 
     #[test]
     fn mips_is_zero_without_time() {

@@ -9,7 +9,7 @@
 
 use crate::event::{FilterReason, ObsEvent, RedirectCause, VerifyOutcome};
 use crate::metrics::{Histogram, MetricsRegistry};
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_struct, pc_map, Json, ToJson};
 use std::collections::{BTreeMap, HashMap};
 
 /// Identity of the run a report describes.
@@ -23,15 +23,11 @@ pub struct RunMeta {
     pub budget: u64,
 }
 
-impl ToJson for RunMeta {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("workload", self.workload.to_json()),
-            ("scheme", self.scheme.to_json()),
-            ("budget", self.budget.to_json()),
-        ])
-    }
-}
+json_struct!(RunMeta {
+    workload,
+    scheme,
+    budget,
+});
 
 /// Lifecycle counters for one static load PC.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,29 +70,25 @@ pub struct PcLifecycle {
     pub conflict_squashes: u64,
 }
 
-impl ToJson for PcLifecycle {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("executions", self.executions.to_json()),
-            ("apt_lookups", self.apt_lookups.to_json()),
-            ("apt_predictions", self.apt_predictions.to_json()),
-            ("filtered_ordered", self.filtered_ordered.to_json()),
-            ("filtered_lscd", self.filtered_lscd.to_json()),
-            ("filtered_port", self.filtered_port.to_json()),
-            ("paq_enqueued", self.paq_enqueued.to_json()),
-            ("paq_overflowed", self.paq_overflowed.to_json()),
-            ("paq_dropped", self.paq_dropped.to_json()),
-            ("probes", self.probes.to_json()),
-            ("probe_hits", self.probe_hits.to_json()),
-            ("way_mispredicts", self.way_mispredicts.to_json()),
-            ("prefetches", self.prefetches.to_json()),
-            ("late", self.late.to_json()),
-            ("injected", self.injected.to_json()),
-            ("correct", self.correct.to_json()),
-            ("conflict_squashes", self.conflict_squashes.to_json()),
-        ])
-    }
-}
+json_struct!(PcLifecycle {
+    executions,
+    apt_lookups,
+    apt_predictions,
+    filtered_ordered,
+    filtered_lscd,
+    filtered_port,
+    paq_enqueued,
+    paq_overflowed,
+    paq_dropped,
+    probes,
+    probe_hits,
+    way_mispredicts,
+    prefetches,
+    late,
+    injected,
+    correct,
+    conflict_squashes,
+});
 
 /// Per-seq scratch used while joining the linear event stream.
 #[derive(Debug, Clone, Copy, Default)]
@@ -454,21 +446,7 @@ impl ToJson for LifecycleReport {
                 ]),
             ),
             ("totals", self.metrics.to_json()),
-            (
-                "per_pc",
-                Json::Array(
-                    self.per_pc
-                        .iter()
-                        .map(|(pc, row)| {
-                            let mut obj = vec![("pc".to_string(), pc.to_json())];
-                            if let Json::Object(fields) = row.to_json() {
-                                obj.extend(fields);
-                            }
-                            Json::Object(obj)
-                        })
-                        .collect(),
-                ),
-            ),
+            ("per_pc", pc_map::to_json(&self.per_pc)),
         ])
     }
 }

@@ -6,7 +6,7 @@
 //! store --dir DIR gc [--max-entries N]       # drop corrupt entries, evict oldest beyond N
 //! ```
 
-use lvp_json::Json;
+use lvp_json::{Json, ToJson};
 use lvp_store::Store;
 use std::process::ExitCode;
 
@@ -43,16 +43,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match command.as_str() {
-        "stats" => store.stats().map(|s| {
-            (
-                Json::obj([
-                    ("entries", Json::U64(s.entries)),
-                    ("bytes", Json::U64(s.bytes)),
-                    ("shards", Json::U64(s.shards)),
-                ]),
-                true,
-            )
-        }),
+        "stats" => store.stats().map(|s| (s.to_json(), true)),
         "verify" => store.verify().map(|r| {
             let corrupt: Vec<Json> = r
                 .corrupt
@@ -70,16 +61,7 @@ fn main() -> ExitCode {
                 healthy,
             )
         }),
-        "gc" => store.gc(max_entries).map(|r| {
-            (
-                Json::obj([
-                    ("kept", Json::U64(r.kept)),
-                    ("evicted", Json::U64(r.evicted)),
-                    ("removed_corrupt", Json::U64(r.removed_corrupt)),
-                ]),
-                true,
-            )
-        }),
+        "gc" => store.gc(max_entries).map(|r| (r.to_json(), true)),
         _ => return usage(),
     };
     match result {

@@ -84,6 +84,12 @@ pub struct StoreStats {
     pub shards: u64,
 }
 
+lvp_json::json_struct!(StoreStats {
+    entries,
+    bytes,
+    shards
+});
+
 /// Result of a full-store integrity walk.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
@@ -99,6 +105,12 @@ pub struct GcReport {
     pub evicted: u64,
     pub removed_corrupt: u64,
 }
+
+lvp_json::json_struct!(GcReport {
+    kept,
+    evicted,
+    removed_corrupt
+});
 
 /// A sharded content-addressed store rooted at one directory.
 #[derive(Debug, Clone)]

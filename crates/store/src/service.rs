@@ -39,6 +39,13 @@ pub struct StoreCounters {
     pub deduped: u64,
 }
 
+lvp_json::json_struct!(StoreCounters {
+    hits,
+    misses,
+    writes,
+    deduped,
+});
+
 /// A memoizing, optionally persistent result service.
 pub struct SimService {
     store: Option<Store>,

@@ -1,6 +1,6 @@
 //! Core configuration (paper Table 4) and misprediction-recovery policy.
 
-use lvp_json::{Json, ToJson};
+use lvp_json::{json_enum, json_struct};
 use lvp_mem::HierarchyConfig;
 
 /// Which conditional-branch direction predictor the core uses.
@@ -125,66 +125,67 @@ impl CoreConfig {
     }
 }
 
-impl ToJson for RecoveryMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                RecoveryMode::Flush => "flush",
-                RecoveryMode::OracleReplay => "oracle_replay",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(RecoveryMode {
+    Flush => "flush",
+    OracleReplay => "oracle_replay",
+});
 
-impl ToJson for BranchPredictorKind {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                BranchPredictorKind::Tage => "tage",
-                BranchPredictorKind::Gshare => "gshare",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(BranchPredictorKind {
+    Tage => "tage",
+    Gshare => "gshare",
+});
 
-impl ToJson for CoreConfig {
-    fn to_json(&self) -> Json {
-        // BtbConfig lives in lvp-branch (no lvp-json dep there); build its
-        // object inline from the public fields.
-        let btb = match &self.btb {
+json_struct!(CoreConfig {
+    frontend_width,
+    backend_width,
+    ls_lanes,
+    generic_lanes,
+    rob_entries,
+    iq_entries,
+    ldq_entries,
+    stq_entries,
+    physical_regs,
+    fetch_to_rename,
+    fetch_buffer,
+    rename_to_issue,
+    value_check_penalty,
+    recovery,
+    branch_predictor,
+    btb with btb_json,
+    vp_per_cycle,
+    pvt_entries,
+    mem,
+    lat_int_alu,
+    lat_int_mul,
+    lat_int_div,
+    lat_fp_alu,
+    lat_fp_div,
+    lat_branch,
+    lat_forward,
+});
+
+/// The optional BTB's codec (`null` = perfect BTB). `BtbConfig` lives in
+/// lvp-branch, which has no JSON dependency.
+mod btb_json {
+    use lvp_branch::BtbConfig;
+    use lvp_json::{DecodeError, Fields, Json, ToJson};
+
+    pub fn to_json(btb: &Option<BtbConfig>) -> Json {
+        match btb {
             None => Json::Null,
             Some(b) => Json::obj([("entries", b.entries.to_json()), ("ways", b.ways.to_json())]),
-        };
-        Json::obj([
-            ("frontend_width", self.frontend_width.to_json()),
-            ("backend_width", self.backend_width.to_json()),
-            ("ls_lanes", self.ls_lanes.to_json()),
-            ("generic_lanes", self.generic_lanes.to_json()),
-            ("rob_entries", self.rob_entries.to_json()),
-            ("iq_entries", self.iq_entries.to_json()),
-            ("ldq_entries", self.ldq_entries.to_json()),
-            ("stq_entries", self.stq_entries.to_json()),
-            ("physical_regs", self.physical_regs.to_json()),
-            ("fetch_to_rename", self.fetch_to_rename.to_json()),
-            ("fetch_buffer", self.fetch_buffer.to_json()),
-            ("rename_to_issue", self.rename_to_issue.to_json()),
-            ("value_check_penalty", self.value_check_penalty.to_json()),
-            ("recovery", self.recovery.to_json()),
-            ("branch_predictor", self.branch_predictor.to_json()),
-            ("btb", btb),
-            ("vp_per_cycle", self.vp_per_cycle.to_json()),
-            ("pvt_entries", self.pvt_entries.to_json()),
-            ("mem", self.mem.to_json()),
-            ("lat_int_alu", self.lat_int_alu.to_json()),
-            ("lat_int_mul", self.lat_int_mul.to_json()),
-            ("lat_int_div", self.lat_int_div.to_json()),
-            ("lat_fp_alu", self.lat_fp_alu.to_json()),
-            ("lat_fp_div", self.lat_fp_div.to_json()),
-            ("lat_branch", self.lat_branch.to_json()),
-            ("lat_forward", self.lat_forward.to_json()),
-        ])
+        }
+    }
+
+    pub fn from_json(j: &Json) -> Result<Option<BtbConfig>, DecodeError> {
+        if *j == Json::Null {
+            return Ok(None);
+        }
+        let f = Fields::of(j)?;
+        Ok(Some(BtbConfig {
+            entries: f.req("entries")?,
+            ways: f.req("ways")?,
+        }))
     }
 }
 

@@ -17,13 +17,11 @@
 //! * [`SimConfig::preset`] names every configuration the experiments use —
 //!   the paper Table 4 baseline plus each ablation variant — so a spec can
 //!   reference `"no_lscd"` instead of re-deriving the override;
-//! * lossless `lvp-json` round-trip: [`SimConfig::from_json`] parses
-//!   exactly what [`ToJson`] writes.
+//! * lossless `lvp-json` round-trip: the one `json_struct!` declaration
+//!   per record generates both `ToJson` and its inverse `FromJson`.
 
 use crate::config::{BranchPredictorKind, CoreConfig, RecoveryMode};
-use lvp_branch::BtbConfig;
-use lvp_json::{Json, ToJson};
-use lvp_mem::{CacheConfig, HierarchyConfig, StrideConfig, TlbConfig};
+use lvp_json::{json_enum, json_struct};
 
 // ---------------------------------------------------------------------------
 // Predictor configuration records (re-exported by `dlvp` under their
@@ -511,8 +509,6 @@ pub enum ConfigError {
     EmptyHistories(&'static str),
     /// [`SimConfig::preset`] was given a name not in the registry.
     UnknownPreset(String),
-    /// [`SimConfig::from_json`] met JSON that does not describe a config.
-    Malformed(String),
     /// A [`SampleSpec`] is degenerate (zero-length windows, or windows
     /// that do not fit their period).
     DegenerateSample(&'static str),
@@ -542,7 +538,6 @@ impl std::fmt::Display for ConfigError {
                 "unknown preset '{name}' (available: {})",
                 PRESETS.join(", ")
             ),
-            ConfigError::Malformed(detail) => write!(f, "malformed config JSON: {detail}"),
             ConfigError::DegenerateSample(detail) => write!(f, "degenerate sample spec: {detail}"),
         }
     }
@@ -554,400 +549,91 @@ impl std::error::Error for ConfigError {}
 // JSON round-trip
 // ---------------------------------------------------------------------------
 
-impl ToJson for AddrWidth {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                AddrWidth::A32 => "a32",
-                AddrWidth::A49 => "a49",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(AddrWidth {
+    A32 => "a32",
+    A49 => "a49",
+});
 
-impl ToJson for AllocPolicy {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                AllocPolicy::Always => "always",
-                AllocPolicy::RespectConfidence => "respect_confidence",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(AllocPolicy {
+    Always => "always",
+    RespectConfidence => "respect_confidence",
+});
 
-impl ToJson for PapConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("entries", self.entries.to_json()),
-            ("tag_bits", self.tag_bits.to_json()),
-            ("history_bits", self.history_bits.to_json()),
-            ("addr_width", self.addr_width.to_json()),
-            ("way_prediction", self.way_prediction.to_json()),
-            ("alloc_policy", self.alloc_policy.to_json()),
-            ("fpc_denoms", self.fpc_denoms.as_slice().to_json()),
-            (
-                "train_reset_on_mismatch",
-                self.train_reset_on_mismatch.to_json(),
-            ),
-        ])
-    }
-}
+json_struct!(PapConfig {
+    entries,
+    tag_bits,
+    history_bits,
+    addr_width,
+    way_prediction,
+    alloc_policy,
+    fpc_denoms,
+    train_reset_on_mismatch,
+});
 
-impl ToJson for CapConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("entries", self.entries.to_json()),
-            ("tag_bits", self.tag_bits.to_json()),
-            ("history_bits", self.history_bits.to_json()),
-            ("confidence", self.confidence.to_json()),
-            ("link_bits", self.link_bits.to_json()),
-        ])
-    }
-}
+json_struct!(CapConfig {
+    entries,
+    tag_bits,
+    history_bits,
+    confidence,
+    link_bits,
+});
 
-impl ToJson for VtageTargets {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                VtageTargets::LoadsOnly => "loads_only",
-                VtageTargets::AllInstructions => "all_instructions",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(VtageTargets {
+    LoadsOnly => "loads_only",
+    AllInstructions => "all_instructions",
+});
 
-impl ToJson for VtageFilter {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                VtageFilter::Vanilla => "vanilla",
-                VtageFilter::Dynamic => "dynamic",
-                VtageFilter::Static => "static",
-            }
-            .to_string(),
-        )
-    }
-}
+json_enum!(VtageFilter {
+    Vanilla => "vanilla",
+    Dynamic => "dynamic",
+    Static => "static",
+});
 
-impl ToJson for VtageConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("entries", self.entries.to_json()),
-            ("tag_bits", self.tag_bits.to_json()),
-            ("histories", self.histories.to_json()),
-            ("targets", self.targets.to_json()),
-            ("filter", self.filter.to_json()),
-            ("chunk_aware", self.chunk_aware.to_json()),
-            ("filter_threshold", self.filter_threshold.to_json()),
-            ("filter_warmup", self.filter_warmup.to_json()),
-        ])
-    }
-}
+json_struct!(VtageConfig {
+    entries,
+    tag_bits,
+    histories,
+    targets,
+    filter,
+    chunk_aware,
+    filter_threshold,
+    filter_warmup,
+});
 
-impl ToJson for DlvpConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("prefetch_on_miss", self.prefetch_on_miss.to_json()),
-            ("use_lscd", self.use_lscd.to_json()),
-            ("way_prediction", self.way_prediction.to_json()),
-            ("max_per_group", self.max_per_group.to_json()),
-            ("paq_entries", self.paq_entries.to_json()),
-            ("paq_window", self.paq_window.to_json()),
-            ("inject_lscd_bug", self.inject_lscd_bug.to_json()),
-        ])
-    }
-}
+json_struct!(DlvpConfig {
+    prefetch_on_miss,
+    use_lscd,
+    way_prediction,
+    max_per_group,
+    paq_entries,
+    paq_window,
+    inject_lscd_bug,
+});
 
-impl ToJson for SimConfig {
-    /// The `sample` key is emitted only when sampling is enabled, so every
-    /// config serialized before sampling existed keeps its exact bytes.
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("core", self.core.to_json()),
-            ("dlvp", self.dlvp.to_json()),
-            ("pap", self.pap.to_json()),
-            ("cap", self.cap.to_json()),
-            ("vtage", self.vtage.to_json()),
-        ];
-        if let Some(sample) = &self.sample {
-            pairs.push(("sample", sample.to_json()));
-        }
-        Json::obj(pairs)
-    }
-}
+// The `sample` key is written only when sampling is enabled, so every
+// config serialized before sampling existed keeps its exact bytes (and
+// store key). Decoding does *not* validate: callers decide whether an
+// unusual config is an error.
+json_struct!(SimConfig {
+    core,
+    dlvp,
+    pap,
+    cap,
+    vtage,
+    ?sample,
+});
 
-impl ToJson for SampleSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("ff", self.ff.to_json()),
-            ("warmup", self.warmup.to_json()),
-            ("detail", self.detail.to_json()),
-            ("period", self.period.to_json()),
-        ])
-    }
-}
-
-// -- parsing helpers --------------------------------------------------------
-
-fn bad(detail: impl Into<String>) -> ConfigError {
-    ConfigError::Malformed(detail.into())
-}
-
-fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, ConfigError> {
-    j.get(key)
-        .ok_or_else(|| bad(format!("missing key '{key}'")))
-}
-
-fn get_u64(j: &Json, key: &str) -> Result<u64, ConfigError> {
-    let v = field(j, key)?;
-    v.as_u64()
-        .ok_or_else(|| bad(format!("'{key}' must be an unsigned integer, got {v:?}")))
-}
-
-fn get_u32(j: &Json, key: &str) -> Result<u32, ConfigError> {
-    u32::try_from(get_u64(j, key)?).map_err(|_| bad(format!("'{key}' exceeds u32")))
-}
-
-fn get_u8(j: &Json, key: &str) -> Result<u8, ConfigError> {
-    u8::try_from(get_u64(j, key)?).map_err(|_| bad(format!("'{key}' exceeds u8")))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, ConfigError> {
-    usize::try_from(get_u64(j, key)?).map_err(|_| bad(format!("'{key}' exceeds usize")))
-}
-
-fn get_bool(j: &Json, key: &str) -> Result<bool, ConfigError> {
-    match field(j, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(bad(format!("'{key}' must be a boolean, got {other:?}"))),
-    }
-}
-
-fn get_f64(j: &Json, key: &str) -> Result<f64, ConfigError> {
-    field(j, key)?
-        .as_f64()
-        .ok_or_else(|| bad(format!("'{key}' must be a number")))
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, ConfigError> {
-    field(j, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("'{key}' must be a string")))
-}
-
-fn parse_cache(j: &Json, key: &str) -> Result<CacheConfig, ConfigError> {
-    let j = field(j, key)?;
-    Ok(CacheConfig {
-        size_bytes: get_u64(j, "size_bytes")?,
-        ways: get_usize(j, "ways")?,
-        block_bytes: get_u64(j, "block_bytes")?,
-        hit_latency: get_u32(j, "hit_latency")?,
-    })
-}
-
-fn parse_mem(j: &Json) -> Result<HierarchyConfig, ConfigError> {
-    let tlb = field(j, "tlb")?;
-    let prefetch = field(j, "prefetch")?;
-    Ok(HierarchyConfig {
-        l1i: parse_cache(j, "l1i")?,
-        l1d: parse_cache(j, "l1d")?,
-        l2: parse_cache(j, "l2")?,
-        l3: parse_cache(j, "l3")?,
-        memory_latency: get_u32(j, "memory_latency")?,
-        tlb: TlbConfig {
-            entries: get_usize(tlb, "entries")?,
-            ways: get_usize(tlb, "ways")?,
-            page_bytes: get_u64(tlb, "page_bytes")?,
-            miss_penalty: get_u32(tlb, "miss_penalty")?,
-        },
-        prefetch: StrideConfig {
-            entries: get_usize(prefetch, "entries")?,
-            threshold: get_u8(prefetch, "threshold")?,
-            distance: get_u64(prefetch, "distance")?,
-        },
-        prefetch_enabled: get_bool(j, "prefetch_enabled")?,
-    })
-}
-
-fn parse_core(j: &Json) -> Result<CoreConfig, ConfigError> {
-    let recovery = match get_str(j, "recovery")? {
-        "flush" => RecoveryMode::Flush,
-        "oracle_replay" => RecoveryMode::OracleReplay,
-        other => return Err(bad(format!("unknown recovery mode '{other}'"))),
-    };
-    let branch_predictor = match get_str(j, "branch_predictor")? {
-        "tage" => BranchPredictorKind::Tage,
-        "gshare" => BranchPredictorKind::Gshare,
-        other => return Err(bad(format!("unknown branch predictor '{other}'"))),
-    };
-    let btb = match field(j, "btb")? {
-        Json::Null => None,
-        b => Some(BtbConfig {
-            entries: get_usize(b, "entries")?,
-            ways: get_usize(b, "ways")?,
-        }),
-    };
-    Ok(CoreConfig {
-        frontend_width: get_u32(j, "frontend_width")?,
-        backend_width: get_u32(j, "backend_width")?,
-        ls_lanes: get_u32(j, "ls_lanes")?,
-        generic_lanes: get_u32(j, "generic_lanes")?,
-        rob_entries: get_usize(j, "rob_entries")?,
-        iq_entries: get_usize(j, "iq_entries")?,
-        ldq_entries: get_usize(j, "ldq_entries")?,
-        stq_entries: get_usize(j, "stq_entries")?,
-        physical_regs: get_usize(j, "physical_regs")?,
-        fetch_to_rename: get_u32(j, "fetch_to_rename")?,
-        fetch_buffer: get_usize(j, "fetch_buffer")?,
-        rename_to_issue: get_u32(j, "rename_to_issue")?,
-        value_check_penalty: get_u32(j, "value_check_penalty")?,
-        recovery,
-        branch_predictor,
-        btb,
-        vp_per_cycle: get_u32(j, "vp_per_cycle")?,
-        pvt_entries: get_usize(j, "pvt_entries")?,
-        mem: parse_mem(field(j, "mem")?)?,
-        lat_int_alu: get_u32(j, "lat_int_alu")?,
-        lat_int_mul: get_u32(j, "lat_int_mul")?,
-        lat_int_div: get_u32(j, "lat_int_div")?,
-        lat_fp_alu: get_u32(j, "lat_fp_alu")?,
-        lat_fp_div: get_u32(j, "lat_fp_div")?,
-        lat_branch: get_u32(j, "lat_branch")?,
-        lat_forward: get_u32(j, "lat_forward")?,
-    })
-}
-
-fn parse_dlvp(j: &Json) -> Result<DlvpConfig, ConfigError> {
-    Ok(DlvpConfig {
-        prefetch_on_miss: get_bool(j, "prefetch_on_miss")?,
-        use_lscd: get_bool(j, "use_lscd")?,
-        way_prediction: get_bool(j, "way_prediction")?,
-        max_per_group: get_u32(j, "max_per_group")?,
-        paq_entries: get_usize(j, "paq_entries")?,
-        paq_window: get_u64(j, "paq_window")?,
-        inject_lscd_bug: get_bool(j, "inject_lscd_bug")?,
-    })
-}
-
-fn parse_pap(j: &Json) -> Result<PapConfig, ConfigError> {
-    let addr_width = match get_str(j, "addr_width")? {
-        "a32" => AddrWidth::A32,
-        "a49" => AddrWidth::A49,
-        other => return Err(bad(format!("unknown address width '{other}'"))),
-    };
-    let alloc_policy = match get_str(j, "alloc_policy")? {
-        "always" => AllocPolicy::Always,
-        "respect_confidence" => AllocPolicy::RespectConfidence,
-        other => return Err(bad(format!("unknown alloc policy '{other}'"))),
-    };
-    let denoms = field(j, "fpc_denoms")?
-        .as_array()
-        .ok_or_else(|| bad("'fpc_denoms' must be an array"))?;
-    if denoms.len() != 3 {
-        return Err(bad(format!(
-            "'fpc_denoms' must have exactly 3 elements, got {}",
-            denoms.len()
-        )));
-    }
-    let mut fpc_denoms = [0u32; 3];
-    for (slot, d) in fpc_denoms.iter_mut().zip(denoms) {
-        *slot = match d {
-            Json::U64(n) => u32::try_from(*n).map_err(|_| bad("fpc denom exceeds u32"))?,
-            other => return Err(bad(format!("fpc denom must be unsigned, got {other:?}"))),
-        };
-    }
-    Ok(PapConfig {
-        entries: get_usize(j, "entries")?,
-        tag_bits: get_u32(j, "tag_bits")?,
-        history_bits: get_u32(j, "history_bits")?,
-        addr_width,
-        way_prediction: get_bool(j, "way_prediction")?,
-        alloc_policy,
-        fpc_denoms,
-        train_reset_on_mismatch: get_bool(j, "train_reset_on_mismatch")?,
-    })
-}
-
-fn parse_cap(j: &Json) -> Result<CapConfig, ConfigError> {
-    Ok(CapConfig {
-        entries: get_usize(j, "entries")?,
-        tag_bits: get_u32(j, "tag_bits")?,
-        history_bits: get_u32(j, "history_bits")?,
-        confidence: get_u32(j, "confidence")?,
-        link_bits: get_u32(j, "link_bits")?,
-    })
-}
-
-fn parse_vtage(j: &Json) -> Result<VtageConfig, ConfigError> {
-    let targets = match get_str(j, "targets")? {
-        "loads_only" => VtageTargets::LoadsOnly,
-        "all_instructions" => VtageTargets::AllInstructions,
-        other => return Err(bad(format!("unknown vtage targets '{other}'"))),
-    };
-    let filter = match get_str(j, "filter")? {
-        "vanilla" => VtageFilter::Vanilla,
-        "dynamic" => VtageFilter::Dynamic,
-        "static" => VtageFilter::Static,
-        other => return Err(bad(format!("unknown vtage filter '{other}'"))),
-    };
-    let histories = field(j, "histories")?
-        .as_array()
-        .ok_or_else(|| bad("'histories' must be an array"))?
-        .iter()
-        .map(|h| match h {
-            Json::U64(n) => u32::try_from(*n).map_err(|_| bad("history length exceeds u32")),
-            other => Err(bad(format!(
-                "history length must be unsigned, got {other:?}"
-            ))),
-        })
-        .collect::<Result<Vec<u32>, ConfigError>>()?;
-    Ok(VtageConfig {
-        entries: get_usize(j, "entries")?,
-        tag_bits: get_u32(j, "tag_bits")?,
-        histories,
-        targets,
-        filter,
-        chunk_aware: get_bool(j, "chunk_aware")?,
-        filter_threshold: get_f64(j, "filter_threshold")?,
-        filter_warmup: get_u64(j, "filter_warmup")?,
-    })
-}
-
-impl SimConfig {
-    /// Parses the exact shape [`ToJson`] writes; `from_json(cfg.to_json())`
-    /// is the identity for every config. Does *not* validate — callers
-    /// decide whether an unusual config is an error.
-    pub fn from_json(j: &Json) -> Result<SimConfig, ConfigError> {
-        Ok(SimConfig {
-            core: parse_core(field(j, "core")?)?,
-            dlvp: parse_dlvp(field(j, "dlvp")?)?,
-            pap: parse_pap(field(j, "pap")?)?,
-            cap: parse_cap(field(j, "cap")?)?,
-            vtage: parse_vtage(field(j, "vtage")?)?,
-            sample: j.get("sample").map(SampleSpec::from_json).transpose()?,
-        })
-    }
-}
-
-impl SampleSpec {
-    /// Parses the shape [`ToJson`] writes. Does *not* validate.
-    pub fn from_json(j: &Json) -> Result<SampleSpec, ConfigError> {
-        Ok(SampleSpec {
-            ff: get_u64(j, "ff")?,
-            warmup: get_u64(j, "warmup")?,
-            detail: get_u64(j, "detail")?,
-            period: get_u64(j, "period")?,
-        })
-    }
-}
+json_struct!(SampleSpec {
+    ff,
+    warmup,
+    detail,
+    period,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::{FromJson, Json, ToJson};
 
     #[test]
     fn default_validates() {
@@ -1195,10 +881,8 @@ mod tests {
         if let Json::Object(pairs) = &mut j {
             pairs.retain(|(k, _)| k != "pap");
         }
-        assert!(matches!(
-            SimConfig::from_json(&j),
-            Err(ConfigError::Malformed(_))
-        ));
+        let err = SimConfig::from_json(&j).expect_err("pap is required");
+        assert_eq!(err.path, "pap");
     }
 
     #[test]

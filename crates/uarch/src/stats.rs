@@ -1,7 +1,7 @@
 //! Simulation statistics and energy-relevant event counters.
 
-use lvp_json::{Json, ToJson};
-use lvp_mem::{stats_parse_error, stats_u64, HierarchyStats, StatsParseError};
+use lvp_json::{json_struct, pc_map};
+use lvp_mem::HierarchyStats;
 use std::collections::BTreeMap;
 
 /// Dynamic counters for one static load PC, kept in [`SimStats::per_pc`].
@@ -39,32 +39,14 @@ impl PcLoadStats {
     }
 }
 
-impl PcLoadStats {
-    /// Inverse of [`ToJson::to_json`]; exact because every field is `u64`.
-    pub fn from_json(j: &Json) -> Result<PcLoadStats, StatsParseError> {
-        Ok(PcLoadStats {
-            executions: stats_u64(j, "executions")?,
-            conflict_exposed: stats_u64(j, "conflict_exposed")?,
-            ordering_violations: stats_u64(j, "ordering_violations")?,
-            injected: stats_u64(j, "injected")?,
-            correct: stats_u64(j, "correct")?,
-            conflict_squashes: stats_u64(j, "conflict_squashes")?,
-        })
-    }
-}
-
-impl ToJson for PcLoadStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("executions", self.executions.to_json()),
-            ("conflict_exposed", self.conflict_exposed.to_json()),
-            ("ordering_violations", self.ordering_violations.to_json()),
-            ("injected", self.injected.to_json()),
-            ("correct", self.correct.to_json()),
-            ("conflict_squashes", self.conflict_squashes.to_json()),
-        ])
-    }
-}
+json_struct!(PcLoadStats {
+    executions,
+    conflict_exposed,
+    ordering_violations,
+    injected,
+    correct,
+    conflict_squashes,
+});
 
 /// Everything the experiment harnesses need from one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -137,26 +119,11 @@ pub struct SamplingStats {
     pub skipped_instructions: u64,
 }
 
-impl SamplingStats {
-    /// Inverse of [`ToJson::to_json`].
-    pub fn from_json(j: &Json) -> Result<SamplingStats, StatsParseError> {
-        Ok(SamplingStats {
-            windows: stats_u64(j, "windows")?,
-            warmup_instructions: stats_u64(j, "warmup_instructions")?,
-            skipped_instructions: stats_u64(j, "skipped_instructions")?,
-        })
-    }
-}
-
-impl ToJson for SamplingStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("windows", self.windows.to_json()),
-            ("warmup_instructions", self.warmup_instructions.to_json()),
-            ("skipped_instructions", self.skipped_instructions.to_json()),
-        ])
-    }
-}
+json_struct!(SamplingStats {
+    windows,
+    warmup_instructions,
+    skipped_instructions,
+});
 
 /// Typed error for statistics that relate two runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,108 +304,37 @@ pub fn fmt_pct(ratio: Result<f64, StatsError>, decimals: usize) -> String {
     }
 }
 
-impl ToJson for SimStats {
-    /// The `sampling` key is emitted only for sampled runs, so unsampled
-    /// stats keep their exact pre-sampling bytes.
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("cycles", self.cycles.to_json()),
-            ("instructions", self.instructions.to_json()),
-            ("loads", self.loads.to_json()),
-            ("stores", self.stores.to_json()),
-            ("branches", self.branches.to_json()),
-            ("branch_mispredicts", self.branch_mispredicts.to_json()),
-            ("indirect_mispredicts", self.indirect_mispredicts.to_json()),
-            ("return_mispredicts", self.return_mispredicts.to_json()),
-            ("ordering_violations", self.ordering_violations.to_json()),
-            ("mdp_delays", self.mdp_delays.to_json()),
-            ("misp_resolve_sum", self.misp_resolve_sum.to_json()),
-            ("vp_predicted", self.vp_predicted.to_json()),
-            ("vp_predicted_loads", self.vp_predicted_loads.to_json()),
-            ("vp_correct", self.vp_correct.to_json()),
-            ("vp_flushes", self.vp_flushes.to_json()),
-            ("vp_replays", self.vp_replays.to_json()),
-            ("vp_pvt_full", self.vp_pvt_full.to_json()),
-            ("vp_late", self.vp_late.to_json()),
-            ("prf_reads", self.prf_reads.to_json()),
-            ("prf_writes", self.prf_writes.to_json()),
-            ("pvt_reads", self.pvt_reads.to_json()),
-            ("pvt_writes", self.pvt_writes.to_json()),
-            ("mem", self.mem.to_json()),
-            (
-                "per_pc",
-                Json::Array(
-                    self.per_pc
-                        .iter()
-                        .map(|(pc, s)| {
-                            let mut obj = vec![("pc".to_string(), pc.to_json())];
-                            if let Json::Object(fields) = s.to_json() {
-                                obj.extend(fields);
-                            }
-                            Json::Object(obj)
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(sampling) = &self.sampling {
-            pairs.push(("sampling", sampling.to_json()));
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl SimStats {
-    /// Inverse of [`ToJson::to_json`]: rebuilds typed counters from a
-    /// cached store payload. Exact — every counter is `u64`, `per_pc`
-    /// re-enters its ordered map, and the conditional `sampling` key maps
-    /// back to `None` when absent — so a parse/serialize cycle reproduces
-    /// the original bytes.
-    pub fn from_json(j: &Json) -> Result<SimStats, StatsParseError> {
-        let mem = j
-            .get("mem")
-            .ok_or_else(|| stats_parse_error("missing key 'mem'"))?;
-        let mut per_pc = BTreeMap::new();
-        let pcs = j
-            .get("per_pc")
-            .and_then(Json::as_array)
-            .ok_or_else(|| stats_parse_error("'per_pc' must be an array"))?;
-        for entry in pcs {
-            per_pc.insert(stats_u64(entry, "pc")?, PcLoadStats::from_json(entry)?);
-        }
-        let sampling = match j.get("sampling") {
-            Some(s) => Some(SamplingStats::from_json(s)?),
-            None => None,
-        };
-        Ok(SimStats {
-            cycles: stats_u64(j, "cycles")?,
-            instructions: stats_u64(j, "instructions")?,
-            loads: stats_u64(j, "loads")?,
-            stores: stats_u64(j, "stores")?,
-            branches: stats_u64(j, "branches")?,
-            branch_mispredicts: stats_u64(j, "branch_mispredicts")?,
-            indirect_mispredicts: stats_u64(j, "indirect_mispredicts")?,
-            return_mispredicts: stats_u64(j, "return_mispredicts")?,
-            ordering_violations: stats_u64(j, "ordering_violations")?,
-            mdp_delays: stats_u64(j, "mdp_delays")?,
-            misp_resolve_sum: stats_u64(j, "misp_resolve_sum")?,
-            vp_predicted: stats_u64(j, "vp_predicted")?,
-            vp_predicted_loads: stats_u64(j, "vp_predicted_loads")?,
-            vp_correct: stats_u64(j, "vp_correct")?,
-            vp_flushes: stats_u64(j, "vp_flushes")?,
-            vp_replays: stats_u64(j, "vp_replays")?,
-            vp_pvt_full: stats_u64(j, "vp_pvt_full")?,
-            vp_late: stats_u64(j, "vp_late")?,
-            prf_reads: stats_u64(j, "prf_reads")?,
-            prf_writes: stats_u64(j, "prf_writes")?,
-            pvt_reads: stats_u64(j, "pvt_reads")?,
-            pvt_writes: stats_u64(j, "pvt_writes")?,
-            mem: HierarchyStats::from_json(mem)?,
-            per_pc,
-            sampling,
-        })
-    }
-}
+// The `sampling` key is written only for sampled runs, so unsampled stats
+// keep their exact pre-sampling bytes. Decoding is exact — every counter
+// is `u64` and `per_pc` re-enters its ordered map — so a decode/encode
+// cycle reproduces the stored payload byte for byte.
+json_struct!(SimStats {
+    cycles,
+    instructions,
+    loads,
+    stores,
+    branches,
+    branch_mispredicts,
+    indirect_mispredicts,
+    return_mispredicts,
+    ordering_violations,
+    mdp_delays,
+    misp_resolve_sum,
+    vp_predicted,
+    vp_predicted_loads,
+    vp_correct,
+    vp_flushes,
+    vp_replays,
+    vp_pvt_full,
+    vp_late,
+    prf_reads,
+    prf_writes,
+    pvt_reads,
+    pvt_writes,
+    mem,
+    per_pc with pc_map,
+    ?sampling,
+});
 
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -451,6 +347,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvp_json::{FromJson, Json, ToJson};
 
     #[test]
     fn fmt_pct_renders_empty_runs_as_na() {

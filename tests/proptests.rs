@@ -435,7 +435,7 @@ fn random_valid_config(g: &mut Gen) -> lvp_uarch::SimConfig {
 /// still valid.
 #[test]
 fn simconfig_json_round_trips_for_arbitrary_valid_configs() {
-    use lvp_json::{Json, ToJson};
+    use lvp_json::{FromJson, Json, ToJson};
     use lvp_uarch::SimConfig;
 
     let mut g = Gen::new(0x51c0_7f16);
