@@ -4,22 +4,161 @@
 //! prefixes of this history into its table indices (paper §2.1: "indexed
 //! using a hash of instruction PC and different number of bits from the
 //! global branch history").
+//!
+//! Predictors read the same few folds on every lookup, so the history keeps
+//! each fold a consumer [`GlobalHistory::track`]s in an incremental
+//! circular-shift register, the way hardware TAGE does: every
+//! [`GlobalHistory::push`] rotates each register by one bit, shifts the
+//! new outcome in and cancels the outcome that just aged past the fold's
+//! length. A lookup is then one load instead of a walk over the history.
 
-/// A shift-register of conditional branch outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Handle to one fold of a [`GlobalHistory`]: its newest `len` bits
+/// XOR-folded down to `width` bits. [`GlobalHistory::fold`] answers it from
+/// the history's incremental register when the history tracks it (see
+/// [`GlobalHistory::track`]) and folds from scratch otherwise, so a handle is
+/// valid against any history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fold {
+    len: u32,
+    width: u32,
+    /// Register index in the tracking history (`u32::MAX`: untracked).
+    slot: u32,
+}
+
+impl Fold {
+    /// A handle no history tracks: reading it always folds from scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or greater than 64, or `len` exceeds
+    /// [`GlobalHistory::CAPACITY`].
+    pub fn untracked(len: u32, width: u32) -> Fold {
+        assert!(width > 0 && width <= 64, "fold width must be 1..=64");
+        assert!(
+            len <= GlobalHistory::CAPACITY,
+            "fold length exceeds the history capacity"
+        );
+        Fold {
+            len,
+            width,
+            slot: u32::MAX,
+        }
+    }
+
+    /// History bits folded.
+    pub fn history_len(&self) -> u32 {
+        self.len
+    }
+
+    /// Folded width in bits.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+}
+
+/// One incrementally maintained fold. Bit `i` of the history (age `i`,
+/// newest 0) lives at position `i mod width` for every `i < len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FoldRegister {
+    len: u32,
+    width: u32,
+    value: u64,
+}
+
+impl FoldRegister {
+    /// Advances the register past one push: `before` is the history before
+    /// the push, `taken` the outcome shifted in.
+    fn push(&mut self, before: u128, taken: bool) {
+        if self.len == 0 {
+            return;
+        }
+        let w = self.width;
+        let mask = u64::MAX >> (64 - w);
+        // Every bit ages by one: rotate left within `width` bits.
+        let rotated = ((self.value << 1) | (self.value >> (w - 1))) & mask;
+        // The bit that was age `len - 1` is now age `len`: cancel it at the
+        // position the rotation carried it to.
+        let outgoing = ((before >> (self.len - 1)) & 1) as u64;
+        self.value = rotated ^ u64::from(taken) ^ (outgoing << (self.len % w));
+    }
+}
+
+/// A shift-register of conditional branch outcomes, plus the incremental
+/// folds its consumers track.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalHistory {
     bits: u128,
+    folds: Vec<FoldRegister>,
 }
 
 impl GlobalHistory {
+    /// Outcomes the register holds.
+    pub const CAPACITY: u32 = 128;
+
     /// Empty history.
     pub fn new() -> GlobalHistory {
         GlobalHistory::default()
     }
 
-    /// Shifts in one outcome (newest at bit 0).
+    /// Shifts in one outcome (newest at bit 0) and advances every tracked
+    /// fold.
     pub fn push(&mut self, taken: bool) {
-        self.bits = (self.bits << 1) | (taken as u128);
+        let before = self.bits;
+        self.bits = (before << 1) | (taken as u128);
+        for f in &mut self.folds {
+            f.push(before, taken);
+        }
+    }
+
+    /// Starts maintaining the fold of the newest `len` bits to `width` bits
+    /// incrementally and returns its handle. Tracking the same pair twice
+    /// shares one register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or greater than 64, or `len` exceeds
+    /// [`GlobalHistory::CAPACITY`].
+    pub fn track(&mut self, len: u32, width: u32) -> Fold {
+        let mut fold = Fold::untracked(len, width);
+        let slot = match self
+            .folds
+            .iter()
+            .position(|f| f.len == len && f.width == width)
+        {
+            Some(slot) => slot,
+            None => {
+                self.folds.push(FoldRegister {
+                    len,
+                    width,
+                    value: self.folded(len, width),
+                });
+                self.folds.len() - 1
+            }
+        };
+        fold.slot = slot as u32;
+        fold
+    }
+
+    /// The value of `fold`: its register when this history tracks it,
+    /// otherwise [`GlobalHistory::folded`].
+    #[inline]
+    pub fn fold(&self, fold: Fold) -> u64 {
+        match self.register(fold) {
+            Some(f) => f.value,
+            None => self.folded(fold.len, fold.width),
+        }
+    }
+
+    /// Whether `fold` reads an incremental register of this history.
+    pub fn is_tracked(&self, fold: Fold) -> bool {
+        self.register(fold).is_some()
+    }
+
+    #[inline]
+    fn register(&self, fold: Fold) -> Option<&FoldRegister> {
+        self.folds
+            .get(fold.slot as usize)
+            .filter(|f| f.len == fold.len && f.width == fold.width)
     }
 
     /// The newest `n` bits (`n ≤ 64`) as a u64.
@@ -37,7 +176,9 @@ impl GlobalHistory {
     }
 
     /// Folds the newest `n` bits down to `width` bits by XOR-ing
-    /// `width`-sized chunks, the classic TAGE index-folding.
+    /// `width`-sized chunks, the classic TAGE index-folding, walking the
+    /// history from scratch. The reference every tracked register must
+    /// equal after each push.
     ///
     /// # Panics
     ///
@@ -62,9 +203,13 @@ impl GlobalHistory {
         self.bits
     }
 
-    /// Restores a snapshot.
+    /// Restores a snapshot, re-deriving every tracked fold.
     pub fn restore(&mut self, snap: u128) {
         self.bits = snap;
+        for i in 0..self.folds.len() {
+            let FoldRegister { len, width, .. } = self.folds[i];
+            self.folds[i].value = self.folded(len, width);
+        }
     }
 }
 
@@ -93,7 +238,7 @@ mod tests {
         assert!(f < 1024);
         assert_eq!(f, h.folded(40, 10), "pure function of state");
         // Different histories give (almost always) different folds.
-        let mut h2 = h;
+        let mut h2 = h.clone();
         h2.push(true);
         assert_ne!(h.snapshot(), h2.snapshot());
     }
@@ -101,13 +246,33 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut h = GlobalHistory::new();
+        let fold = h.track(13, 8);
         h.push(true);
         let snap = h.snapshot();
+        let at_snap = h.fold(fold);
         h.push(false);
-        h.push(false);
+        h.push(true);
         h.restore(snap);
         assert_eq!(h.low(1), 1);
         assert_eq!(h.snapshot(), snap);
+        assert_eq!(h.fold(fold), at_snap, "restore re-derives tracked folds");
+    }
+
+    #[test]
+    fn tracking_is_shared_and_handles_work_on_any_history() {
+        let mut h = GlobalHistory::new();
+        let a = h.track(26, 9);
+        assert_eq!(h.track(26, 9), a, "one register per (len, width)");
+        assert_ne!(h.track(26, 11), a);
+        // A handle from `h` against a history that never tracked it still
+        // reads the right fold.
+        let mut other = GlobalHistory::new();
+        for i in 0..50 {
+            other.push(i % 5 < 2);
+        }
+        assert!(h.is_tracked(a) && !other.is_tracked(a));
+        assert_eq!(other.fold(a), other.folded(26, 9));
+        assert_eq!(other.fold(Fold::untracked(26, 9)), other.folded(26, 9));
     }
 
     #[test]

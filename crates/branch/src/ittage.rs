@@ -4,7 +4,7 @@
 //! Same skeleton as TAGE but each entry stores a full target address and a
 //! 2-bit hysteresis counter instead of a direction counter.
 
-use crate::history::GlobalHistory;
+use crate::history::{Fold, GlobalHistory};
 
 /// ITTAGE configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +43,9 @@ pub struct Ittage {
     cfg: IttageConfig,
     base: Vec<(u64, bool)>,
     tables: Vec<Vec<Entry>>,
+    /// Per tagged table: the history folded to the index width and to the
+    /// tag width (see [`Ittage::track_history`]).
+    folds: Vec<[Fold; 2]>,
     predictions: u64,
     mispredicts: u64,
 }
@@ -56,10 +59,21 @@ impl Ittage {
             .iter()
             .map(|_| vec![Entry::default(); 1 << cfg.tagged_log2])
             .collect();
+        let folds = cfg
+            .history_lengths
+            .iter()
+            .map(|&hl| {
+                [
+                    Fold::untracked(hl, cfg.tagged_log2),
+                    Fold::untracked(hl, cfg.tag_bits),
+                ]
+            })
+            .collect();
         Ittage {
             cfg,
             base,
             tables,
+            folds,
             predictions: 0,
             mispredicts: 0,
         }
@@ -75,17 +89,26 @@ impl Ittage {
         (self.predictions, self.mispredicts)
     }
 
+    /// Has `hist` maintain this predictor's folds incrementally, so
+    /// lookups against it read registers instead of re-folding the whole
+    /// history. Lookups against any other history stay correct.
+    pub fn track_history(&mut self, hist: &mut GlobalHistory) {
+        for f in &mut self.folds {
+            *f = f.map(|f| hist.track(f.history_len(), f.width()));
+        }
+    }
+
     fn base_index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & ((1 << self.cfg.base_log2) - 1)
     }
 
     fn tagged_index(&self, pc: u64, hist: &GlobalHistory, t: usize) -> usize {
-        let folded = hist.folded(self.cfg.history_lengths[t], self.cfg.tagged_log2);
+        let folded = hist.fold(self.folds[t][0]);
         (((pc >> 2) ^ folded) as usize) & ((1 << self.cfg.tagged_log2) - 1)
     }
 
     fn tag_of(&self, pc: u64, hist: &GlobalHistory, t: usize) -> u16 {
-        let f = hist.folded(self.cfg.history_lengths[t], self.cfg.tag_bits);
+        let f = hist.fold(self.folds[t][1]);
         ((((pc >> 2) ^ (pc >> 13)) ^ (f << 1)) & ((1 << self.cfg.tag_bits) - 1)) as u16
     }
 

@@ -28,7 +28,7 @@ pub mod tage;
 
 pub use btb::{Btb, BtbConfig};
 pub use gshare::{Gshare, GshareConfig};
-pub use history::GlobalHistory;
+pub use history::{Fold, GlobalHistory};
 pub use ittage::Ittage;
 pub use ras::Ras;
 pub use tage::{Tage, TagePrediction};

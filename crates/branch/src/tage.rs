@@ -7,7 +7,7 @@
 //! new entry is allocated in a longer-history table. Useful (`u`) bits
 //! protect entries that recently provided correct predictions.
 
-use crate::history::GlobalHistory;
+use crate::history::{Fold, GlobalHistory};
 
 /// TAGE configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +60,9 @@ pub struct Tage {
     base: Vec<i8>, // 2-bit counters, taken when >= 0
     tables: Vec<Vec<TaggedEntry>>,
     history: GlobalHistory,
-    /// Path/PC hashing salt per table, fixed.
+    /// Per tagged table: the history folded to the index width, the tag
+    /// width and the tag width less one, maintained incrementally.
+    folds: Vec<[Fold; 3]>,
     mispredicts: u64,
     predictions: u64,
 }
@@ -74,11 +76,24 @@ impl Tage {
             .iter()
             .map(|_| vec![TaggedEntry::default(); 1 << cfg.tagged_log2])
             .collect();
+        let mut history = GlobalHistory::new();
+        let folds = cfg
+            .history_lengths
+            .iter()
+            .map(|&hl| {
+                [
+                    history.track(hl, cfg.tagged_log2),
+                    history.track(hl, cfg.tag_bits),
+                    history.track(hl, cfg.tag_bits - 1),
+                ]
+            })
+            .collect();
         Tage {
             cfg,
             base,
             tables,
-            history: GlobalHistory::new(),
+            history,
+            folds,
             mispredicts: 0,
             predictions: 0,
         }
@@ -105,16 +120,14 @@ impl Tage {
     }
 
     fn tagged_index(&self, pc: u64, t: usize) -> usize {
-        let hl = self.cfg.history_lengths[t];
-        let folded = self.history.folded(hl, self.cfg.tagged_log2);
+        let folded = self.history.fold(self.folds[t][0]);
         (((pc >> 2) ^ (pc >> (2 + self.cfg.tagged_log2 as u64)) ^ folded) as usize)
             & ((1 << self.cfg.tagged_log2) - 1)
     }
 
     fn tag_of(&self, pc: u64, t: usize) -> u16 {
-        let hl = self.cfg.history_lengths[t];
-        let f1 = self.history.folded(hl, self.cfg.tag_bits);
-        let f2 = self.history.folded(hl, self.cfg.tag_bits - 1) << 1;
+        let f1 = self.history.fold(self.folds[t][1]);
+        let f2 = self.history.fold(self.folds[t][2]) << 1;
         (((pc >> 2) ^ f1 ^ f2) & ((1 << self.cfg.tag_bits) - 1)) as u16
     }
 

@@ -14,9 +14,9 @@
 //! walking arrays) that defeat plain VTAGE become predictable.
 
 use crate::fpc::Fpc;
+use crate::vtage::HistoryFolds;
 use lvp_branch::GlobalHistory;
 use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, VpScheme, VpVerdict};
-use std::collections::HashMap;
 
 /// D-VTAGE configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,10 +56,15 @@ struct StrideEntry {
     valid: bool,
 }
 
+/// The load in flight between `on_fetch` and `on_execute` (one slot: the
+/// core runs both hooks for one `seq` inside one step).
+#[derive(Debug, Default)]
 struct PendingDv {
+    seq: Option<u64>,
     predicted: Option<u64>,
     lvt_index: usize,
-    hist: GlobalHistory,
+    /// Fetch-time `(index, tag)` history folds per stride table.
+    hist: Vec<(u64, u64)>,
 }
 
 /// The D-VTAGE predictor as a pluggable scheme (loads only, first chunk —
@@ -69,7 +74,8 @@ pub struct Dvtage {
     cfg: DvtageConfig,
     lvt: Vec<LvtEntry>,
     tables: Vec<Vec<StrideEntry>>,
-    pending: HashMap<u64, PendingDv>,
+    folds: HistoryFolds,
+    pending: PendingDv,
     predictions: u64,
     mispredictions: u64,
     /// Warm-only mode: train but never deliver predictions at rename.
@@ -109,7 +115,8 @@ impl Dvtage {
         Dvtage {
             lvt: vec![LvtEntry::default(); cfg.entries],
             tables,
-            pending: HashMap::new(),
+            folds: HistoryFolds::new(&cfg.histories, cfg.entries, cfg.tag_bits),
+            pending: PendingDv::default(),
             predictions: 0,
             mispredictions: 0,
             warm_only: false,
@@ -144,18 +151,17 @@ impl Dvtage {
         (idx, tag)
     }
 
-    fn stride_index_tag(&self, pc: u64, hist: &GlobalHistory, t: usize) -> (usize, u16) {
-        let hl = self.cfg.histories[t];
-        let bits = self.cfg.entries.trailing_zeros();
-        let idx = (((pc >> 2) ^ hist.folded(hl, bits.max(1)) ^ ((t as u64) << 7)) as usize)
-            & (self.cfg.entries - 1);
-        let tag = ((((pc >> 2) >> 3) ^ hist.folded(hl, self.cfg.tag_bits))
-            & ((1 << self.cfg.tag_bits) - 1)) as u16;
+    /// Stride table `t`'s index and tag for `pc` under the `(index, tag)`
+    /// history folds `hist` (one pair per table).
+    fn stride_index_tag(&self, pc: u64, hist: &[(u64, u64)], t: usize) -> (usize, u16) {
+        let (fold_idx, fold_tag) = hist[t];
+        let idx = (((pc >> 2) ^ fold_idx ^ ((t as u64) << 7)) as usize) & (self.cfg.entries - 1);
+        let tag = ((((pc >> 2) >> 3) ^ fold_tag) & ((1 << self.cfg.tag_bits) - 1)) as u16;
         (idx, tag)
     }
 
     /// Confident stride from the longest hitting table.
-    fn stride_of(&self, pc: u64, hist: &GlobalHistory) -> Option<i64> {
+    fn stride_of(&self, pc: u64, hist: &[(u64, u64)]) -> Option<i64> {
         let mut out = None;
         for t in 0..self.tables.len() {
             let (idx, tag) = self.stride_index_tag(pc, hist, t);
@@ -167,7 +173,7 @@ impl Dvtage {
         out
     }
 
-    fn train_stride(&mut self, pc: u64, hist: &GlobalHistory, actual_stride: i64) {
+    fn train_stride(&mut self, pc: u64, hist: &[(u64, u64)], actual_stride: i64) {
         let mut longest_hit = None;
         let mut provider = None;
         for t in 0..self.tables.len() {
@@ -214,17 +220,23 @@ impl VpScheme for Dvtage {
         "D-VTAGE"
     }
 
+    fn track_history(&mut self, hist: &mut GlobalHistory) {
+        self.folds.track(hist);
+    }
+
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
+        self.pending.seq = None;
         if !slot.inst.is_load() || slot.inst.dest_chunks() != 1 || slot.inst.is_ordered() {
             return;
         }
         let (li, ltag) = self.lvt_index_tag(slot.pc);
-        let hist = *ctx.history;
+        let mut p = std::mem::take(&mut self.pending);
+        self.folds.read(ctx.history, &mut p.hist);
         let mut predicted = None;
         {
             let e = self.lvt[li];
             if e.valid && e.tag == ltag {
-                if let Some(stride) = self.stride_of(slot.pc, &hist) {
+                if let Some(stride) = self.stride_of(slot.pc, &p.hist) {
                     // Speculative window: later in-flight instances see
                     // last + k·stride.
                     let k = e.inflight as i64 + 1;
@@ -233,25 +245,20 @@ impl VpScheme for Dvtage {
             }
         }
         self.lvt[li].inflight = self.lvt[li].inflight.saturating_add(1);
-        self.pending.insert(
-            slot.seq,
-            PendingDv {
-                predicted,
-                lvt_index: li,
-                hist,
-            },
-        );
+        p.seq = Some(slot.seq);
+        p.predicted = predicted;
+        p.lvt_index = li;
+        self.pending = p;
         if predicted.is_some() {
             self.predictions += 1;
         }
     }
 
     fn prediction_at_rename(&mut self, seq: u64, _rename: u64) -> Option<RenamePrediction> {
-        if self.warm_only {
+        if self.warm_only || self.pending.seq != Some(seq) {
             return None;
         }
         self.pending
-            .get(&seq)?
             .predicted
             .map(|_| RenamePrediction { chunks: 1 })
     }
@@ -261,9 +268,11 @@ impl VpScheme for Dvtage {
     }
 
     fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        let Some(p) = self.pending.remove(&info.seq) else {
+        if self.pending.seq != Some(info.seq) {
             return VpVerdict::NONE;
-        };
+        }
+        let mut p = std::mem::take(&mut self.pending);
+        p.seq = None;
         let actual = info.values.first().copied().unwrap_or(0);
         let (_, ltag) = self.lvt_index_tag(info.pc);
         let e = &mut self.lvt[p.lvt_index];
@@ -280,7 +289,9 @@ impl VpScheme for Dvtage {
                 valid: true,
             };
         }
-        let Some(pred) = p.predicted else {
+        let predicted = p.predicted;
+        self.pending = p;
+        let Some(pred) = predicted else {
             return VpVerdict::NONE;
         };
         if !info.was_injected {

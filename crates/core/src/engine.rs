@@ -18,8 +18,8 @@ use crate::addr::{size_code_for, AddressPredictor};
 use crate::lscd::Lscd;
 use crate::paq::Paq;
 use lvp_obs::{FilterReason, ObsEvent};
-use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, VpScheme, VpVerdict};
-use std::collections::{BTreeMap, HashMap};
+use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, U64Map, VpScheme, VpVerdict};
+use std::collections::BTreeMap;
 
 // The configuration record lives with the rest of the `SimConfig` aggregate
 // in `lvp-uarch`; re-exported here at its historical path.
@@ -34,8 +34,12 @@ struct ProbedPrediction {
     value_ready: u64,
 }
 
+/// The looked-up load in flight between `on_fetch` and `on_execute`. The
+/// core runs both hooks for one `seq` inside one step (the one-step
+/// contract of `lvp_uarch::vp`), so one slot holds it.
 struct Pending<C> {
-    train_ctx: Option<C>,
+    seq: u64,
+    train_ctx: C,
     prediction: Option<ProbedPrediction>,
 }
 
@@ -93,10 +97,12 @@ pub struct Dlvp<A: AddressPredictor> {
     predictor: A,
     lscd: Lscd,
     paq: Paq,
-    pending: HashMap<u64, Pending<A::Ctx>>,
+    pending: Option<Pending<A::Ctx>>,
     counters: DlvpCounters,
-    /// Per-PC outcomes (ordered so exports are deterministic).
-    per_pc: BTreeMap<u64, PcOutcome>,
+    /// Per-PC outcomes, dense in first-touch order ([`Dlvp::outcome`]);
+    /// exported ordered by PC.
+    per_pc: Vec<(u64, PcOutcome)>,
+    per_pc_slot: U64Map<u32>,
     name: &'static str,
     /// Warm-only mode: lookup, probe and train as usual, but never deliver
     /// a prediction at rename (sampled-simulation warmup windows).
@@ -110,9 +116,10 @@ impl<A: AddressPredictor> Dlvp<A> {
         Dlvp {
             lscd: Lscd::paper_default(),
             paq: Paq::new(cfg.paq_entries, cfg.paq_window),
-            pending: HashMap::new(),
+            pending: None,
             counters: DlvpCounters::default(),
-            per_pc: BTreeMap::new(),
+            per_pc: Vec::new(),
+            per_pc_slot: U64Map::default(),
             cfg,
             predictor,
             name,
@@ -141,8 +148,18 @@ impl<A: AddressPredictor> Dlvp<A> {
     }
 
     /// Per-load-PC predictor outcomes, keyed by architectural PC.
-    pub fn per_pc_outcomes(&self) -> &BTreeMap<u64, PcOutcome> {
-        &self.per_pc
+    pub fn per_pc_outcomes(&self) -> BTreeMap<u64, PcOutcome> {
+        self.per_pc.iter().copied().collect()
+    }
+
+    /// The outcome counters of load `pc`, created on first touch.
+    fn outcome(&mut self, pc: u64) -> &mut PcOutcome {
+        let next = self.per_pc.len() as u32;
+        let slot = *self.per_pc_slot.entry(pc).or_insert(next);
+        if slot == next {
+            self.per_pc.push((pc, PcOutcome::default()));
+        }
+        &mut self.per_pc[slot as usize].1
     }
 }
 
@@ -152,6 +169,9 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
     }
 
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
+        // Only a looked-up load is pending: a filtered one neither trains
+        // nor predicts.
+        self.pending = None;
         if !slot.inst.is_load() {
             return;
         }
@@ -169,18 +189,11 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
                     reason: FilterReason::Ordered,
                 });
             }
-            self.pending.insert(
-                slot.seq,
-                Pending {
-                    train_ctx: None,
-                    prediction: None,
-                },
-            );
             return;
         }
         if self.cfg.use_lscd && self.lscd.filters(slot.pc) {
             self.counters.lscd_suppressed += 1;
-            self.per_pc.entry(slot.pc).or_default().lscd_suppressed += 1;
+            self.outcome(slot.pc).lscd_suppressed += 1;
             if ctx.sink.enabled() {
                 ctx.sink.emit(ObsEvent::PredictFiltered {
                     seq: slot.seq,
@@ -189,13 +202,6 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
                     reason: FilterReason::Lscd,
                 });
             }
-            self.pending.insert(
-                slot.seq,
-                Pending {
-                    train_ctx: None,
-                    prediction: None,
-                },
-            );
             return;
         }
         if slot.load_index_in_group >= self.cfg.max_per_group {
@@ -208,13 +214,6 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
                     reason: FilterReason::PortLimit,
                 });
             }
-            self.pending.insert(
-                slot.seq,
-                Pending {
-                    train_ctx: None,
-                    prediction: None,
-                },
-            );
             return;
         }
         // The FGA-based proxy PC (§3.1.1: "load PC and load PC plus one").
@@ -232,7 +231,7 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
                 addr: pred.map_or(0, |p| p.addr),
             });
         }
-        let outcome = self.per_pc.entry(slot.pc).or_default();
+        let outcome = self.outcome(slot.pc);
         outcome.attempts += 1;
         let mut probed = None;
         if let Some(p) = pred {
@@ -327,20 +326,18 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
                 });
             }
         }
-        self.pending.insert(
-            slot.seq,
-            Pending {
-                train_ctx: Some(train_ctx),
-                prediction: probed,
-            },
-        );
+        self.pending = Some(Pending {
+            seq: slot.seq,
+            train_ctx,
+            prediction: probed,
+        });
     }
 
     fn prediction_at_rename(&mut self, seq: u64, rename_cycle: u64) -> Option<RenamePrediction> {
         if self.warm_only {
             return None;
         }
-        let p = self.pending.get(&seq)?.prediction?;
+        let p = self.pending.as_ref().filter(|p| p.seq == seq)?.prediction?;
         if p.value_ready <= rename_cycle {
             Some(RenamePrediction { chunks: 1 })
         } else {
@@ -354,26 +351,20 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
     }
 
     fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        if !info.inst.is_load() {
-            return VpVerdict::NONE;
-        }
-        let Some(pending) = self.pending.remove(&info.seq) else {
+        let Some(pending) = self.pending.take_if(|p| p.seq == info.seq) else {
             return VpVerdict::NONE;
         };
-        // ⑥ always train the address predictor (unless LSCD-suppressed).
-        if let Some(ctx) = pending.train_ctx {
-            let bytes = info.inst.mem_bytes().unwrap_or(8);
-            self.predictor
-                .train(ctx, info.eff_addr, size_code_for(bytes), info.l1_way);
-        }
+        // ⑥ always train the address predictor on a looked-up load.
+        let size_code = size_code_for(info.inst.mem_bytes().unwrap_or(8));
+        self.predictor
+            .train(pending.train_ctx, info.eff_addr, size_code, info.l1_way);
         let Some(p) = pending.prediction else {
             return VpVerdict::NONE;
         };
         if !info.was_injected {
             return VpVerdict::NONE;
         }
-        let bytes = info.inst.mem_bytes().unwrap_or(8);
-        let addr_correct = p.addr == info.eff_addr && p.size_code == size_code_for(bytes);
+        let addr_correct = p.addr == info.eff_addr && p.size_code == size_code;
         // The probe read the cache at `probe_cycle`; any older store that
         // became visible later makes the probed value stale (§3.2.2).
         let stale = info
@@ -382,7 +373,7 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
         let correct = addr_correct && !stale;
         if addr_correct && stale {
             self.counters.stale_value_mispredicts += 1;
-            self.per_pc.entry(info.pc).or_default().stale_mispredicts += 1;
+            self.outcome(info.pc).stale_mispredicts += 1;
             if self.cfg.use_lscd {
                 self.lscd.insert(info.pc);
             }
@@ -392,7 +383,7 @@ impl<A: AddressPredictor> VpScheme for Dlvp<A> {
             self.lscd.insert(info.pc);
         } else if !addr_correct {
             self.counters.addr_mispredicts += 1;
-            self.per_pc.entry(info.pc).or_default().addr_mispredicts += 1;
+            self.outcome(info.pc).addr_mispredicts += 1;
         }
         VpVerdict {
             predicted: true,

@@ -41,7 +41,7 @@ impl DlvpSimSlice {
             cycles: stats.cycles,
             instructions: stats.instructions,
             per_pc: stats.per_pc,
-            outcomes: scheme.per_pc_outcomes().clone(),
+            outcomes: scheme.per_pc_outcomes(),
         }
     }
 

@@ -6,8 +6,8 @@
 use crate::engine::Dlvp;
 use crate::pap::Pap;
 use crate::vtage::Vtage;
+use lvp_branch::GlobalHistory;
 use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, VpScheme, VpVerdict};
-use std::collections::HashMap;
 
 /// Which component provided the final prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +33,11 @@ pub struct Tournament {
     vtage: Vtage,
     /// 2-bit chooser counters: ≥ 0 prefers DLVP, < 0 prefers VTAGE.
     chooser: Vec<i8>,
-    pending_pc: HashMap<u64, u64>,
-    chosen: HashMap<u64, Provider>,
+    /// `(seq, pc)` of the instruction in flight, when it has destinations
+    /// (one slot: the core runs every hook for one `seq` inside one step).
+    pending_pc: Option<(u64, u64)>,
+    /// `(seq, provider)` chosen at rename for the instruction in flight.
+    chosen: Option<(u64, Provider)>,
     counters: TournamentCounters,
 }
 
@@ -50,8 +53,8 @@ impl Tournament {
             dlvp,
             vtage,
             chooser: vec![0; 4096],
-            pending_pc: HashMap::new(),
-            chosen: HashMap::new(),
+            pending_pc: None,
+            chosen: None,
             counters: TournamentCounters::default(),
         }
     }
@@ -77,12 +80,16 @@ impl VpScheme for Tournament {
         "DLVP+VTAGE"
     }
 
+    fn track_history(&mut self, hist: &mut GlobalHistory) {
+        self.dlvp.track_history(hist);
+        self.vtage.track_history(hist);
+    }
+
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
         self.dlvp.on_fetch(slot, ctx);
         self.vtage.on_fetch(slot, ctx);
-        if slot.inst.dest_chunks() > 0 {
-            self.pending_pc.insert(slot.seq, slot.pc);
-        }
+        self.pending_pc = (slot.inst.dest_chunks() > 0).then_some((slot.seq, slot.pc));
+        self.chosen = None;
     }
 
     fn set_warm_only(&mut self, warm: bool) {
@@ -93,7 +100,10 @@ impl VpScheme for Tournament {
     fn prediction_at_rename(&mut self, seq: u64, rename: u64) -> Option<RenamePrediction> {
         let d = self.dlvp.prediction_at_rename(seq, rename);
         let v = self.vtage.prediction_at_rename(seq, rename);
-        let pc = self.pending_pc.get(&seq).copied().unwrap_or(0);
+        let pc = match self.pending_pc {
+            Some((s, pc)) if s == seq => pc,
+            _ => 0,
+        };
         let provider = match (d, v) {
             (Some(_), Some(_)) => {
                 self.counters.both_ready += 1;
@@ -107,7 +117,7 @@ impl VpScheme for Tournament {
             (None, Some(_)) => Provider::Vtage,
             (None, None) => return None,
         };
-        self.chosen.insert(seq, provider);
+        self.chosen = Some((seq, provider));
         match provider {
             Provider::Dlvp => d,
             Provider::Vtage => v,
@@ -115,8 +125,12 @@ impl VpScheme for Tournament {
     }
 
     fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        self.pending_pc.remove(&info.seq);
-        let chosen = self.chosen.remove(&info.seq);
+        self.pending_pc = None;
+        let chosen = self
+            .chosen
+            .take()
+            .filter(|&(seq, _)| seq == info.seq)
+            .map(|(_, provider)| provider);
         // Both components always train. Their verdicts tell us who would
         // have been right.
         let dv = self.dlvp.on_execute(info);

@@ -14,24 +14,29 @@
 //! * loads-only vs all-instructions targeting.
 
 use crate::fpc::Fpc;
-use lvp_branch::GlobalHistory;
+use lvp_branch::{Fold, GlobalHistory};
 use lvp_isa::Instruction;
-use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, VpScheme, VpVerdict};
-use std::collections::HashMap;
+use lvp_uarch::{ExecInfo, FetchCtx, FetchSlot, RenamePrediction, U64Map, VpScheme, VpVerdict};
 
 // The configuration records live with the rest of the `SimConfig` aggregate
 // in `lvp-uarch`; re-exported here at their historical paths.
 pub use lvp_uarch::simconfig::{VtageConfig, VtageFilter, VtageTargets};
 
 /// Coarse opcode classes tracked by the filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OpcodeClass {
     Ldr,
     Ldp,
     Ldm,
     Vld,
     Alu,
+    #[default]
     Other,
+}
+
+impl OpcodeClass {
+    /// Number of classes.
+    pub const COUNT: usize = 6;
 }
 
 /// Classifies an instruction for the opcode filters.
@@ -62,13 +67,61 @@ struct FilterStat {
     mispredictions: u64,
 }
 
+/// Per table: the global history folded to the index width and to the tag
+/// width (the `(index, tag)` fold pair [`HistoryFolds::read`] returns).
+#[derive(Debug, Clone)]
+pub(crate) struct HistoryFolds {
+    folds: Vec<(Fold, Fold)>,
+}
+
+impl HistoryFolds {
+    /// The folds of tables with history lengths `histories` over
+    /// `entries`-entry tables with `tag_bits`-bit tags.
+    pub(crate) fn new(histories: &[u32], entries: usize, tag_bits: u32) -> HistoryFolds {
+        let bits = entries.trailing_zeros().max(1);
+        HistoryFolds {
+            folds: histories
+                .iter()
+                .map(|&hl| (Fold::untracked(hl, bits), Fold::untracked(hl, tag_bits)))
+                .collect(),
+        }
+    }
+
+    /// Has `hist` maintain every fold incrementally.
+    pub(crate) fn track(&mut self, hist: &mut GlobalHistory) {
+        for (idx, tag) in &mut self.folds {
+            *idx = hist.track(idx.history_len(), idx.width());
+            *tag = hist.track(tag.history_len(), tag.width());
+        }
+    }
+
+    /// Snapshots every table's `(index, tag)` fold of `hist` into `out`
+    /// (cleared first; its capacity is reused).
+    pub(crate) fn read(&self, hist: &GlobalHistory, out: &mut Vec<(u64, u64)>) {
+        out.clear();
+        out.extend(
+            self.folds
+                .iter()
+                .map(|&(idx, tag)| (hist.fold(idx), hist.fold(tag))),
+        );
+    }
+}
+
+/// The instruction in flight between `on_fetch` and `on_execute`. The core
+/// runs both hooks for one `seq` inside one step (the one-step contract of
+/// `lvp_uarch::vp`), so one slot, reused for every instruction, holds all
+/// pending state and its buffers never reallocate once warm.
+#[derive(Debug, Default)]
 struct PendingVt {
-    /// Predicted chunk values (all chunks confident), if a prediction was
-    /// made.
-    values: Option<Vec<u64>>,
+    /// The eligible instruction in flight, if any.
+    seq: Option<u64>,
+    /// Every chunk had a confident prediction (`values` holds them).
+    predicted: bool,
+    values: Vec<u64>,
     class: OpcodeClass,
-    /// History snapshot at fetch (the index context used for training).
-    hist: GlobalHistory,
+    /// Fetch-time `(index, tag)` folds per table: the index context used
+    /// for training.
+    hist: Vec<(u64, u64)>,
 }
 
 /// Scheme counters.
@@ -84,10 +137,12 @@ pub struct VtageCounters {
 pub struct Vtage {
     cfg: VtageConfig,
     tables: Vec<Vec<Entry>>,
-    pending: HashMap<u64, PendingVt>,
-    filter_stats: HashMap<OpcodeClass, FilterStat>,
+    folds: HistoryFolds,
+    pending: PendingVt,
+    /// Indexed by `OpcodeClass as usize`.
+    filter_stats: [FilterStat; OpcodeClass::COUNT],
     counters: VtageCounters,
-    misp_by_pc: HashMap<u64, u64>,
+    misp_by_pc: U64Map<u64>,
     reads: u64,
     writes: u64,
     /// Warm-only mode: train but never deliver predictions at rename.
@@ -123,10 +178,11 @@ impl Vtage {
             .collect();
         Vtage {
             tables,
-            pending: HashMap::new(),
-            filter_stats: HashMap::new(),
+            folds: HistoryFolds::new(&cfg.histories, cfg.entries, cfg.tag_bits),
+            pending: PendingVt::default(),
+            filter_stats: [FilterStat::default(); OpcodeClass::COUNT],
             counters: VtageCounters::default(),
-            misp_by_pc: HashMap::new(),
+            misp_by_pc: U64Map::default(),
             reads: 0,
             writes: 0,
             warm_only: false,
@@ -157,7 +213,7 @@ impl Vtage {
     }
 
     /// Per-PC misprediction counts (diagnostics).
-    pub fn misp_by_pc(&self) -> &HashMap<u64, u64> {
+    pub fn misp_by_pc(&self) -> &U64Map<u64> {
         &self.misp_by_pc
     }
 
@@ -187,7 +243,7 @@ impl Vtage {
                 OpcodeClass::Ldp | OpcodeClass::Ldm | OpcodeClass::Vld
             ),
             VtageFilter::Dynamic => {
-                let st = self.filter_stats.entry(class).or_default();
+                let st = self.filter_stats[class as usize];
                 if st.predictions < self.cfg.filter_warmup {
                     true
                 } else {
@@ -198,31 +254,46 @@ impl Vtage {
         }
     }
 
-    fn index_tag(&self, pc: u64, chunk: u32, hist: &GlobalHistory, table: usize) -> (usize, u16) {
+    /// Table `table`'s index and tag for `chunk` of `pc` under the
+    /// `(index, tag)` history folds `hist` (one pair per table).
+    fn index_tag(&self, pc: u64, chunk: u32, hist: &[(u64, u64)], table: usize) -> (usize, u16) {
         let hl = self.cfg.histories[table];
-        let bits = self.cfg.entries.trailing_zeros();
+        let (fold_idx, fold_tag) = hist[table];
         let pc_c = (pc >> 2) ^ ((chunk as u64) << 17) ^ ((table as u64) << 11);
-        let idx = (pc_c ^ hist.folded(hl, bits.max(1))) as usize & (self.cfg.entries - 1);
-        let tag = ((pc_c >> 3) ^ hist.folded(hl, self.cfg.tag_bits) ^ (hl as u64))
-            & ((1 << self.cfg.tag_bits) - 1);
+        let idx = (pc_c ^ fold_idx) as usize & (self.cfg.entries - 1);
+        let tag = ((pc_c >> 3) ^ fold_tag ^ (hl as u64)) & ((1 << self.cfg.tag_bits) - 1);
         (idx, tag as u16)
+    }
+
+    /// Runs `f` with the `(index, tag)` folds of `hist`, snapshotted into
+    /// the pending slot's buffer (standalone use, outside the pipeline).
+    fn with_folds<R>(
+        &mut self,
+        hist: &GlobalHistory,
+        f: impl FnOnce(&mut Vtage, &[(u64, u64)]) -> R,
+    ) -> R {
+        let mut folds = std::mem::take(&mut self.pending.hist);
+        self.folds.read(hist, &mut folds);
+        let r = f(self, &folds);
+        self.pending.hist = folds;
+        r
     }
 
     /// Standalone single-chunk prediction (first destination chunk) —
     /// exposed for micro-benchmarks and analyses outside the pipeline.
     pub fn predict_first_chunk(&mut self, pc: u64, hist: &GlobalHistory) -> Option<u64> {
-        self.predict_chunk(pc, 0, hist)
+        self.with_folds(hist, |v, folds| v.predict_chunk(pc, 0, folds))
     }
 
     /// Standalone single-chunk training counterpart of
     /// [`Vtage::predict_first_chunk`].
     pub fn train_first_chunk(&mut self, pc: u64, hist: &GlobalHistory, actual: u64) {
-        self.train_chunk(pc, 0, hist, actual);
+        self.with_folds(hist, |v, folds| v.train_chunk(pc, 0, folds, actual));
     }
 
-    /// Predict one chunk under `hist`; `Some(value)` only when the provider
-    /// is confident.
-    fn predict_chunk(&mut self, pc: u64, chunk: u32, hist: &GlobalHistory) -> Option<u64> {
+    /// Predict one chunk under the history folds `hist`; `Some(value)` only
+    /// when the provider is confident.
+    fn predict_chunk(&mut self, pc: u64, chunk: u32, hist: &[(u64, u64)]) -> Option<u64> {
         self.reads += 1;
         let mut out = None;
         for t in 0..self.tables.len() {
@@ -235,6 +306,39 @@ impl Vtage {
         out
     }
 
+    /// Trains on and judges the pending instruction `p` with its actual
+    /// results.
+    fn execute_pending(&mut self, p: &PendingVt, info: &ExecInfo<'_>) -> VpVerdict {
+        // Train every chunk with the actual values under the fetch-time
+        // history.
+        if self.cfg.chunk_aware {
+            for (c, &actual) in info.values.iter().enumerate() {
+                self.train_chunk(info.pc, c as u32, &p.hist, actual);
+            }
+        } else if let Some(&first) = info.values.first() {
+            self.train_chunk(info.pc, 0, &p.hist, first);
+        }
+        if !p.predicted || !info.was_injected {
+            return VpVerdict::NONE;
+        }
+        let correct = p.values == info.values;
+        if !correct {
+            self.counters.chunk_mispredicts += 1;
+            *self.misp_by_pc.entry(info.pc).or_insert(0) += 1;
+        }
+        if self.cfg.filter == VtageFilter::Dynamic {
+            let st = &mut self.filter_stats[p.class as usize];
+            st.predictions += 1;
+            if !correct {
+                st.mispredictions += 1;
+            }
+        }
+        VpVerdict {
+            predicted: true,
+            correct,
+        }
+    }
+
     /// Train one chunk with the actual value.
     ///
     /// The entry trained is the one a *prediction* would come from: the
@@ -242,7 +346,7 @@ impl Vtage {
     /// hit. Training the provider is essential — a confident entry that goes
     /// stale must be corrected by the mispredictions it causes, or it would
     /// keep mispredicting while training drains into younger entries.
-    fn train_chunk(&mut self, pc: u64, chunk: u32, hist: &GlobalHistory, actual: u64) {
+    fn train_chunk(&mut self, pc: u64, chunk: u32, hist: &[(u64, u64)], actual: u64) {
         self.writes += 1;
         let mut longest_hit: Option<usize> = None;
         let mut provider: Option<usize> = None;
@@ -305,7 +409,12 @@ impl VpScheme for Vtage {
         "VTAGE"
     }
 
+    fn track_history(&mut self, hist: &mut GlobalHistory) {
+        self.folds.track(hist);
+    }
+
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
+        self.pending.seq = None;
         if !self.eligible(slot.inst) {
             if slot.inst.dest_chunks() > 0 && !slot.inst.is_branch() && !slot.inst.is_store() {
                 self.counters.filtered += 1;
@@ -314,13 +423,16 @@ impl VpScheme for Vtage {
         }
         self.counters.lookups += 1;
         let chunks = slot.inst.dest_chunks() as u32;
-        let hist = *ctx.history;
-        let mut values = Vec::with_capacity(chunks as usize);
+        // The slot's buffers are taken out for the lookup and put back, so
+        // their capacity is reused across instructions.
+        let mut p = std::mem::take(&mut self.pending);
+        self.folds.read(ctx.history, &mut p.hist);
+        p.values.clear();
         let mut all = true;
         if self.cfg.chunk_aware {
             for c in 0..chunks {
-                match self.predict_chunk(slot.pc, c, &hist) {
-                    Some(v) => values.push(v),
+                match self.predict_chunk(slot.pc, c, &p.hist) {
+                    Some(v) => p.values.push(v),
                     None => {
                         all = false;
                         break;
@@ -331,33 +443,26 @@ impl VpScheme for Vtage {
             // One entry per instruction: the single predicted value stands
             // for every destination chunk (and is usually wrong for the
             // later chunks of LDP/LDM/VLD — the paper's §5.2.2 pathology).
-            match self.predict_chunk(slot.pc, 0, &hist) {
-                Some(v) => values.extend(std::iter::repeat_n(v, chunks as usize)),
+            match self.predict_chunk(slot.pc, 0, &p.hist) {
+                Some(v) => p.values.extend(std::iter::repeat_n(v, chunks as usize)),
                 None => all = false,
             }
         }
-        let class = opcode_class(slot.inst);
-        self.pending.insert(
-            slot.seq,
-            PendingVt {
-                values: all.then_some(values),
-                class,
-                hist,
-            },
-        );
+        p.seq = Some(slot.seq);
+        p.predicted = all;
+        p.class = opcode_class(slot.inst);
+        self.pending = p;
         if all {
             self.counters.predictions += 1;
         }
     }
 
     fn prediction_at_rename(&mut self, seq: u64, _rename: u64) -> Option<RenamePrediction> {
-        if self.warm_only {
+        if self.warm_only || self.pending.seq != Some(seq) || !self.pending.predicted {
             return None;
         }
-        let p = self.pending.get(&seq)?;
-        let values = p.values.as_ref()?;
         Some(RenamePrediction {
-            chunks: values.len() as u32,
+            chunks: self.pending.values.len() as u32,
         })
     }
 
@@ -366,51 +471,14 @@ impl VpScheme for Vtage {
     }
 
     fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        let Some(pending) = self.pending.remove(&info.seq) else {
-            return VpVerdict::NONE;
-        };
-        // Train every chunk with the actual values under the fetch-time
-        // history.
-        let hist = pending.hist;
-        if self.cfg.chunk_aware {
-            for (c, &actual) in info.values.iter().enumerate() {
-                self.train_chunk(info.pc, c as u32, &hist, actual);
-            }
-        } else if let Some(&first) = info.values.first() {
-            self.train_chunk(info.pc, 0, &hist, first);
-        }
-        let Some(pred) = pending.values else {
-            return VpVerdict::NONE;
-        };
-        if !info.was_injected {
+        if self.pending.seq != Some(info.seq) {
             return VpVerdict::NONE;
         }
-        let correct =
-            pred.len() == info.values.len() && pred.iter().zip(info.values).all(|(a, b)| a == b);
-        if !correct {
-            self.counters.chunk_mispredicts += 1;
-            *self.misp_by_pc.entry(info.pc).or_insert(0) += 1;
-            if std::env::var_os("VTAGE_DEBUG").is_some() && self.counters.chunk_mispredicts < 20 {
-                eprintln!(
-                    "VTAGE misp pc={:#x} pred={:x?} actual={:x?} hist={:x}",
-                    info.pc,
-                    pred,
-                    info.values,
-                    hist.low(16)
-                );
-            }
-        }
-        if self.cfg.filter == VtageFilter::Dynamic {
-            let st = self.filter_stats.entry(pending.class).or_default();
-            st.predictions += 1;
-            if !correct {
-                st.mispredictions += 1;
-            }
-        }
-        VpVerdict {
-            predicted: true,
-            correct,
-        }
+        let mut p = std::mem::take(&mut self.pending);
+        p.seq = None;
+        let verdict = self.execute_pending(&p, info);
+        self.pending = p;
+        verdict
     }
 
     fn extra_counters(&self) -> Vec<(&'static str, f64)> {
@@ -460,11 +528,11 @@ mod tests {
         let h = GlobalHistory::new();
         let mut predicted = 0;
         for i in 0..2000u64 {
-            if v.predict_chunk(0x4000, 0, &h).is_some() {
+            if v.predict_first_chunk(0x4000, &h).is_some() {
                 predicted += 1;
             }
             let value = (i / 16) % 2;
-            v.train_chunk(0x4000, 0, &h, value);
+            v.train_first_chunk(0x4000, &h, value);
         }
         assert_eq!(predicted, 0, "short value runs must stay below confidence");
     }
@@ -475,10 +543,10 @@ mod tests {
         let h = GlobalHistory::new();
         let mut first = None;
         for i in 0..1000u64 {
-            if v.predict_chunk(0x4000, 0, &h) == Some(42) && first.is_none() {
+            if v.predict_first_chunk(0x4000, &h) == Some(42) && first.is_none() {
                 first = Some(i);
             }
-            v.train_chunk(0x4000, 0, &h, 42);
+            v.train_first_chunk(0x4000, &h, 42);
         }
         let at = first.expect("stable value must become predictable");
         assert!(
@@ -545,7 +613,7 @@ mod tests {
         };
         assert!(v.eligible(ldp), "dynamic filter starts permissive");
         // Feed it a terrible accuracy record for LDP.
-        let st = v.filter_stats.entry(OpcodeClass::Ldp).or_default();
+        let st = &mut v.filter_stats[OpcodeClass::Ldp as usize];
         st.predictions = 100;
         st.mispredictions = 50;
         assert!(!v.eligible(ldp), "must block after observed low accuracy");

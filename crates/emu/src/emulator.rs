@@ -486,8 +486,9 @@ mod tests {
         assert_eq!(out.regs[Reg::X4.index()], 3);
         assert_eq!(out.regs[Reg::X5.index()], 4);
         let recs = out.trace.records();
-        assert_eq!(recs[1].all_values(), vec![1, 2]);
-        assert_eq!(recs[2].all_values(), vec![3, 4]);
+        let mut buf = [0; lvp_trace::MAX_CHUNKS];
+        assert_eq!(recs[1].values(&mut buf), [1, 2]);
+        assert_eq!(recs[2].values(&mut buf), [3, 4]);
     }
 
     #[test]

@@ -341,6 +341,51 @@ pub enum Instruction {
     Blr { rn: Reg },
 }
 
+/// The destination registers of one instruction, in write order: a
+/// fixed-capacity list on the stack that derefs to `&[Reg]`, so asking an
+/// instruction for its destinations never touches the heap. One slot per
+/// architectural register covers the largest `LDM`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Dests {
+    regs: [Reg; Reg::COUNT],
+    len: u8,
+}
+
+impl Dests {
+    const EMPTY: Dests = Dests {
+        regs: [Reg::ZR; Reg::COUNT],
+        len: 0,
+    };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Dests {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Dests {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, { Reg::COUNT }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
+impl fmt::Debug for Dests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Up to four source registers, padded with `None`.
 pub type Sources = [Option<Reg>; 4];
 
@@ -437,21 +482,33 @@ impl Instruction {
     /// Destination registers, in write order. Empty for stores/branches.
     /// Writes to the zero register are filtered out (they are architectural
     /// no-ops).
-    pub fn dests(self) -> Vec<Reg> {
-        let keep = |r: Reg| if r.is_zero() { None } else { Some(r) };
+    pub fn dests(self) -> Dests {
+        let mut out = Dests::EMPTY;
+        let mut keep = |r: Reg| {
+            if !r.is_zero() {
+                out.push(r);
+            }
+        };
         match self {
             Instruction::Alu { rd, .. }
             | Instruction::AluImm { rd, .. }
             | Instruction::MovImm { rd, .. }
             | Instruction::Ldr { rd, .. }
             | Instruction::Ldar { rd, .. }
-            | Instruction::LdrIdx { rd, .. } => keep(rd).into_iter().collect(),
-            Instruction::Ldp { rd1, rd2, .. } => keep(rd1).into_iter().chain(keep(rd2)).collect(),
-            Instruction::Ldm { list, .. } => list.iter().collect(),
-            Instruction::Vld { vd, .. } => vec![vd, Reg::x(vd.index() as u8 + 1)],
-            Instruction::Bl { .. } | Instruction::Blr { .. } => vec![Reg::LR],
-            _ => Vec::new(),
+            | Instruction::LdrIdx { rd, .. } => keep(rd),
+            Instruction::Ldp { rd1, rd2, .. } => {
+                keep(rd1);
+                keep(rd2);
+            }
+            Instruction::Ldm { list, .. } => list.iter().for_each(|r| out.push(r)),
+            Instruction::Vld { vd, .. } => {
+                out.push(vd);
+                out.push(Reg::x(vd.index() as u8 + 1));
+            }
+            Instruction::Bl { .. } | Instruction::Blr { .. } => out.push(Reg::LR),
+            _ => {}
         }
+        out
     }
 
     /// Number of 64-bit destination chunks a value predictor must cover for
@@ -690,7 +747,7 @@ mod tests {
             offset: 16,
         };
         assert!(i.is_load());
-        assert_eq!(i.dests(), vec![Reg::X1, Reg::X2]);
+        assert_eq!(*i.dests(), [Reg::X1, Reg::X2]);
         assert_eq!(i.dest_chunks(), 2);
         assert_eq!(i.mem_bytes(), Some(16));
         assert_eq!(i.sources()[0], Some(Reg::X0));
@@ -713,8 +770,22 @@ mod tests {
             rn: Reg::X0,
             offset: 0,
         };
-        assert_eq!(i.dests(), vec![Reg::X10, Reg::X11]);
+        assert_eq!(*i.dests(), [Reg::X10, Reg::X11]);
         assert_eq!(i.mem_bytes(), Some(16));
+    }
+
+    #[test]
+    fn dests_hold_the_widest_register_list() {
+        let all = Instruction::Ldm {
+            list: RegList(u32::MAX),
+            rn: Reg::X0,
+        };
+        let dests = all.dests();
+        assert_eq!(dests.len(), Reg::COUNT);
+        assert_eq!(dests.last(), Some(&Reg::ZR));
+        assert_eq!(dests.into_iter().count(), Reg::COUNT);
+        assert_eq!(all.dest_chunks(), Reg::COUNT);
+        assert_eq!(format!("{:?}", Instruction::Ret.dests()), "[]");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod reg;
 
 pub use asm::{Asm, Label};
 pub use encode::{decode, encode, DecodeError};
-pub use inst::{AluOp, BranchKind, Cond, Instruction, MemSize, OpClass, RegList};
+pub use inst::{AluOp, BranchKind, Cond, Dests, Instruction, MemSize, OpClass, RegList};
 pub use program::{DataInit, Program};
 pub use reg::Reg;
 

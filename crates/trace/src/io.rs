@@ -15,7 +15,7 @@
 //! Readers and writers are generic over [`std::io::Read`]/[`std::io::Write`];
 //! pass `&mut file` if you need the handle afterwards.
 
-use crate::record::{Trace, TraceRecord};
+use crate::record::{Trace, TraceRecord, MAX_CHUNKS};
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -32,6 +32,9 @@ pub enum TraceIoError {
     BadVersion(u32),
     /// An embedded instruction failed to decode.
     BadInstruction(lvp_isa::DecodeError),
+    /// A record carries more 64-bit value chunks than any instruction can
+    /// produce ([`MAX_CHUNKS`]).
+    TooManyValues(usize),
 }
 
 impl fmt::Display for TraceIoError {
@@ -41,6 +44,9 @@ impl fmt::Display for TraceIoError {
             TraceIoError::BadMagic => write!(f, "not a trace file (bad magic)"),
             TraceIoError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceIoError::BadInstruction(e) => write!(f, "corrupt instruction: {e}"),
+            TraceIoError::TooManyValues(n) => {
+                write!(f, "record carries {n} value chunks (at most {MAX_CHUNKS})")
+            }
         }
     }
 }
@@ -202,6 +208,9 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
             ));
         }
         let n_extra = read_u8(&mut r)? as usize;
+        if n_extra >= MAX_CHUNKS {
+            return Err(TraceIoError::TooManyValues(n_extra + 1));
+        }
         let extra_values = if n_extra == 0 {
             None
         } else {
@@ -282,6 +291,20 @@ mod tests {
         assert!(matches!(
             read_trace(buf.as_slice()).unwrap_err(),
             TraceIoError::BadVersion(99)
+        ));
+    }
+
+    #[test]
+    fn oversized_value_lists_rejected() {
+        let mut t = Trace::new();
+        let mut rec = load(0x100, 0x8000, 1);
+        rec.extra_values = Some(vec![0; MAX_CHUNKS].into_boxed_slice());
+        t.push(rec);
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        assert!(matches!(
+            read_trace(buf.as_slice()).unwrap_err(),
+            TraceIoError::TooManyValues(n) if n == MAX_CHUNKS + 1
         ));
     }
 

@@ -1,6 +1,13 @@
 //! Trace record and trace container types.
 
-use lvp_isa::Instruction;
+use lvp_isa::{Instruction, Reg};
+
+/// Most 64-bit value chunks one record can carry: one per architectural
+/// register, the widest `LDM`/`STM`.
+pub const MAX_CHUNKS: usize = Reg::COUNT;
+
+/// Scratch space [`TraceRecord::values`] assembles multi-chunk records in.
+pub type ValueBuf = [u64; MAX_CHUNKS];
 
 /// One dynamically executed instruction.
 ///
@@ -33,13 +40,23 @@ impl TraceRecord {
         self.next_pc != self.pc.wrapping_add(lvp_isa::INST_BYTES)
     }
 
-    /// All loaded/stored 64-bit chunks in order.
-    pub fn all_values(&self) -> Vec<u64> {
-        let mut v = vec![self.value];
-        if let Some(extra) = &self.extra_values {
-            v.extend_from_slice(extra);
+    /// All loaded/stored 64-bit chunks in order. A single-chunk record is
+    /// viewed in place; a multi-chunk one is assembled in `buf`, so the
+    /// call never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record carries more than [`MAX_CHUNKS`] chunks.
+    pub fn values<'a>(&'a self, buf: &'a mut ValueBuf) -> &'a [u64] {
+        match &self.extra_values {
+            None => std::slice::from_ref(&self.value),
+            Some(extra) => {
+                let n = extra.len() + 1;
+                buf[0] = self.value;
+                buf[1..n].copy_from_slice(extra);
+                &buf[..n]
+            }
         }
-        v
     }
 
     /// Convenience view for load records, used by the standalone predictor
@@ -305,11 +322,23 @@ mod tests {
     }
 
     #[test]
-    fn all_values_includes_extras() {
+    fn values_include_extras() {
+        let mut buf = [0; MAX_CHUNKS];
         let mut r = load(0, 0, 1);
         r.extra_values = Some(vec![2, 3].into_boxed_slice());
-        assert_eq!(r.all_values(), vec![1, 2, 3]);
-        assert_eq!(load(0, 0, 9).all_values(), vec![9]);
+        assert_eq!(r.values(&mut buf), [1, 2, 3]);
+        assert_eq!(load(0, 0, 9).values(&mut buf), [9]);
+        r.extra_values = Some(vec![7; MAX_CHUNKS - 1].into_boxed_slice());
+        assert_eq!(r.values(&mut buf).len(), MAX_CHUNKS);
+    }
+
+    #[test]
+    fn record_layout_stays_compact() {
+        // Long traces hold millions of records resident: predecoded
+        // per-instruction metadata belongs to the consumer's per-PC tables,
+        // never to the dynamic record.
+        assert_eq!(std::mem::size_of::<Instruction>(), 16);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 72);
     }
 
     #[test]

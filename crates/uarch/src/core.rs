@@ -11,20 +11,30 @@
 //! Because the trace contains only correct-path instructions, flushes are
 //! modelled as fetch redirects: everything younger simply refetches after
 //! the resolve cycle, which is exactly the timing effect of a squash.
+//!
+//! The per-instruction path is allocation-free in steady state and reads no
+//! SipHash map: what a step needs of an instruction (class, branch kind,
+//! access width, source and destination registers) is decoded once per
+//! static PC into a per-core predecode table, per-PC load counters live
+//! densely beside it until the run folds them into [`SimStats::per_pc`],
+//! register, value and granule bookkeeping use fixed arrays, stack lists
+//! and [`U64Map`]s, and the occupancy queues are FIFOs plus one
+//! `CycleQueue`.
 
 use crate::config::{BranchPredictorKind, CoreConfig, RecoveryMode};
+use crate::cycleq::CycleQueue;
 use crate::lanes::LaneTracker;
 use crate::mdp::{MdpConfig, StoreSets};
-use crate::stats::SimStats;
+use crate::stats::{PcLoadStats, SimStats};
+use crate::u64map::U64Map;
 use crate::vp::{ExecInfo, FetchCtx, FetchSlot, VpScheme};
 use crate::vpe::{InjectOutcome, Vpe};
 use lvp_branch::{Btb, GlobalHistory, Gshare, Ittage, Ras, Tage};
-use lvp_isa::{BranchKind, OpClass, Reg};
+use lvp_isa::{BranchKind, Dests, Instruction, OpClass, Reg};
 use lvp_mem::MemoryHierarchy;
 use lvp_obs::{EventSink, InjectBlock, NullSink, ObsEvent, RedirectCause, VerifyOutcome};
-use lvp_trace::{Trace, TraceRecord};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use lvp_trace::{Trace, TraceRecord, ValueBuf, MAX_CHUNKS};
+use std::collections::VecDeque;
 
 /// The conditional-branch direction predictor behind the config knob.
 #[derive(Debug)]
@@ -58,6 +68,96 @@ impl DirectionPredictor {
                 p
             }
         }
+    }
+}
+
+/// What a step needs of one static instruction, decoded once per PC.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    /// The instruction this entry was decoded from (a PC whose record
+    /// carries a different instruction is re-decoded).
+    inst: Instruction,
+    op_class: OpClass,
+    branch: Option<BranchKind>,
+    is_load: bool,
+    is_store: bool,
+    /// Access width in bytes (8 for non-memory instructions).
+    mem_bytes: u64,
+    n_sources: u8,
+    sources: [Reg; 4],
+    dests: Dests,
+    /// This PC's slot in [`Predecode::loads`] (`u32::MAX`: never a load).
+    load_slot: u32,
+}
+
+impl Decoded {
+    fn new(inst: Instruction, load_slot: u32) -> Decoded {
+        let mut sources = [Reg::ZR; 4];
+        let mut n_sources = 0;
+        for r in inst.sources().into_iter().flatten() {
+            sources[n_sources] = r;
+            n_sources += 1;
+        }
+        Decoded {
+            inst,
+            op_class: inst.op_class(),
+            branch: inst.branch_kind(),
+            is_load: inst.is_load(),
+            is_store: inst.is_store(),
+            mem_bytes: inst.mem_bytes().unwrap_or(8),
+            n_sources: n_sources as u8,
+            sources,
+            dests: inst.dests(),
+            load_slot,
+        }
+    }
+
+    fn sources(&self) -> &[Reg] {
+        &self.sources[..self.n_sources as usize]
+    }
+}
+
+/// The per-core predecode table: one [`Decoded`] per static PC, plus the
+/// dense per-static-load counters behind [`SimStats::per_pc`]. Decoding
+/// happens on a PC's first step (or when its record's instruction differs
+/// from the decoded one); every later step is one map probe.
+#[derive(Debug, Default)]
+struct Predecode {
+    index: U64Map<u32>,
+    entries: Vec<Decoded>,
+    /// Per static load PC, in first-execution order.
+    loads: Vec<(u64, PcLoadStats)>,
+}
+
+impl Predecode {
+    /// The entry for `pc`, decoding `inst` unless the cached entry was
+    /// decoded from it.
+    #[inline]
+    fn lookup(&mut self, pc: u64, inst: Instruction) -> Decoded {
+        let next = self.entries.len() as u32;
+        let i = *self.index.entry(pc).or_insert(next) as usize;
+        match self.entries.get(i) {
+            Some(d) if d.inst == inst => *d,
+            cached => {
+                // First step at `pc`, or another instruction there. The
+                // counters belong to the PC, so a re-decode keeps its slot.
+                let mut slot = cached.map_or(u32::MAX, |d| d.load_slot);
+                if slot == u32::MAX && inst.is_load() {
+                    slot = self.loads.len() as u32;
+                    self.loads.push((pc, PcLoadStats::default()));
+                }
+                let d = Decoded::new(inst, slot);
+                match self.entries.get_mut(i) {
+                    Some(e) => *e = d,
+                    None => self.entries.push(d),
+                }
+                d
+            }
+        }
+    }
+
+    fn load_stats(&mut self, d: &Decoded) -> &mut PcLoadStats {
+        &mut self.loads[d.load_slot as usize].1
     }
 }
 
@@ -102,16 +202,23 @@ pub struct Core<S: VpScheme, K: EventSink = NullSink> {
     commit_cycle_cursor: u64,
     commit_in_cycle: u32,
 
-    // occupancy (entries hold the cycle the slot frees)
+    // occupancy (entries hold the cycle the slot frees). Commit cycles are
+    // non-decreasing in program order, so the queues freed at commit
+    // (ROB, LDQ, STQ, PRF) are FIFOs; the IQ frees at issue, out of order,
+    // but never before the last cycle it freed.
     rob: VecDeque<u64>,
-    iq: BinaryHeap<Reverse<u64>>,
+    iq: CycleQueue,
     ldq: VecDeque<u64>,
     stq: VecDeque<u64>,
-    prf: BinaryHeap<Reverse<u64>>,
+    prf: VecDeque<u64>,
     vpe: Vpe,
 
+    predecode: Predecode,
+    /// Assembly space for multi-chunk records' values (see
+    /// [`TraceRecord::values`]).
+    value_buf: ValueBuf,
     reg_avail: [u64; Reg::COUNT],
-    granule_stores: HashMap<u64, StoreInfo>,
+    granule_stores: U64Map<StoreInfo>,
     /// Rename cycles of the last `fetch_buffer` instructions: fetch of
     /// instruction `i` cannot precede the rename of instruction
     /// `i - fetch_buffer` (finite fetch/decode queue).
@@ -137,14 +244,18 @@ impl<S: VpScheme> Core<S> {
 impl<S: VpScheme, K: EventSink> Core<S, K> {
     /// Builds a core around `scheme` that records lifecycle events into
     /// `sink`.
-    pub fn with_sink(cfg: CoreConfig, scheme: S, sink: K) -> Core<S, K> {
+    pub fn with_sink(cfg: CoreConfig, mut scheme: S, sink: K) -> Core<S, K> {
+        let mut hist = GlobalHistory::new();
+        let mut ittage = Ittage::default_32kb();
+        ittage.track_history(&mut hist);
+        scheme.track_history(&mut hist);
         Core {
             mem: MemoryHierarchy::new(cfg.mem),
             direction: DirectionPredictor::new(cfg.branch_predictor),
             btb: cfg.btb.map(Btb::new),
-            ittage: Ittage::default_32kb(),
+            ittage,
             ras: Ras::default_16(),
-            hist: GlobalHistory::new(),
+            hist,
             mdp: StoreSets::new(MdpConfig::default()),
             lanes: LaneTracker::new(cfg.ls_lanes, cfg.generic_lanes),
             scheme,
@@ -160,13 +271,15 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             commit_cycle_cursor: 0,
             commit_in_cycle: 0,
             rob: VecDeque::new(),
-            iq: BinaryHeap::new(),
+            iq: CycleQueue::new(),
             ldq: VecDeque::new(),
             stq: VecDeque::new(),
-            prf: BinaryHeap::new(),
+            prf: VecDeque::new(),
             vpe: Vpe::new(cfg.pvt_entries, cfg.vp_per_cycle),
+            predecode: Predecode::default(),
+            value_buf: [0; MAX_CHUNKS],
             reg_avail: [0; Reg::COUNT],
-            granule_stores: HashMap::new(),
+            granule_stores: U64Map::default(),
             rename_hist: VecDeque::new(),
             fetch_bound: 0,
             host_spin: 0,
@@ -216,6 +329,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         self.stats.pvt_writes = vpe.pvt_writes;
         self.stats.pvt_reads = vpe.pvt_reads;
         self.stats.prf_reads = vpe.prf_reads;
+        self.stats.per_pc.extend(self.predecode.loads.drain(..));
     }
 
     // ------------------------------------------------------------------
@@ -230,8 +344,9 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
         self.stats.instructions += 1;
         let inst = rec.inst;
-        let is_load = inst.is_load();
-        let is_store = inst.is_store();
+        let d = self.predecode.lookup(rec.pc, inst);
+        let is_load = d.is_load;
+        let is_store = d.is_store;
         if is_load {
             self.stats.loads += 1;
         }
@@ -294,7 +409,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         // ---- branch prediction at fetch -------------------------------
         // (Outcome applied at resolve time, below.)
         let mut branch_mispredicted = false;
-        if let Some(kind) = inst.branch_kind() {
+        if let Some(kind) = d.branch {
             self.stats.branches += 1;
             let taken = rec.taken();
             match kind {
@@ -374,16 +489,16 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 rename_cycle = rename_cycle.max(free + 1);
             }
         }
-        let dests = inst.dests();
+        let dests = d.dests;
         let prf_cap = self.cfg.physical_regs - Reg::COUNT;
         for _ in 0..dests.len() {
             if self.prf.len() >= prf_cap {
-                let Reverse(free) = self.prf.pop().expect("prf nonempty");
+                let free = self.prf.pop_front().expect("prf nonempty");
                 rename_cycle = rename_cycle.max(free + 1);
             }
         }
         while self.iq.len() >= self.cfg.iq_entries {
-            let Reverse(free) = self.iq.pop().expect("iq nonempty");
+            let free = self.iq.pop().expect("iq nonempty");
             rename_cycle = rename_cycle.max(free + 1);
         }
         // Rename width pacing.
@@ -413,7 +528,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
         // ---- value prediction injection decision -----------------------
         let mut injected = false;
-        if !dests.is_empty() && !inst.is_branch() {
+        if !dests.is_empty() && d.branch.is_none() {
             if let Some(_pred) = self.scheme.prediction_at_rename(rec.seq, rename_cycle) {
                 match self.vpe.admit(rename_cycle, dests.len()) {
                     InjectOutcome::Injected => {
@@ -454,24 +569,24 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
         // ---- sources ready ---------------------------------------------
         let mut src_ready = 0u64;
-        for src in inst.sources().iter().flatten() {
+        for src in d.sources() {
             src_ready = src_ready.max(self.reg_avail[src.index()]);
         }
 
         // ---- issue & execute -------------------------------------------
         let earliest_issue = (rename_cycle + self.cfg.rename_to_issue as u64).max(src_ready);
-        let issue_cycle = match inst.op_class() {
+        let issue_cycle = match d.op_class {
             OpClass::Load | OpClass::Store => self.lanes.book_ls(earliest_issue),
             _ => self.lanes.book_generic(earliest_issue),
         };
-        self.iq.push(Reverse(issue_cycle));
+        self.iq.push(issue_cycle);
         let mut exec_start = issue_cycle + 1;
 
         let mut conflicting_store_commit: Option<u64> = None;
         let mut violation_redirect: Option<u64> = None;
         let mut l1_way: Option<u8> = None;
         let complete;
-        match inst.op_class() {
+        match d.op_class {
             OpClass::Load => {
                 // MDP: wait on a predicted in-flight store dependence.
                 if let Some(dep) = self.mdp.load_dependence(rec.pc, rec.seq) {
@@ -489,9 +604,8 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                     }
                 }
                 // Youngest older overlapping store.
-                let bytes = inst.mem_bytes().unwrap_or(8);
                 let mut newest: Option<StoreInfo> = None;
-                for g in granules(rec.eff_addr, bytes) {
+                for g in granules(rec.eff_addr, d.mem_bytes) {
                     if let Some(&s) = self.granule_stores.get(&g) {
                         if s.seq < rec.seq && newest.is_none_or(|n| s.seq > n.seq) {
                             newest = Some(s);
@@ -537,7 +651,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
         // ---- per-PC load breakdown --------------------------------------
         if is_load {
-            let pcs = self.stats.per_pc.entry(rec.pc).or_default();
+            let pcs = self.predecode.load_stats(&d);
             pcs.executions += 1;
             if conflicting_store_commit.is_some() {
                 pcs.conflict_exposed += 1;
@@ -548,13 +662,12 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
 
         // ---- scheme verdict ---------------------------------------------
-        let values = rec.all_values();
         let info = ExecInfo {
             seq: rec.seq,
             pc: rec.pc,
             inst,
             eff_addr: rec.eff_addr,
-            values: &values,
+            values: rec.values(&mut self.value_buf),
             exec_cycle: exec_start,
             conflicting_store_commit,
             l1_way,
@@ -588,7 +701,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 });
             }
             if is_load {
-                let pcs = self.stats.per_pc.entry(rec.pc).or_default();
+                let pcs = self.predecode.load_stats(&d);
                 pcs.injected += 1;
                 if verdict.correct {
                     pcs.correct += 1;
@@ -629,13 +742,13 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
 
         // ---- write back -------------------------------------------------
-        for d in &dests {
-            self.reg_avail[d.index()] = dest_avail;
+        for r in dests {
+            self.reg_avail[r.index()] = dest_avail;
         }
         self.stats.prf_writes += dests.len() as u64;
         // Route operand reads between the PVT and the PRF (predicted bits).
-        for src in inst.sources().iter().flatten() {
-            self.vpe.note_source_read(*src, issue_cycle);
+        for &src in d.sources() {
+            self.vpe.note_source_read(src, issue_cycle);
         }
 
         // ---- commit ------------------------------------------------------
@@ -659,7 +772,6 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             self.stq.push_back(commit_cycle);
             // Store becomes architecturally visible (and fills the cache) at
             // commit.
-            let bytes = inst.mem_bytes().unwrap_or(8);
             self.mem.access_data(rec.pc, rec.eff_addr, false);
             let si = StoreInfo {
                 seq: rec.seq,
@@ -667,15 +779,16 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 exec_cycle: exec_start,
                 commit_cycle,
             };
-            for g in granules(rec.eff_addr, bytes) {
+            for g in granules(rec.eff_addr, d.mem_bytes) {
                 self.granule_stores.insert(g, si);
             }
             if let Some(prev) = self.mdp.store_dispatched(rec.pc, rec.seq, exec_start) {
                 let _ = prev; // store-store ordering not modelled
             }
         }
+        debug_assert!(self.prf.back().is_none_or(|&last| last <= commit_cycle));
         for _ in 0..dests.len() {
-            self.prf.push(Reverse(commit_cycle));
+            self.prf.push_back(commit_cycle);
         }
 
         if K::ENABLED {
@@ -860,6 +973,48 @@ mod tests {
         let t = alu_trace(20_000);
         let s = simulate(&t, NoVp);
         assert!(s.instructions as f64 / s.cycles as f64 <= 8.0);
+    }
+
+    #[test]
+    fn a_pc_whose_instruction_changes_is_re_decoded_and_keeps_its_counters() {
+        // Hand-built records can put different instructions at one PC; the
+        // predecode table must follow the record and per-PC counters must
+        // stay per PC.
+        let ldr = Instruction::Ldr {
+            rd: Reg::X1,
+            rn: Reg::X0,
+            offset: 0,
+            size: MemSize::X,
+        };
+        let add = Instruction::AluImm {
+            op: lvp_isa::AluOp::Add,
+            rd: Reg::X2,
+            rn: Reg::X2,
+            imm: 1,
+        };
+        let rec = |pc: u64, inst: Instruction| TraceRecord {
+            seq: 0,
+            pc,
+            inst,
+            next_pc: pc + 4,
+            eff_addr: if inst.is_load() { 0x8000 } else { 0 },
+            value: 0,
+            extra_values: None,
+        };
+        let t: Trace = [
+            rec(0x100, ldr),
+            rec(0x104, add),
+            rec(0x100, add),
+            rec(0x104, ldr),
+            rec(0x100, ldr),
+        ]
+        .into_iter()
+        .collect();
+        let s = simulate(&t, NoVp);
+        assert_eq!(s.loads, 3);
+        assert_eq!(s.per_pc.len(), 2);
+        assert_eq!(s.per_pc[&0x100].executions, 2);
+        assert_eq!(s.per_pc[&0x104].executions, 1);
     }
 
     #[test]

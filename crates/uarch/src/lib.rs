@@ -19,6 +19,7 @@
 
 pub mod config;
 pub mod core;
+mod cycleq;
 pub mod lanes;
 pub mod mdp;
 pub mod simconfig;
@@ -26,6 +27,7 @@ pub mod stats;
 #[cfg(test)]
 mod tests_model;
 pub mod tier;
+pub mod u64map;
 pub mod vp;
 pub mod vpe;
 
@@ -40,6 +42,7 @@ pub use simconfig::{
 };
 pub use stats::{fmt_pct, SamplingStats, SimStats, StatsError};
 pub use tier::{run_sampled, ExecutionTier, FunctionalTier, OooTier, SimpleTier};
+pub use u64map::{MulHasher, U64Map};
 pub use vp::{
     ExecInfo, FetchCtx, FetchSlot, NoVp, OracleLoadVp, RenamePrediction, VpScheme, VpVerdict,
 };

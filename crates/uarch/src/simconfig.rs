@@ -21,6 +21,7 @@
 //!   per record generates both `ToJson` and its inverse `FromJson`.
 
 use crate::config::{BranchPredictorKind, CoreConfig, RecoveryMode};
+use lvp_branch::GlobalHistory;
 use lvp_json::{json_enum, json_struct};
 
 // ---------------------------------------------------------------------------
@@ -329,6 +330,17 @@ impl SimConfig {
         if self.vtage.histories.is_empty() {
             return Err(ConfigError::EmptyHistories("vtage.histories"));
         }
+        if let Some(&len) = self
+            .vtage
+            .histories
+            .iter()
+            .find(|&&len| len > GlobalHistory::CAPACITY)
+        {
+            return Err(ConfigError::HistoryTooLong {
+                field: "vtage.histories",
+                len,
+            });
+        }
         if let Some(sample) = &self.sample {
             sample.validate()?;
         }
@@ -507,6 +519,9 @@ pub enum ConfigError {
     NotPowerOfTwo { table: &'static str, entries: usize },
     /// A history-length list is empty.
     EmptyHistories(&'static str),
+    /// A history length exceeds what the global history register holds
+    /// ([`GlobalHistory::CAPACITY`]).
+    HistoryTooLong { field: &'static str, len: u32 },
     /// [`SimConfig::preset`] was given a name not in the registry.
     UnknownPreset(String),
     /// A [`SampleSpec`] is degenerate (zero-length windows, or windows
@@ -533,6 +548,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyHistories(field) => {
                 write!(f, "{field} needs at least one history length")
             }
+            ConfigError::HistoryTooLong { field, len } => write!(
+                f,
+                "{field} length {len} exceeds the {}-bit global history",
+                GlobalHistory::CAPACITY
+            ),
             ConfigError::UnknownPreset(name) => write!(
                 f,
                 "unknown preset '{name}' (available: {})",
@@ -802,6 +822,21 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::EmptyTable("core.pvt_entries"))
         );
+    }
+
+    #[test]
+    fn rejects_vtage_histories_longer_than_the_register() {
+        let mut cfg = SimConfig::default();
+        cfg.vtage.histories = vec![0, 129];
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::HistoryTooLong {
+                field: "vtage.histories",
+                len: 129
+            })
+        );
+        cfg.vtage.histories = vec![0, 128];
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -12,6 +12,18 @@
 //!    predicted value is available for injection.
 //! 3. [`VpScheme::on_execute`] — with the actual execution results, for
 //!    training and for the final correct/incorrect verdict.
+//!
+//! **One-step contract.** The core is a one-pass timestamp model: a single
+//! `Core::step` carries one dynamic instruction through all three hooks,
+//! `on_fetch` → `prediction_at_rename` (when it has destinations and is not
+//! a branch) → `on_execute`, before the next instruction's `on_fetch`. The
+//! hooks for different `seq`s never interleave, so a scheme needs exactly
+//! one in-flight slot — the state `on_fetch` leaves for its own `seq` —
+//! and never a map from `seq` to pending state. (The *timestamps* the
+//! hooks see still overlap as in a real pipeline; only the host-side calls
+//! are serialized.) Before the first step, [`VpScheme::track_history`]
+//! hands the scheme the core's global history once, so the history folds
+//! the scheme reads are maintained incrementally by the history itself.
 
 use crate::lanes::LaneTracker;
 use lvp_branch::GlobalHistory;
@@ -115,6 +127,12 @@ pub trait VpScheme {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
+    /// Called once, when a core is built around the scheme, with the core's
+    /// global history (the one [`FetchCtx::history`] will show): register
+    /// the folds the scheme reads with [`GlobalHistory::track`]. Default:
+    /// nothing (schemes that do not read the history).
+    fn track_history(&mut self, _hist: &mut GlobalHistory) {}
+
     /// Called at fetch, in program order, for every instruction. The
     /// context's sink is type-erased; guard emissions with
     /// `ctx.sink.enabled()`.
@@ -159,6 +177,10 @@ pub trait VpScheme {
 impl<S: VpScheme + ?Sized> VpScheme for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn track_history(&mut self, hist: &mut GlobalHistory) {
+        (**self).track_history(hist);
     }
 
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
@@ -214,7 +236,8 @@ impl VpScheme for NoVp {
 /// in integration tests to check the engine's dependence-breaking machinery.
 #[derive(Debug, Default, Clone)]
 pub struct OracleLoadVp {
-    load_seqs: std::collections::HashSet<u64>,
+    /// The in-flight load, if the instruction in flight is one.
+    load_seq: Option<u64>,
 }
 
 impl VpScheme for OracleLoadVp {
@@ -223,19 +246,15 @@ impl VpScheme for OracleLoadVp {
     }
 
     fn on_fetch(&mut self, slot: &FetchSlot, _ctx: &mut FetchCtx<'_>) {
-        if slot.inst.is_load() {
-            self.load_seqs.insert(slot.seq);
-        }
+        self.load_seq = slot.inst.is_load().then_some(slot.seq);
     }
 
     fn prediction_at_rename(&mut self, seq: u64, _rename: u64) -> Option<RenamePrediction> {
-        self.load_seqs
-            .contains(&seq)
-            .then_some(RenamePrediction { chunks: 1 })
+        (self.load_seq == Some(seq)).then_some(RenamePrediction { chunks: 1 })
     }
 
     fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        if self.load_seqs.remove(&info.seq) {
+        if self.load_seq.take() == Some(info.seq) {
             VpVerdict {
                 predicted: true,
                 correct: true,

@@ -493,3 +493,95 @@ fn schemekind_names_and_labels_round_trip() {
     );
     assert_eq!(SchemeKind::from_name("nonesuch"), None);
 }
+
+#[test]
+fn incremental_history_folds_match_the_reference_fold() {
+    use dlvp::dvtage::DvtageConfig;
+    use lvp_branch::ittage::IttageConfig;
+    use lvp_branch::tage::TageConfig;
+    use lvp_branch::GlobalHistory;
+    use lvp_uarch::VtageConfig;
+
+    // Every (len, width) pair the predictors fold...
+    let mut pairs = Vec::new();
+    let tage = TageConfig::default_32kb();
+    for &hl in &tage.history_lengths {
+        pairs.extend([
+            (hl, tage.tagged_log2),
+            (hl, tage.tag_bits),
+            (hl, tage.tag_bits - 1),
+        ]);
+    }
+    let ittage = IttageConfig::default_32kb();
+    for &hl in &ittage.history_lengths {
+        pairs.extend([(hl, ittage.tagged_log2), (hl, ittage.tag_bits)]);
+    }
+    let vtage = VtageConfig::default();
+    for &hl in &vtage.histories {
+        let bits = vtage.entries.trailing_zeros().max(1);
+        pairs.extend([(hl, bits), (hl, vtage.tag_bits)]);
+    }
+    let dvtage = DvtageConfig::default();
+    for &hl in &dvtage.histories {
+        let bits = dvtage.entries.trailing_zeros().max(1);
+        pairs.extend([(hl, bits), (hl, dvtage.tag_bits)]);
+    }
+    // ...plus the edges: empty folds, folds narrower than their width,
+    // exact multiples of the width, full-width and full-capacity folds.
+    pairs.extend([
+        (0, 1),
+        (0, 8),
+        (0, 64),
+        (1, 1),
+        (3, 8),
+        (7, 64),
+        (16, 8),
+        (64, 16),
+        (64, 64),
+        (96, 32),
+        (127, 10),
+        (128, 1),
+        (128, 64),
+    ]);
+    assert!(pairs.contains(&(0, 8)) && pairs.contains(&(75, 10)));
+
+    for seed in 0..4u64 {
+        let mut g = Gen::new(0xf01d ^ seed);
+        let mut h = GlobalHistory::new();
+        // Track mid-stream for odd seeds: registers start from the
+        // history's current contents.
+        let warm = if seed % 2 == 1 { 200 } else { 0 };
+        for _ in 0..warm {
+            h.push(g.below(2) == 1);
+        }
+        let folds: Vec<_> = pairs.iter().map(|&(n, w)| h.track(n, w)).collect();
+        // Taken probability varies per seed: unbiased, mostly taken, mostly
+        // not taken, and long same-direction runs.
+        let mut run_left = 0u64;
+        let mut run_dir = false;
+        for step in 0..12_000 {
+            let taken = match seed {
+                0 => g.below(2) == 1,
+                1 => g.below(8) != 0,
+                2 => g.below(8) == 0,
+                _ => {
+                    if run_left == 0 {
+                        run_left = 1 + g.below(40);
+                        run_dir = !run_dir;
+                    }
+                    run_left -= 1;
+                    run_dir
+                }
+            };
+            h.push(taken);
+            for (&(n, w), &f) in pairs.iter().zip(&folds) {
+                assert!(h.is_tracked(f));
+                assert_eq!(
+                    h.fold(f),
+                    h.folded(n, w),
+                    "seed {seed} push {step}: fold ({n}, {w}) diverged"
+                );
+            }
+        }
+    }
+}
