@@ -94,6 +94,28 @@ assert m["jobs"] == 0, f"runner on a figs-warmed store executed {m['jobs']} sim 
 assert store.get("misses") == 0, f"runner missed the figs-warmed store: {store}"
 print(f"runner on the figs-warmed store: 0 sim jobs executed, {store.get('hits')} store hits")
 EOF
+# serve shares the key space too: a client matrix served from the store
+# figs warmed must be all hits with nothing written, and byte-identical to
+# a local store-off run of the same matrix.
+./target/release/runner --workloads aifirf,perlbmk --budget 200000 \
+  --out "$tmp/warm_local_matrix.json" --quiet
+mkdir -p "$tmp/warm_queue"
+./target/release/runner --client "$tmp/warm_queue" --client-timeout 300 \
+  --workloads aifirf,perlbmk --budget 200000 \
+  --out "$tmp/warm_served_matrix.json" --quiet &
+client_pid=$!
+for _ in $(seq 1 400); do
+  served="$(./target/release/serve --queue "$tmp/warm_queue" \
+    --store "$tmp/store" --once --quiet)"
+  case "$served" in "serve: 0 batches"*) sleep 0.05 ;; *) break ;; esac
+done
+wait "$client_pid"
+case "$served" in
+  *" misses 0 writes 0 "*) echo "$served" ;;
+  *) echo "serve missed the figs-warmed store: $served" >&2; exit 1 ;;
+esac
+cmp "$tmp/warm_local_matrix.json" "$tmp/warm_served_matrix.json"
+echo "serve on the figs-warmed store: 0 misses, 0 writes, byte-identical matrix"
 
 echo "== store CLI smoke (stats / verify / gc) =="
 ./target/release/store --dir "$tmp/store" stats

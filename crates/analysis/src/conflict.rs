@@ -70,12 +70,6 @@ impl ConflictGraph {
     pub fn must_edges(&self) -> impl Iterator<Item = &ConflictEdge> {
         self.edges.iter().filter(|e| e.kind == EdgeKind::Must)
     }
-
-    /// Store PCs that may conflict with `load_pc` (the static may-set R7
-    /// checks dynamic LSCD suppressions against).
-    pub fn may_set(&self, load_pc: u64) -> Vec<u64> {
-        self.edges_of(load_pc).map(|e| e.store_pc).collect()
-    }
 }
 
 /// Granule range of a constant access, `None` on address-space wrap.

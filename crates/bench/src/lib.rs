@@ -38,9 +38,11 @@ pub use runner::{
     Tolerances,
 };
 pub use serve::{client_run_matrix, execute_batch, serve, BatchRequest, ServeConfig, ServeStats};
-pub use service::{par_map_cached, sim_request_doc, CachedBatch, ExecutedWork, Provenance};
+pub use service::{
+    sim_request_doc, simulate_cached, CachedBatch, ExecutedWork, Provenance, SimPoint, SimRun,
+};
 pub use specs::{
     run_specs, run_specs_serviced, run_specs_with, ExperimentSpec, RenderedSpec, ResultSet,
-    SimRequest, SimScheme,
+    SimRequest,
 };
 pub use telemetry::{config_hash, Manifest, PoolStats, Progress};

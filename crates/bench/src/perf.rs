@@ -39,9 +39,7 @@ use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
 use lvp_json::{DecodeError, Fields, FromJson, Json, ToJson};
 use lvp_obs::{NullSink, PhaseSink};
 use lvp_store::{request_key, Store};
-use lvp_uarch::{
-    CoreConfig, ExecutionTier, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier,
-};
+use lvp_uarch::{CoreConfig, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier};
 
 /// The simcore phase's workload list (≥ 6, spanning suites and behaviours).
 pub const SIMCORE_WORKLOADS: [&str; 6] = [

@@ -20,8 +20,8 @@
 //!   (`results/golden/`), reporting per-counter deltas and failing on drift
 //!   beyond configurable [`Tolerances`].
 
-use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
-use crate::service::{par_map_cached, sim_request_doc};
+use crate::experiments::{SchemeKind, SchemeOutcome};
+use crate::service::{simulate_cached, SimPoint};
 use crate::telemetry::Progress;
 use lvp_json::{json_struct, DecodeError, FromJson, Json, ToJson};
 use lvp_obs::{NullPhases, PhaseSink};
@@ -134,6 +134,16 @@ impl JobSpec {
         }
     }
 
+    /// The simulation this job names.
+    pub fn point(&self) -> SimPoint<'_> {
+        SimPoint {
+            workload: &self.workload,
+            budget: self.budget,
+            scheme: self.scheme,
+            config: self.config(),
+        }
+    }
+
     /// Deterministic per-job seed: FNV-1a over the job identity. Identical
     /// specs get identical seeds on every run, machine, and thread schedule.
     pub fn seed(&self) -> u64 {
@@ -235,6 +245,21 @@ pub struct JobResult {
     pub suite: String,
     pub seed: u64,
     pub outcome: SchemeOutcome,
+}
+
+impl JobResult {
+    /// Files `outcome` under its job, with the workload's suite and the
+    /// job's seed.
+    pub fn new(spec: JobSpec, outcome: SchemeOutcome) -> JobResult {
+        JobResult {
+            suite: lvp_workloads::by_name(&spec.workload)
+                .map(|w| w.suite.to_string())
+                .unwrap_or_default(),
+            seed: spec.seed(),
+            spec,
+            outcome,
+        }
+    }
 }
 
 impl ToJson for JobResult {
@@ -422,53 +447,11 @@ pub fn run_matrix_serviced<P: PhaseSink>(
     service: &SimService,
 ) -> MatrixResults {
     let jobs = spec.expand();
-
-    // Phase 1: build each workload's trace once, in parallel.
-    let workload_list: Vec<lvp_workloads::Workload> = spec
-        .workloads
-        .iter()
-        .map(|w| lvp_workloads::by_name(w).unwrap_or_else(|| panic!("unknown workload '{w}'")))
-        .collect();
-    let mut span = phases.span(0, "build_traces");
-    let traces: Vec<lvp_trace::Trace> = par_map_metered(
-        &workload_list,
-        workers,
-        phases,
-        &Progress::off(),
-        |w| format!("trace:{}", w.name),
-        |t: &lvp_trace::Trace| (0, t.len() as u64),
-        |w| w.trace(spec.budget),
-    );
-    span.charge(0, traces.iter().map(|t| t.len() as u64).sum(), 0);
-    span.finish();
-
-    // Phase 2: run jobs; each result lands in its own index slot. Behind
-    // an enabled service, jobs whose request documents hit the store skip
-    // the pool entirely and their `job:` spans never exist.
-    let fingerprints: Vec<u64> = if service.enabled() {
-        traces.iter().map(lvp_trace::Trace::fingerprint).collect()
-    } else {
-        Vec::new()
-    };
-    let workload_index = |job: &JobSpec| {
-        spec.workloads
-            .iter()
-            .position(|w| *w == job.workload)
-            .expect("job came from this spec")
-    };
-    let mut span = phases.span(0, "simulate");
-    let batch = par_map_cached(
+    let outcomes = simulate_cached(
         service,
         &jobs,
-        |job| {
-            sim_request_doc(
-                fingerprints[workload_index(job)],
-                spec.budget,
-                job.scheme.name(),
-                &job.config(),
-            )
-        },
-        |_, payload| SchemeOutcome::from_json(payload).ok(),
+        JobSpec::point,
+        &[],
         workers,
         phases,
         progress,
@@ -480,26 +463,15 @@ pub fn run_matrix_serviced<P: PhaseSink>(
                 job.scheme.name()
             )
         },
-        |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
-        |job| run_scheme(&traces[workload_index(job)], job.scheme, &job.config()),
-    );
-    span.charge(
-        batch.executed.sim_cycles,
-        batch.executed.instructions,
-        batch.executed.jobs,
-    );
-    span.finish();
+    )
+    .outcomes
+    .results;
     MatrixResults {
         spec: spec.clone(),
         jobs: jobs
             .into_iter()
-            .zip(batch.results)
-            .map(|(job, outcome)| JobResult {
-                seed: job.seed(),
-                suite: workload_list[workload_index(&job)].suite.to_string(),
-                spec: job,
-                outcome,
-            })
+            .zip(outcomes)
+            .map(|(job, outcome)| JobResult::new(job, outcome))
             .collect(),
     }
 }

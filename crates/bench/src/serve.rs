@@ -26,9 +26,9 @@
 //! socket exists for latency (no polling); the file queue is the durable
 //! path and the only one the runner's `--client` mode uses.
 
-use crate::experiments::{run_scheme, SchemeOutcome};
-use crate::runner::{par_map, JobResult, JobSpec, MatrixResults, MatrixSpec};
-use crate::service::{par_map_cached, sim_request_doc, Provenance};
+use crate::experiments::SchemeOutcome;
+use crate::runner::{JobResult, JobSpec, MatrixResults, MatrixSpec};
+use crate::service::{simulate_cached, Provenance};
 use crate::telemetry::Progress;
 use lvp_json::{DecodeError, Fields, Json, ToJson};
 use lvp_obs::NullPhases;
@@ -156,10 +156,11 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
 
 /// Executes a batch behind the service and returns one response line per
 /// job, in request order, with its store `key` and [`Provenance`]. The
-/// batch runs through [`par_map_cached`], so identical requests are
-/// coalesced in flight: duplicates of a canonical key simulate once and
-/// report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
-/// instead of poisoning the whole batch.
+/// batch runs through [`simulate_cached`], so each `(workload, budget)` is
+/// traced once and identical requests are coalesced in flight: duplicates
+/// of a canonical key simulate once and report `"deduped"`. Jobs naming
+/// unknown workloads get an `"error"` line instead of poisoning the whole
+/// batch.
 pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -> Vec<Json> {
     // Response lines always carry keys, so a disabled service is stood in
     // for by a batch-local memo.
@@ -171,52 +172,22 @@ pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -
         &local
     };
 
-    // Trace and fingerprint each unique (workload, budget) once, shared
-    // across the batch.
     let valid: Vec<&JobSpec> = req
         .jobs
         .iter()
         .filter(|job| lvp_workloads::by_name(&job.workload).is_some())
         .collect();
-    let mut trace_specs: Vec<(&str, u64)> = Vec::new();
-    for job in &valid {
-        if !trace_specs.contains(&(&job.workload, job.budget)) {
-            trace_specs.push((&job.workload, job.budget));
-        }
-    }
-    let traces: Vec<(lvp_trace::Trace, u64)> = par_map(&trace_specs, workers, |&(w, budget)| {
-        let trace = lvp_workloads::by_name(w)
-            .expect("trace_specs holds only known workloads")
-            .trace(budget);
-        let fingerprint = trace.fingerprint();
-        (trace, fingerprint)
-    });
-    let trace_of = |job: &JobSpec| {
-        let i = trace_specs
-            .iter()
-            .position(|&(w, b)| w == job.workload && b == job.budget)
-            .expect("valid jobs are traced");
-        &traces[i]
-    };
-    let batch = par_map_cached(
+    let batch = simulate_cached(
         service,
         &valid,
-        |job| {
-            sim_request_doc(
-                trace_of(job).1,
-                job.budget,
-                job.scheme.name(),
-                &job.config(),
-            )
-        },
-        |_, payload| SchemeOutcome::from_json(payload).ok(),
+        |job| job.point(),
+        &[],
         workers,
         &NullPhases,
         &Progress::off(),
         |_| String::new(),
-        |_| (0, 0),
-        |job| run_scheme(&trace_of(job).0, job.scheme, &job.config()),
-    );
+    )
+    .outcomes;
 
     // Fan results back out to request order.
     let mut answered = batch
@@ -266,6 +237,40 @@ pub struct ServeStats {
     pub errors: u64,
 }
 
+/// The one request handler both transports share: parses a batch
+/// document, executes it, and counts the batch, its jobs and its error
+/// lines into `stats`. `claimed_id`, set for queue batches, is the id the
+/// request file's name carries; the document's id must match it, and error
+/// lines carry it.
+fn answer(
+    cfg: &ServeConfig,
+    service: &SimService,
+    text: &str,
+    claimed_id: Option<&str>,
+    stats: &mut ServeStats,
+) -> Vec<Json> {
+    let error = |msg: String| {
+        let id = claimed_id.map(|id| ("id", id.to_json()));
+        vec![Json::obj(id.into_iter().chain([("error", msg.to_json())]))]
+    };
+    let lines = match BatchRequest::parse(text) {
+        Err(e) => error(e),
+        Ok(req) if claimed_id.is_some_and(|id| id != req.id) => {
+            error(format!("batch id '{}' does not match filename", req.id))
+        }
+        Ok(req) => {
+            if !cfg.quiet {
+                eprintln!("serve: batch {} ({} jobs)", req.id, req.jobs.len());
+            }
+            stats.jobs += req.jobs.len() as u64;
+            execute_batch(&req, service, cfg.workers)
+        }
+    };
+    stats.batches += 1;
+    stats.errors += lines.iter().filter(|l| l.get("error").is_some()).count() as u64;
+    lines
+}
+
 fn handle_claimed(
     cfg: &ServeConfig,
     service: &SimService,
@@ -275,44 +280,21 @@ fn handle_claimed(
 ) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let lines = match BatchRequest::parse(&text) {
-        Ok(req) => {
-            if req.id != id {
-                vec![Json::obj([
-                    ("id", id.to_json()),
-                    (
-                        "error",
-                        Json::Str(format!("batch id '{}' does not match filename", req.id)),
-                    ),
-                ])]
-            } else {
-                if !cfg.quiet {
-                    eprintln!("serve: batch {} ({} jobs)", req.id, req.jobs.len());
-                }
-                stats.jobs += req.jobs.len() as u64;
-                execute_batch(&req, service, cfg.workers)
-            }
-        }
-        Err(e) => vec![Json::obj([("id", id.to_json()), ("error", e.to_json())])],
-    };
-    stats.batches += 1;
-    stats.errors += lines.iter().filter(|l| l.get("error").is_some()).count() as u64;
+    let lines = answer(cfg, service, &text, Some(id), stats);
     complete(&cfg.queue, id, &lines).map_err(|e| format!("cannot publish {id}: {e}"))
 }
 
 #[cfg(unix)]
 fn handle_socket_conn(
     stream: std::os::unix::net::UnixStream,
+    cfg: &ServeConfig,
     service: &SimService,
-    workers: usize,
+    stats: &mut ServeStats,
 ) -> std::io::Result<()> {
     let mut reader = std::io::BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
-    let lines = match BatchRequest::parse(&line) {
-        Ok(req) => execute_batch(&req, service, workers),
-        Err(e) => vec![Json::obj([("error", e.to_json())])],
-    };
+    let lines = answer(cfg, service, &line, None, stats);
     let mut stream = reader.into_inner();
     for l in &lines {
         stream.write_all(l.compact().as_bytes())?;
@@ -358,9 +340,8 @@ pub fn serve(cfg: &ServeConfig, service: &SimService) -> Result<ServeStats, Stri
         if let Some(listener) = &listener {
             while let Ok((conn, _)) = listener.accept() {
                 idle = false;
-                stats.batches += 1;
                 let _ = conn.set_nonblocking(false);
-                if let Err(e) = handle_socket_conn(conn, service, cfg.workers) {
+                if let Err(e) = handle_socket_conn(conn, cfg, service, &mut stats) {
                     eprintln!("serve: socket connection failed: {e}");
                     stats.errors += 1;
                 }
@@ -472,15 +453,7 @@ pub fn client_run_matrix(
         .into_iter()
         .zip(outcomes)
         .map(|(job, outcome)| {
-            let suite = lvp_workloads::by_name(&job.workload)
-                .map(|w| w.suite.to_string())
-                .unwrap_or_default();
-            JobResult {
-                seed: job.seed(),
-                suite,
-                spec: job,
-                outcome: outcome.expect("every index filled exactly once"),
-            }
+            JobResult::new(job, outcome.expect("every index filled exactly once"))
         })
         .collect();
     Ok((
@@ -724,12 +697,44 @@ mod tests {
         std::fs::remove_dir_all(&root).expect("cleanup");
     }
 
+    /// Sends `req` over a Unix socket to one `handle_socket_conn` call and
+    /// returns its response lines and the stats it counted.
+    #[cfg(unix)]
+    fn socket_round_trip(tag: &str, req: &BatchRequest) -> (Vec<Json>, ServeStats) {
+        let root = temp_queue(tag);
+        let sock = root.join("serve.sock");
+        queue_init(&root).expect("init");
+        let listener = std::os::unix::net::UnixListener::bind(&sock).expect("bind");
+        let cfg = ServeConfig {
+            queue: root.clone(),
+            workers: 2,
+            once: true,
+            poll_ms: 5,
+            socket: Some(sock.clone()),
+            quiet: true,
+        };
+        let server = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().expect("accept");
+            let mut stats = ServeStats::default();
+            handle_socket_conn(conn, &cfg, &SimService::in_memory(), &mut stats).expect("handle");
+            stats
+        });
+        let mut conn = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+        conn.write_all((req.to_json().compact() + "\n").as_bytes())
+            .expect("send");
+        let reader = std::io::BufReader::new(conn);
+        let lines = reader
+            .lines()
+            .map(|l| Json::parse(&l.expect("line")).expect("parse"))
+            .collect();
+        let stats = server.join().expect("server thread");
+        std::fs::remove_dir_all(&root).expect("cleanup");
+        (lines, stats)
+    }
+
     #[cfg(unix)]
     #[test]
     fn unix_socket_round_trips_a_batch() {
-        let root = temp_queue("sock");
-        let sock = root.join("serve.sock");
-        queue_init(&root).expect("init");
         let spec = MatrixSpec {
             workloads: vec!["aifirf".to_string()],
             schemes: vec![SchemeKind::Baseline],
@@ -741,22 +746,80 @@ mod tests {
             id: "b-sock".into(),
             jobs: spec.expand(),
         };
-        let listener = std::os::unix::net::UnixListener::bind(&sock).expect("bind");
-        let server = std::thread::spawn(move || {
-            let (conn, _) = listener.accept().expect("accept");
-            let svc = SimService::in_memory();
-            handle_socket_conn(conn, &svc, 2).expect("handle");
-        });
-        let mut conn = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
-        conn.write_all((req.to_json().compact() + "\n").as_bytes())
-            .expect("send");
-        let reader = std::io::BufReader::new(conn);
-        let lines: Vec<String> = reader.lines().map(|l| l.expect("line")).collect();
-        server.join().expect("server thread");
+        let (lines, _) = socket_round_trip("sock", &req);
         assert_eq!(lines.len(), 1);
-        let line = Json::parse(&lines[0]).expect("parse");
-        assert_eq!(line.get("source").and_then(Json::as_str), Some("computed"));
-        assert!(line.get("outcome").is_some());
-        std::fs::remove_dir_all(&root).expect("cleanup");
+        assert_eq!(
+            lines[0].get("source").and_then(Json::as_str),
+            Some("computed")
+        );
+        assert!(lines[0].get("outcome").is_some());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn socket_batches_count_jobs_and_error_lines_like_queue_batches() {
+        let mut jobs = tiny_spec().expand();
+        jobs.truncate(1);
+        jobs.push(JobSpec {
+            workload: "nonesuch".to_string(),
+            ..jobs[0].clone()
+        });
+        let req = BatchRequest {
+            id: "b-sock-mixed".into(),
+            jobs,
+        };
+        let (lines, stats) = socket_round_trip("sock-mixed", &req);
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].get("outcome").is_some());
+        assert!(lines[1].get("error").is_some());
+        assert_eq!(
+            stats,
+            ServeStats {
+                batches: 1,
+                jobs: 2,
+                errors: 1
+            }
+        );
+    }
+
+    #[test]
+    fn execute_batch_traces_per_budget_keeps_error_order_and_answers_empty_batches() {
+        let job = |workload: &str, budget: u64| JobSpec {
+            workload: workload.to_string(),
+            scheme: SchemeKind::Dlvp,
+            variant: ConfigVariant::Default,
+            budget,
+            sample: None,
+        };
+        let req = BatchRequest {
+            id: "b-mixed".into(),
+            jobs: vec![
+                job("aifirf", 3_000),
+                job("nonesuch", 3_000),
+                job("aifirf", 5_000),
+            ],
+        };
+        let lines = execute_batch(&req, &SimService::disabled(), 2);
+        assert_eq!(lines.len(), 3);
+        for (i, line) in lines.iter().enumerate() {
+            assert_eq!(line.get("index").and_then(Json::as_f64), Some(i as f64));
+        }
+        let err = lines[1].get("error").and_then(Json::as_str).expect("error");
+        assert_eq!(err, "unknown workload 'nonesuch'");
+        for i in [0, 2] {
+            let j = &req.jobs[i];
+            let trace = lvp_workloads::by_name(&j.workload)
+                .expect("workload")
+                .trace(j.budget);
+            let local = crate::experiments::run_scheme(&trace, j.scheme, &j.config());
+            assert_eq!(lines[i].get("outcome"), Some(&local.to_json()), "job {i}");
+        }
+        assert_ne!(lines[0].get("key"), lines[2].get("key"));
+
+        let empty = BatchRequest {
+            id: "b-empty".into(),
+            jobs: Vec::new(),
+        };
+        assert!(execute_batch(&empty, &SimService::in_memory(), 2).is_empty());
     }
 }

@@ -4,12 +4,13 @@
 //! it to the bench request models. It owns (a) the canonical *request
 //! document* shape every consumer hashes — so `figs`, `runner`, `serve`
 //! and `bench` share one key space and a result computed by any of them is
-//! a hit for all of them — and (b) [`par_map_cached`], the batch executor
-//! that consults the store, coalesces duplicate keys, shards only the
-//! misses across the [`par_map_metered`] pool, and records what it
-//! computed. Every key kind has exactly one payload shape: a `sim` request
-//! for a registry scheme stores a bare `SchemeOutcome`, one for the
-//! D-VTAGE extension a bare `SimStats`.
+//! a hit for all of them — and (b) [`simulate_cached`], the one
+//! lookup-or-run executor those three front ends share: it traces each
+//! workload once, keys every simulation, coalesces duplicate keys, shards
+//! only the misses across the [`par_map_metered`] pool, and records what it
+//! computed. Every `sim` key stores one payload shape, a bare
+//! [`SchemeOutcome`] — the D-VTAGE extension included, keyed by its scheme
+//! name `D-VTAGE`.
 //!
 //! Request documents embed the trace *fingerprint* rather than the
 //! workload name: a workload-generator edit changes the fingerprint and
@@ -17,11 +18,13 @@
 //! embedded fully resolved so a preset edit recomputes exactly the design
 //! points it touches (the incremental-`figs` property).
 
+use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
 use crate::runner::par_map_metered;
 use crate::telemetry::Progress;
 use lvp_json::{Json, ToJson};
 use lvp_obs::PhaseSink;
 use lvp_store::SimService;
+use lvp_trace::Trace;
 use lvp_uarch::SimConfig;
 use std::collections::HashMap;
 
@@ -87,11 +90,134 @@ pub struct CachedBatch<R> {
     pub executed: ExecutedWork,
 }
 
-/// [`par_map_metered`] behind a [`SimService`] — the one lookup-or-run
-/// executor. It keys every item, coalesces items whose key an earlier item
-/// already owns (in-flight dedup: the first occurrence owns the key, later
-/// ones borrow its result), looks each owner up, runs only the misses on
-/// the worker pool (same labels, same input-order slots), records what it
+/// One simulation: `scheme` on `workload`'s trace at `budget`, under
+/// `config`.
+pub struct SimPoint<'a> {
+    pub workload: &'a str,
+    pub budget: u64,
+    pub scheme: SchemeKind,
+    pub config: SimConfig,
+}
+
+/// What [`simulate_cached`] returns: every item's outcome (input order,
+/// with provenance and keys) and the traces it built, one per distinct
+/// `(workload, budget)` in first-seen order.
+pub struct SimRun<'a> {
+    pub outcomes: CachedBatch<SchemeOutcome>,
+    pub traces: Vec<((&'a str, u64), Trace)>,
+}
+
+/// The one cached-simulation executor behind `figs`, `runner` and
+/// `serve`. Each item names a [`SimPoint`] through `point`.
+///
+/// Builds each distinct `(workload, budget)` trace once, in parallel,
+/// under a lane-0 `build_traces` span (one `trace:<name>` span per trace,
+/// which also covers fingerprinting that trace when `service` is enabled;
+/// a disabled service fingerprints nothing); `also_trace` adds traces no
+/// item simulates but the caller reads. Then, under a
+/// lane-0 `simulate` span charged with the misses' simulated work, keys
+/// every item with [`sim_request_doc`], answers hits with their stored
+/// [`SchemeOutcome`], and runs the misses with [`run_scheme`] on the pool,
+/// each under a `label(item)` span.
+///
+/// # Panics
+///
+/// Panics if an item or `also_trace` names an unknown workload.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_cached<'a, T, F, L, P>(
+    service: &SimService,
+    items: &'a [T],
+    point: F,
+    also_trace: &[(&'a str, u64)],
+    workers: usize,
+    phases: &P,
+    progress: &Progress,
+    label: L,
+) -> SimRun<'a>
+where
+    T: Sync,
+    F: Fn(&'a T) -> SimPoint<'a>,
+    L: Fn(&T) -> String + Sync,
+    P: PhaseSink,
+{
+    let mut needs: Vec<(&'a str, u64)> = Vec::new();
+    let mut trace_index = |need: (&'a str, u64)| match needs.iter().position(|&n| n == need) {
+        Some(i) => i,
+        None => {
+            needs.push(need);
+            needs.len() - 1
+        }
+    };
+    for &need in also_trace {
+        trace_index(need);
+    }
+    let jobs: Vec<(&'a T, SimPoint<'a>, usize)> = items
+        .iter()
+        .map(|item| {
+            let p = point(item);
+            let t = trace_index((p.workload, p.budget));
+            (item, p, t)
+        })
+        .collect();
+
+    // Each worker fingerprints the trace it just built. A second pool pass
+    // for the fingerprints raised `serve`'s peak resident set by about half
+    // in the `serve_mixed` benchmark (allocator arena retention).
+    let enabled = service.enabled();
+    let mut span = phases.span(0, "build_traces");
+    let built: Vec<(Trace, Option<u64>)> = par_map_metered(
+        &needs,
+        workers,
+        phases,
+        &Progress::off(),
+        |(w, _)| format!("trace:{w}"),
+        |(t, _): &(Trace, Option<u64>)| (0, t.len() as u64),
+        |&(w, budget)| {
+            let trace = lvp_workloads::by_name(w)
+                .unwrap_or_else(|| panic!("unknown workload '{w}'"))
+                .trace(budget);
+            let fingerprint = enabled.then(|| trace.fingerprint());
+            (trace, fingerprint)
+        },
+    );
+    span.charge(0, built.iter().map(|(t, _)| t.len() as u64).sum(), 0);
+    span.finish();
+    let (traces, fingerprints): (Vec<Trace>, Vec<Option<u64>>) = built.into_iter().unzip();
+
+    let mut span = phases.span(0, "simulate");
+    let outcomes = par_map_cached(
+        service,
+        &jobs,
+        |(_, p, t)| {
+            let fingerprint =
+                fingerprints[*t].expect("an enabled service fingerprints every trace");
+            sim_request_doc(fingerprint, p.budget, p.scheme.name(), &p.config)
+        },
+        |_, payload| SchemeOutcome::from_json(payload).ok(),
+        workers,
+        phases,
+        progress,
+        |(item, _, _)| label(item),
+        |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
+        |(_, p, t)| run_scheme(&traces[*t], p.scheme, &p.config),
+    );
+    span.charge(
+        outcomes.executed.sim_cycles,
+        outcomes.executed.instructions,
+        outcomes.executed.jobs,
+    );
+    span.finish();
+    SimRun {
+        outcomes,
+        traces: needs.into_iter().zip(traces).collect(),
+    }
+}
+
+/// [`par_map_metered`] behind a [`SimService`], generic over the item and
+/// result types. It keys every item, coalesces items whose key an earlier
+/// item already owns (in-flight dedup: the first occurrence owns the key,
+/// later ones borrow its result), looks each owner up, runs only the misses
+/// on the worker pool (same labels, same input-order slots), records what it
 /// computed, and reassembles results in input order. A payload that
 /// `decode` rejects is recomputed, exactly like an absent entry; payloads
 /// are written with `R`'s [`ToJson`].
@@ -102,7 +228,7 @@ pub struct CachedBatch<R> {
 /// are still bit-identical because payloads round-trip losslessly; only the
 /// set of executed `job:` spans shrinks.
 #[allow(clippy::too_many_arguments)]
-pub fn par_map_cached<T, R, F, L, M, P, Q, D>(
+fn par_map_cached<T, R, F, L, M, P, Q, D>(
     service: &SimService,
     items: &[T],
     request_doc: Q,

@@ -5,33 +5,31 @@
 //! `(workload, scheme, preset)` triples — [`SimRequest`] — and (b) a pure
 //! `render` function that formats the collected [`ResultSet`] into the
 //! byte-exact text the retired one-binary-per-figure harnesses printed.
-//! [`run_specs`] dedups the requests across every selected spec, builds each
-//! workload trace once, and runs the unique simulations on the deterministic
-//! [`par_map_metered`] worker pool — so `figs --all` simulates each design point
-//! exactly once even when several figures share it, and its output is
-//! bit-identical for any worker count.
+//! [`run_specs`] dedups the requests across every selected spec and hands
+//! the unique simulations to [`simulate_cached`], which builds each
+//! workload trace once and runs them on the deterministic worker pool — so
+//! `figs --all` simulates each design point exactly once even when several
+//! figures share it, and its output is bit-identical for any worker count.
 //!
 //! Configurations are never constructed ad hoc here: every request names a
 //! `SimConfig` preset, so the full set of design points the evaluation
 //! explores is readable from `SimConfig::preset_names()` plus this file.
 
 use crate::analysis::analyze_workload;
-use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
+use crate::experiments::{SchemeKind, SchemeOutcome};
 use crate::report;
-use crate::runner::par_map_metered;
-use crate::service::{par_map_cached, sim_request_doc};
+use crate::service::{simulate_cached, SimPoint};
 use crate::telemetry::Progress;
 use dlvp::{
     evaluate_standalone, AddrEval, AddrWidth, AddressPredictor, AptLayout, Cap, CapConfig,
-    DlvpConfig, Dvtage, Pap, PapConfig, Vtage,
+    DlvpConfig, Pap, PapConfig, Vtage,
 };
 use lvp_analysis::{EdgeKind, XvalConfig};
 use lvp_energy::{PrfComparison, SramMacro};
-use lvp_json::{FromJson, Json, ToJson};
 use lvp_obs::{NullPhases, PhaseSink};
 use lvp_store::SimService;
 use lvp_trace::{repeat::THRESHOLDS, ConflictProfile, RepeatProfile, Trace};
-use lvp_uarch::{Core, CoreConfig, SimConfig, SimStats};
+use lvp_uarch::{CoreConfig, SimConfig, SimStats};
 use std::collections::{HashMap, HashSet};
 
 /// Appends one `println!`-equivalent line to a report string.
@@ -49,73 +47,13 @@ macro_rules! outln {
 // The request/result model
 // ---------------------------------------------------------------------------
 
-/// What to simulate: a registry scheme, or the D-VTAGE extension predictor
-/// (deliberately outside [`SchemeKind`] — it is an extension study, not one
-/// of the paper's compared schemes, and the batch-runner matrix must not
-/// grow a sixth arm).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SimScheme {
-    Kind(SchemeKind),
-    Dvtage,
-}
-
-impl SimScheme {
-    /// Stable display label (for telemetry span names).
-    pub fn label(self) -> &'static str {
-        match self {
-            SimScheme::Kind(k) => k.name(),
-            SimScheme::Dvtage => "dvtage",
-        }
-    }
-}
-
 /// One simulation a spec needs: `workload` under `scheme`, configured by
 /// the named `SimConfig` preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimRequest {
     pub workload: &'static str,
-    pub scheme: SimScheme,
+    pub scheme: SchemeKind,
     pub preset: &'static str,
-}
-
-/// One finished simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimOutput {
-    /// A registry scheme's full outcome.
-    Outcome(SchemeOutcome),
-    /// Bare stats (the D-VTAGE extension path).
-    Stats(SimStats),
-}
-
-impl SimOutput {
-    /// Decodes a result-store payload for a request of `scheme`: a registry
-    /// scheme's payload is a bare [`SchemeOutcome`] (the payload `runner`,
-    /// `serve` and `obs` store under the same key), D-VTAGE's a bare
-    /// [`SimStats`]. `None` on any shape mismatch (the caller treats that as
-    /// a cache miss and recomputes).
-    pub fn from_payload(scheme: SimScheme, j: &Json) -> Option<SimOutput> {
-        match scheme {
-            SimScheme::Kind(_) => SchemeOutcome::from_json(j).ok().map(SimOutput::Outcome),
-            SimScheme::Dvtage => SimStats::from_json(j).ok().map(SimOutput::Stats),
-        }
-    }
-
-    fn stats(&self) -> &SimStats {
-        match self {
-            SimOutput::Outcome(o) => &o.stats,
-            SimOutput::Stats(s) => s,
-        }
-    }
-}
-
-impl ToJson for SimOutput {
-    /// The result-store payload: the bare outcome or the bare stats.
-    fn to_json(&self) -> Json {
-        match self {
-            SimOutput::Outcome(o) => o.to_json(),
-            SimOutput::Stats(s) => s.to_json(),
-        }
-    }
 }
 
 /// Which traces a spec's `render` reads directly (beyond those implied by
@@ -146,8 +84,8 @@ pub struct ExperimentSpec {
 /// requested simulation's output, keyed by request.
 pub struct ResultSet {
     budget: u64,
-    traces: HashMap<&'static str, Trace>,
-    sims: HashMap<SimRequest, SimOutput>,
+    traces: HashMap<String, Trace>,
+    sims: HashMap<SimRequest, SchemeOutcome>,
 }
 
 impl ResultSet {
@@ -168,7 +106,7 @@ impl ResultSet {
             .unwrap_or_else(|| panic!("spec did not request a trace for '{workload}'"))
     }
 
-    /// One registry scheme's outcome.
+    /// One simulation's outcome.
     ///
     /// # Panics
     ///
@@ -176,44 +114,30 @@ impl ResultSet {
     pub fn outcome(
         &self,
         workload: &'static str,
-        kind: SchemeKind,
+        scheme: SchemeKind,
         preset: &'static str,
     ) -> &SchemeOutcome {
-        let req = SimRequest {
-            workload,
-            scheme: SimScheme::Kind(kind),
-            preset,
-        };
-        match self.sims.get(&req) {
-            Some(SimOutput::Outcome(o)) => o,
-            _ => panic!(
-                "spec did not request ({workload}, {}, {preset})",
-                kind.name()
-            ),
-        }
-    }
-
-    /// Any simulation's stats (works for both registry schemes and the
-    /// D-VTAGE extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's `sims` did not request this combination.
-    pub fn stats(
-        &self,
-        workload: &'static str,
-        scheme: SimScheme,
-        preset: &'static str,
-    ) -> &SimStats {
         let req = SimRequest {
             workload,
             scheme,
             preset,
         };
-        match self.sims.get(&req) {
-            Some(out) => out.stats(),
-            None => panic!("spec did not request ({workload}, {scheme:?}, {preset})"),
-        }
+        self.sims.get(&req).unwrap_or_else(|| {
+            panic!(
+                "spec did not request ({workload}, {}, {preset})",
+                scheme.name()
+            )
+        })
+    }
+
+    /// One simulation's stats (see [`ResultSet::outcome`]).
+    pub fn stats(
+        &self,
+        workload: &'static str,
+        scheme: SchemeKind,
+        preset: &'static str,
+    ) -> &SimStats {
+        &self.outcome(workload, scheme, preset).stats
     }
 }
 
@@ -223,22 +147,9 @@ pub struct RenderedSpec {
     pub text: String,
 }
 
-/// Runs one simulation request against its workload's trace. Pure: the
-/// configuration comes from the named preset, all predictor state is
-/// per-call.
-fn run_request(req: &SimRequest, trace: &Trace) -> SimOutput {
-    let cfg = SimConfig::preset(req.preset).expect("spec requests name registered presets");
-    match req.scheme {
-        SimScheme::Kind(kind) => SimOutput::Outcome(run_scheme(trace, kind, &cfg)),
-        SimScheme::Dvtage => {
-            SimOutput::Stats(Core::new(cfg.core.clone(), Dvtage::paper_default()).run(trace))
-        }
-    }
-}
-
-/// Executes the selected specs: dedups their simulation requests, builds
-/// each needed trace once, runs the unique simulations on the [`par_map_metered`]
-/// pool, and renders every spec from the shared [`ResultSet`].
+/// Executes the selected specs: dedups their simulation requests, runs
+/// the unique simulations through [`simulate_cached`] (each needed trace
+/// built once), and renders every spec from the shared [`ResultSet`].
 ///
 /// Deterministic end to end: request order is first-seen spec order, the
 /// pool writes results into per-index slots, and renders are pure — the
@@ -297,61 +208,37 @@ pub fn run_specs_serviced<P: PhaseSink>(
     }
     service.note_deduped(duplicates);
 
-    let need_all = specs.iter().any(|s| matches!(s.traces, TraceNeed::All));
-    let workload_names: Vec<&'static str> = lvp_workloads::names()
-        .into_iter()
-        .filter(|name| need_all || requests.iter().any(|r| r.workload == *name))
-        .collect();
-    let mut span = phases.span(0, "build_traces");
-    let built = par_map_metered(
-        &workload_names,
-        workers,
-        phases,
-        &Progress::off(),
-        |name| format!("trace:{name}"),
-        |t: &Trace| (0, t.len() as u64),
-        |name| {
-            lvp_workloads::by_name(name)
-                .unwrap_or_else(|| panic!("unknown workload '{name}'"))
-                .trace(budget)
-        },
-    );
-    span.charge(0, built.iter().map(|t| t.len() as u64).sum(), 0);
-    span.finish();
-    let traces: HashMap<&'static str, Trace> = workload_names.iter().copied().zip(built).collect();
-
-    let fingerprints: HashMap<&'static str, u64> = if service.enabled() {
-        traces
-            .iter()
-            .map(|(name, t)| (*name, t.fingerprint()))
+    // Trace-profiling renders read every workload's trace.
+    let also_trace: Vec<(&str, u64)> = if specs.iter().any(|s| s.traces == TraceNeed::All) {
+        lvp_workloads::names()
+            .into_iter()
+            .map(|name| (name, budget))
             .collect()
     } else {
-        HashMap::new()
+        Vec::new()
     };
-    let mut span = phases.span(0, "simulate");
-    let batch = par_map_cached(
+    let run = simulate_cached(
         service,
         &requests,
-        |req| {
-            let cfg = SimConfig::preset(req.preset).expect("spec requests name registered presets");
-            sim_request_doc(fingerprints[req.workload], budget, req.scheme.label(), &cfg)
+        |req| SimPoint {
+            workload: req.workload,
+            budget,
+            scheme: req.scheme,
+            config: SimConfig::preset(req.preset).expect("spec requests name registered presets"),
         },
-        |req, payload| SimOutput::from_payload(req.scheme, payload),
+        &also_trace,
         workers,
         phases,
         progress,
-        |req| format!("job:{}/{}/{}", req.workload, req.preset, req.scheme.label()),
-        |out| (out.stats().cycles, out.stats().instructions),
-        |req| run_request(req, &traces[req.workload]),
+        |req| format!("job:{}/{}/{}", req.workload, req.preset, req.scheme.name()),
     );
-    span.charge(
-        batch.executed.sim_cycles,
-        batch.executed.instructions,
-        batch.executed.jobs,
-    );
-    span.finish();
-    let sims: HashMap<SimRequest, SimOutput> =
-        requests.iter().copied().zip(batch.results).collect();
+    let sims: HashMap<SimRequest, SchemeOutcome> =
+        requests.iter().copied().zip(run.outcomes.results).collect();
+    let traces: HashMap<String, Trace> = run
+        .traces
+        .into_iter()
+        .map(|((name, _), trace)| (name.to_string(), trace))
+        .collect();
 
     let set = ResultSet {
         budget,
@@ -373,18 +260,19 @@ pub fn run_specs_serviced<P: PhaseSink>(
 // Request builders
 // ---------------------------------------------------------------------------
 
-const BASE: SimScheme = SimScheme::Kind(SchemeKind::Baseline);
-const DLVP: SimScheme = SimScheme::Kind(SchemeKind::Dlvp);
-const CAP: SimScheme = SimScheme::Kind(SchemeKind::Cap);
-const VTAGE: SimScheme = SimScheme::Kind(SchemeKind::Vtage);
-const TOURNAMENT: SimScheme = SimScheme::Kind(SchemeKind::Tournament);
+const BASE: SchemeKind = SchemeKind::Baseline;
+const DLVP: SchemeKind = SchemeKind::Dlvp;
+const CAP: SchemeKind = SchemeKind::Cap;
+const VTAGE: SchemeKind = SchemeKind::Vtage;
+const DVTAGE: SchemeKind = SchemeKind::Dvtage;
+const TOURNAMENT: SchemeKind = SchemeKind::Tournament;
 
 fn no_sims() -> Vec<SimRequest> {
     Vec::new()
 }
 
 /// Every workload crossed with the given `(scheme, preset)` pairs.
-fn across_workloads(pairs: &[(SimScheme, &'static str)]) -> Vec<SimRequest> {
+fn across_workloads(pairs: &[(SchemeKind, &'static str)]) -> Vec<SimRequest> {
     let mut v = Vec::with_capacity(lvp_workloads::names().len() * pairs.len());
     for name in lvp_workloads::names() {
         for &(scheme, preset) in pairs {
@@ -918,7 +806,7 @@ const FIG07_VARIANTS: &[(&str, &str)] = &[
 ];
 
 fn fig07_sims() -> Vec<SimRequest> {
-    let mut pairs: Vec<(SimScheme, &'static str)> = vec![(BASE, "default")];
+    let mut pairs: Vec<(SchemeKind, &'static str)> = vec![(BASE, "default")];
     for &(_, preset) in FIG07_VARIANTS {
         pairs.push((VTAGE, preset));
     }
@@ -1172,12 +1060,9 @@ fn fig10_render(set: &ResultSet) -> String {
         let (mut flush, mut replay) = (Vec::new(), Vec::new());
         for w in lvp_workloads::all() {
             let base = set.stats(w.name, BASE, "default");
-            flush.push(
-                set.stats(w.name, SimScheme::Kind(scheme), "default")
-                    .speedup_over(base),
-            );
+            flush.push(set.stats(w.name, scheme, "default").speedup_over(base));
             replay.push(
-                set.stats(w.name, SimScheme::Kind(scheme), "oracle_replay")
+                set.stats(w.name, scheme, "oracle_replay")
                     .speedup_over(base),
             );
         }
@@ -1531,7 +1416,7 @@ const DLVP_FPC_ROWS: &[(&str, &str, &str)] = &[
 ];
 
 fn ablation_dlvp_sims() -> Vec<SimRequest> {
-    let mut pairs: Vec<(SimScheme, &'static str)> = vec![(BASE, "default")];
+    let mut pairs: Vec<(SchemeKind, &'static str)> = vec![(BASE, "default")];
     for &(_, preset) in DLVP_ABLATION_ROWS {
         pairs.push((DLVP, preset));
     }
@@ -1640,7 +1525,7 @@ fn ext_dvtage_sims() -> Vec<SimRequest> {
     across_workloads(&[
         (BASE, "default"),
         (VTAGE, "default"),
-        (SimScheme::Dvtage, "default"),
+        (DVTAGE, "default"),
         (DLVP, "default"),
     ])
 }
@@ -1670,7 +1555,7 @@ fn ext_dvtage_render(set: &ResultSet) -> String {
     for w in lvp_workloads::all() {
         let base = set.stats(w.name, BASE, "default");
         let v = set.stats(w.name, VTAGE, "default");
-        let dv = set.stats(w.name, SimScheme::Dvtage, "default");
+        let dv = set.stats(w.name, DVTAGE, "default");
         let d = set.stats(w.name, DLVP, "default");
         outln!(
             o,

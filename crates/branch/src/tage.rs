@@ -210,13 +210,6 @@ impl Tage {
 
         self.history.push(taken);
     }
-
-    /// Advances history for a branch that needs no direction prediction
-    /// (unconditional transfers still shape history in most designs; we use
-    /// taken=true).
-    pub fn note_unconditional(&mut self) {
-        self.history.push(true);
-    }
 }
 
 /// Saturating bump of a signed counter with `bits` bits.

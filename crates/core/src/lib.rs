@@ -17,9 +17,7 @@
 //! * [`Cap`] — the Correlated Address Predictor baseline (Bekerman et al.);
 //! * [`Vtage`] — the VTAGE value-prediction baseline with the paper's
 //!   ISA-specific opcode filters (vanilla/dynamic/static × loads-only/all);
-//! * [`Tournament`] — the DLVP+VTAGE chooser combination of §5.2.3;
-//! * [`classic`] — LVP and stride value predictors from the related-work
-//!   taxonomy.
+//! * [`Tournament`] — the DLVP+VTAGE chooser combination of §5.2.3.
 //!
 //! All schemes plug into the cycle-level core model of `lvp-uarch` through
 //! its `VpScheme` trait.
@@ -35,7 +33,6 @@
 
 pub mod addr;
 pub mod cap;
-pub mod classic;
 pub mod dvtage;
 pub mod engine;
 pub mod fpc;

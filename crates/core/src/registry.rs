@@ -8,6 +8,7 @@
 //! umbrella suite's `scheme_registry` test pins the boxed path to
 //! stat-identical results with the generic path.
 
+use crate::dvtage::Dvtage;
 use crate::engine::Dlvp;
 use crate::pap::Pap;
 use crate::tournament::Tournament;
@@ -25,6 +26,9 @@ pub enum SchemeKind {
     Cap,
     Vtage,
     Tournament,
+    /// The D-VTAGE extension study: not one of the paper's compared
+    /// schemes, so it stays out of [`SchemeKind::all`].
+    Dvtage,
 }
 
 impl SchemeKind {
@@ -38,6 +42,7 @@ impl SchemeKind {
             SchemeKind::Cap => "CAP",
             SchemeKind::Vtage => "VTAGE",
             SchemeKind::Tournament => "DLVP+VTAGE",
+            SchemeKind::Dvtage => "D-VTAGE",
         }
     }
 
@@ -50,10 +55,12 @@ impl SchemeKind {
             SchemeKind::Cap => "cap",
             SchemeKind::Vtage => "vtage",
             SchemeKind::Tournament => "tournament",
+            SchemeKind::Dvtage => "dvtage",
         }
     }
 
-    /// Every scheme, in the order used by the figures.
+    /// Every scheme the paper compares, in the order used by the figures
+    /// (the batch-runner matrix; D-VTAGE is not among them).
     pub fn all() -> [SchemeKind; 5] {
         [
             SchemeKind::Baseline,
@@ -64,18 +71,13 @@ impl SchemeKind {
         ]
     }
 
-    /// Parses a scheme from its display name (case-insensitive; accepts
-    /// `tournament` as an alias for `DLVP+VTAGE`).
+    /// Parses a scheme from its display name or its label, D-VTAGE
+    /// included (case-insensitive, so `tournament` names `DLVP+VTAGE`).
     pub fn from_name(name: &str) -> Option<SchemeKind> {
-        let lower = name.to_ascii_lowercase();
         Self::all()
             .into_iter()
-            .find(|s| s.name().to_ascii_lowercase() == lower)
-            .or(if lower == "tournament" {
-                Some(SchemeKind::Tournament)
-            } else {
-                None
-            })
+            .chain([SchemeKind::Dvtage])
+            .find(|s| s.name().eq_ignore_ascii_case(name) || s.label().eq_ignore_ascii_case(name))
     }
 
     /// Builds the configured scheme as a boxed trait object.
@@ -89,6 +91,7 @@ impl SchemeKind {
                 Dlvp::new(cfg.dlvp, Pap::new(cfg.pap)),
                 Vtage::new(cfg.vtage.clone()),
             )),
+            SchemeKind::Dvtage => Box::new(Dvtage::paper_default()),
         }
     }
 }
@@ -114,10 +117,14 @@ mod tests {
 
     #[test]
     fn names_and_labels_round_trip() {
-        for s in SchemeKind::all() {
+        for s in SchemeKind::all().into_iter().chain([SchemeKind::Dvtage]) {
             assert_eq!(SchemeKind::from_name(s.name()), Some(s));
             assert_eq!(SchemeKind::from_name(s.label()), Some(s));
+            assert_eq!(SchemeKind::from_json(&s.to_json()), Ok(s));
         }
+        assert_eq!(SchemeKind::Dvtage.name(), "D-VTAGE");
+        assert_eq!(SchemeKind::Dvtage.label(), "dvtage");
+        assert!(!SchemeKind::all().contains(&SchemeKind::Dvtage));
         assert_eq!(SchemeKind::from_name("nonesuch"), None);
     }
 
@@ -149,7 +156,7 @@ mod tests {
         let t = lvp_workloads::by_name("aifirf")
             .expect("workload")
             .trace(8_000);
-        for kind in SchemeKind::all() {
+        for kind in SchemeKind::all().into_iter().chain([SchemeKind::Dvtage]) {
             let boxed = lvp_uarch::simulate(&t, kind.build(&cfg));
             let concrete = match kind {
                 SchemeKind::Baseline => lvp_uarch::simulate(&t, NoVp),
@@ -157,6 +164,7 @@ mod tests {
                 SchemeKind::Cap => lvp_uarch::simulate(&t, crate::engine::dlvp_with_cap()),
                 SchemeKind::Vtage => lvp_uarch::simulate(&t, Vtage::paper_default()),
                 SchemeKind::Tournament => lvp_uarch::simulate(&t, Tournament::new()),
+                SchemeKind::Dvtage => lvp_uarch::simulate(&t, Dvtage::paper_default()),
             };
             assert_eq!(boxed, concrete, "{} diverged", kind.name());
         }

@@ -46,7 +46,7 @@ use lvp_emu::{Emulator, RunOutcome, StopReason};
 use lvp_json::{json_struct, FromJson, ToJson};
 use lvp_obs::{LifecycleReport, RingSink, RunMeta};
 use lvp_store::SimService;
-use lvp_uarch::{Core, ExecutionTier, FunctionalTier, SimConfig, SimStats};
+use lvp_uarch::{Core, FunctionalTier, SimConfig, SimStats};
 use std::collections::BTreeMap;
 
 /// Configuration for one oracle evaluation.

@@ -148,9 +148,9 @@ impl SimService {
     /// `request` is only built when the service is enabled, so a disabled
     /// service computes no key (nor whatever the request document needs,
     /// such as a trace fingerprint). A payload that `decode` rejects is
-    /// recomputed, exactly like an absent entry. Batch consumers use
-    /// `lvp_bench::service::par_map_cached`, which shards the misses of
-    /// many requests across a worker pool.
+    /// recomputed, exactly like an absent entry. Batch simulations go through
+    /// `lvp_bench::simulate_cached`, which shards the misses of many
+    /// requests across a worker pool.
     pub fn cached<T>(
         &self,
         request: impl FnOnce() -> Json,

@@ -224,13 +224,6 @@ impl SimStats {
         }
     }
 
-    /// The host-telemetry accounting pair: simulated work as `(sim_cycles,
-    /// instructions)`, the two counters every host phase span and telemetry
-    /// manifest attributes wall-clock time to.
-    pub fn sim_work(&self) -> (u64, u64) {
-        (self.cycles, self.instructions)
-    }
-
     /// Simulated cycles per wall-clock second for a run that took `wall_ns`
     /// of host time — the throughput number the `bench --check` regression
     /// gate watches. Zero when `wall_ns` is zero.

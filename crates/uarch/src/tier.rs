@@ -1,16 +1,16 @@
-//! Pluggable execution tiers and the fast-forward + sampled driver.
+//! Cheap execution tiers and the fast-forward + sampled driver.
 //!
 //! The cycle-level [`Core`] is one way to consume a trace; it
-//! is also by far the most expensive. This module abstracts "a thing that
-//! turns a trace into [`SimStats`]" behind [`ExecutionTier`] so harnesses
-//! can swap timing fidelity for speed:
+//! is also by far the most expensive. The cheaper tiers turn a trace into
+//! [`SimStats`] at lower timing fidelity:
 //!
 //! * [`FunctionalTier`] — atomic execution: architectural counters only,
 //!   one "cycle" per instruction. The speed ceiling of the simulator.
 //! * [`SimpleTier`] — a 1-cycle-per-instruction in-order timing model that
 //!   still charges real memory-hierarchy latencies for loads and stores.
-//! * [`OooTier`] — the full out-of-order core, unchanged: it produces
-//!   bit-identical stats to calling [`Core::run`] directly.
+//!
+//! Both only promise that architectural counters (instructions, loads,
+//! stores, branches) reflect the trace exactly.
 //!
 //! [`run_sampled`] combines the tiers SMARTS-style: skip a fast-forward
 //! prefix functionally, then alternate per-period `warmup` windows (the
@@ -28,18 +28,6 @@ use crate::vp::VpScheme;
 use lvp_mem::MemoryHierarchy;
 use lvp_obs::{EventSink, ObsEvent, TierKind};
 use lvp_trace::{Trace, TraceRecord};
-
-/// Anything that can execute a trace and report statistics. The fidelity of
-/// the numbers — and the wall-clock cost of producing them — is the tier's
-/// choice; the contract is only that architectural counters (instructions,
-/// loads, stores, branches) reflect the trace exactly.
-pub trait ExecutionTier {
-    /// Short stable name for reports and bench phases.
-    fn name(&self) -> &'static str;
-
-    /// Executes the whole trace and returns the statistics.
-    fn run(&mut self, trace: &Trace) -> SimStats;
-}
 
 /// Burns host time without touching simulated state — the same wall-clock
 /// tax as [`Core::set_host_spin`], used by `bench --inject-slowdown` to
@@ -87,14 +75,9 @@ impl FunctionalTier {
     pub fn set_host_spin(&mut self, iters: u32) {
         self.spin = iters;
     }
-}
 
-impl ExecutionTier for FunctionalTier {
-    fn name(&self) -> &'static str {
-        "functional"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
+    /// Executes the whole trace and returns the statistics.
+    pub fn run(&self, trace: &Trace) -> SimStats {
         let mut stats = SimStats::default();
         for rec in trace.records() {
             host_spin(self.spin);
@@ -126,14 +109,9 @@ impl SimpleTier {
     pub fn set_host_spin(&mut self, iters: u32) {
         self.spin = iters;
     }
-}
 
-impl ExecutionTier for SimpleTier {
-    fn name(&self) -> &'static str {
-        "simple"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
+    /// Executes the whole trace and returns the statistics.
+    pub fn run(&self, trace: &Trace) -> SimStats {
         let mut stats = SimStats::default();
         let mut mem = MemoryHierarchy::new(self.cfg.mem);
         for rec in trace.records() {
@@ -147,54 +125,6 @@ impl ExecutionTier for SimpleTier {
             }
         }
         stats.mem = mem.stats();
-        stats
-    }
-}
-
-/// The full out-of-order core as a tier. Running a trace through this is
-/// bit-identical to building a [`Core`] over the same config and scheme and
-/// calling [`Core::run`] — the tier only adds the plumbing that lets it sit
-/// behind the same interface as the cheap tiers.
-pub struct OooTier<S: VpScheme> {
-    cfg: CoreConfig,
-    scheme: Option<S>,
-    spin: u32,
-}
-
-impl<S: VpScheme> OooTier<S> {
-    /// Builds the tier around `scheme`.
-    pub fn new(cfg: CoreConfig, scheme: S) -> OooTier<S> {
-        OooTier {
-            cfg,
-            scheme: Some(scheme),
-            spin: 0,
-        }
-    }
-
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-
-    /// The scheme, for post-run counter inspection.
-    pub fn scheme(&self) -> &S {
-        self.scheme
-            .as_ref()
-            .expect("scheme is present between runs")
-    }
-}
-
-impl<S: VpScheme> ExecutionTier for OooTier<S> {
-    fn name(&self) -> &'static str {
-        "ooo"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
-        let scheme = self.scheme.take().expect("scheme is present between runs");
-        let mut core = Core::new(self.cfg.clone(), scheme);
-        core.set_host_spin(self.spin);
-        let (stats, scheme) = core.run_with_scheme(trace);
-        self.scheme = Some(scheme);
         stats
     }
 }
@@ -353,20 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn ooo_tier_is_bit_identical_to_direct_core_run() {
-        for name in ["aifirf", "nat", "viterbi"] {
-            let t = trace(name, 20_000);
-            let direct = simulate(&t, NoVp);
-            let mut tier = OooTier::new(CoreConfig::default(), NoVp);
-            assert_eq!(tier.name(), "ooo");
-            assert_eq!(tier.run(&t), direct, "{name}: tier != direct core run");
-            // A second run through the same tier reuses the (stateless)
-            // scheme.
-            assert_eq!(tier.run(&t), direct, "{name}: tier is not idempotent");
-        }
-    }
-
-    #[test]
     fn functional_tier_matches_ooo_architectural_counters() {
         let t = trace("nat", 20_000);
         let ooo = simulate(&t, NoVp);
@@ -385,8 +301,7 @@ mod tests {
     #[test]
     fn simple_tier_sits_between_functional_and_ooo() {
         let t = trace("autcor", 20_000);
-        let mut tier = SimpleTier::new(CoreConfig::default());
-        let s = tier.run(&t);
+        let s = SimpleTier::new(CoreConfig::default()).run(&t);
         assert_eq!(s.instructions, t.len() as u64);
         assert!(
             s.cycles >= s.instructions,

@@ -27,8 +27,8 @@ fn generic_and_boxed_dlvp_are_stat_identical() {
     }
 }
 
-/// Every registered scheme, built boxed, matches its historical generic
-/// constructor under the paper-default config.
+/// Every registered scheme, D-VTAGE included, built boxed, matches its
+/// historical generic constructor under the paper-default config.
 #[test]
 fn every_scheme_boxed_matches_generic() {
     use dlvp::SchemeKind;
@@ -36,7 +36,7 @@ fn every_scheme_boxed_matches_generic() {
     let t = lvp_workloads::by_name("nat")
         .expect("workload")
         .trace(12_000);
-    for kind in SchemeKind::all() {
+    for kind in SchemeKind::all().into_iter().chain([SchemeKind::Dvtage]) {
         let boxed = simulate(&t, kind.build(&cfg));
         let generic = match kind {
             SchemeKind::Baseline => simulate(&t, NoVp),
@@ -44,6 +44,7 @@ fn every_scheme_boxed_matches_generic() {
             SchemeKind::Cap => simulate(&t, dlvp::dlvp_with_cap()),
             SchemeKind::Vtage => simulate(&t, dlvp::Vtage::paper_default()),
             SchemeKind::Tournament => simulate(&t, dlvp::Tournament::new()),
+            SchemeKind::Dvtage => simulate(&t, dlvp::Dvtage::paper_default()),
         };
         assert_eq!(generic, boxed, "{}: boxed path diverged", kind.name());
     }
