@@ -165,6 +165,35 @@ assert entries == 0, f"a rejected batch stored {entries} entries"
 print("serve rejected the degenerate sample spec:", lines[0]["error"])
 EOF
 
+echo "== serve trace gate (a repeated batch is all hits and builds no trace) =="
+# Two identical batches dropped straight into the queue, drained by one
+# warm server: the first traces each distinct (workload, budget) once, the
+# second is answered from the store with no trace built or fingerprinted.
+mkdir -p "$tmp/trace_queue/new"
+cat > "$tmp/trace_batch.json" <<'EOF'
+{"schema_version": 1, "id": "ID", "jobs": [
+  {"workload": "aifirf", "scheme": "baseline", "variant": "default", "budget": 10000},
+  {"workload": "aifirf", "scheme": "dlvp", "variant": "default", "budget": 10000},
+  {"workload": "perlbmk", "scheme": "dlvp", "variant": "default", "budget": 10000},
+  {"workload": "aifirf", "scheme": "dlvp", "variant": "default", "budget": 20000}]}
+EOF
+for id in traced-1 traced-2; do
+  sed "s/\"ID\"/\"$id\"/" "$tmp/trace_batch.json" > "$tmp/trace_queue/new/$id.json"
+done
+served="$(./target/release/serve --queue "$tmp/trace_queue" --once --quiet)"
+python3 - "$served" "$tmp/trace_batch.json" "$tmp/trace_queue/done" <<'EOF'
+import json, re, sys
+served, batch, done = sys.argv[1:]
+jobs = json.load(open(batch))["jobs"]
+pairs = len({(j["workload"], j["budget"]) for j in jobs})
+traced = int(re.search(r"traced (\d+)", served).group(1))
+assert traced == pairs, f"serve built {traced} traces for {pairs} distinct (workload, budget) pairs: {served}"
+warm = [json.loads(l) for l in open(f"{done}/traced-2.jsonl")]
+sources = [l.get("source") for l in warm]
+assert len(warm) == len(jobs) and set(sources) == {"store"}, f"repeated batch was not all hits: {sources}"
+print(f"serve: {traced} traces for {pairs} distinct pairs; the repeated batch is {len(warm)} store hits")
+EOF
+
 echo "== obs smoke (trace artifacts are schedule-invariant) =="
 ./target/release/obs run --workload aifirf --scheme dlvp --budget 10000 \
   --trace-out "$tmp/obs1.chrome.json" --report-out "$tmp/obs1.report.json"
@@ -221,14 +250,21 @@ if ./target/release/bench --check --inject-slowdown \
 fi
 echo "throughput gate passes at HEAD and catches the injected slowdown"
 
-echo "== benchmark harness tests (benchmark/ compiles against the public API) =="
+echo "== benchmark harness tests + serve_mixed cross-check =="
 # Building benchmark/ adds one line to its lock file (dlvp's lvp-analysis
-# edge); restore the committed file so the checkout stays untouched.
+# edge); restore the committed file so the checkout stays untouched. The
+# traced serve_mixed smoke replays served batches layer by layer and fails
+# unless its keys, sim_request_doc over trace.fingerprint(), and every
+# response line equal execute_batch's.
 cp benchmark/Cargo.lock "$tmp/benchmark.Cargo.lock"
 status=0
 cargo test -q --offline --manifest-path benchmark/Cargo.toml || status=$?
+if [ "$status" -eq 0 ]; then
+  benchmark/run.sh --workload serve_mixed --quick --traced --seed 1 \
+    > "$tmp/serve_mixed.log" 2>&1 || { status=$?; tail -20 "$tmp/serve_mixed.log" >&2; }
+fi
 cp "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock
 [ "$status" -eq 0 ]
-echo "benchmark harness builds and its tests pass"
+echo "benchmark harness builds, its tests pass, and traced serve_mixed has 0 failed"
 
 echo "CI OK"

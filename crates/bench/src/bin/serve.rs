@@ -15,7 +15,8 @@
 //!
 //! * `--once` drains the pending backlog and exits (CI smoke tests).
 //! * `--socket PATH` also answers batches over a Unix socket: one compact
-//!   request line in, response lines out.
+//!   request line in, response lines out. A connection wakes the server at
+//!   once; `--poll-ms` (default 50) paces only the queue scans.
 //!
 //! Submit work with `runner --client DIR` (byte-identical `matrix.json` to
 //! a local run) or by dropping request files into the queue directly.
@@ -76,8 +77,15 @@ fn run(args: &mut Args) -> cli::Result<ExitCode> {
     let stats = serve(&cfg, &service)?;
     let c = service.counters();
     println!(
-        "serve: {} batches, {} jobs ({} errors); store hits {} misses {} writes {} deduped {}",
-        stats.batches, stats.jobs, stats.errors, c.hits, c.misses, c.writes, c.deduped
+        "serve: {} batches, {} jobs ({} errors), traced {}; store hits {} misses {} writes {} deduped {}",
+        stats.batches,
+        stats.jobs,
+        stats.errors,
+        stats.traced,
+        c.hits,
+        c.misses,
+        c.writes,
+        c.deduped
     );
     Ok(if stats.errors > 0 {
         ExitCode::FAILURE

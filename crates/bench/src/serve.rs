@@ -23,8 +23,17 @@
 //!
 //! The same request/response documents flow over the optional Unix socket
 //! (`--socket`): one compact request line in, response lines out. The
-//! socket exists for latency (no polling); the file queue is the durable
-//! path and the only one the runner's `--client` mode uses.
+//! socket exists for latency: a dedicated thread accepts connections and
+//! reads each request line off the serving thread, so a connecting client
+//! wakes the server at once and a client that connects and stays silent
+//! holds up nobody. The file queue is the durable path, scanned every
+//! `poll_ms`, and the only one the runner's `--client` mode uses. Batches
+//! from either transport execute one at a time.
+//!
+//! Execution goes through [`simulate_cached`], whose fingerprint memo makes
+//! a warm server answer a batch of hits from the store alone: no trace is
+//! built and none is fingerprinted. `ServeStats::traced` counts the traces
+//! a server did build.
 
 use crate::experiments::SchemeOutcome;
 use crate::runner::{JobResult, JobSpec, MatrixResults, MatrixSpec};
@@ -34,8 +43,10 @@ use lvp_json::{DecodeError, Fields, Json, ToJson};
 use lvp_obs::NullPhases;
 use lvp_store::SimService;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Version stamp on every batch request; bumped when the job document
 /// shape changes so a stale client fails loudly instead of mis-parsing.
@@ -156,12 +167,18 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
 
 /// Executes a batch behind the service and returns one response line per
 /// job, in request order, with its store `key` and [`Provenance`]. The
-/// batch runs through [`simulate_cached`], so each `(workload, budget)` is
-/// traced once and identical requests are coalesced in flight: duplicates
-/// of a canonical key simulate once and report `"deduped"`. Jobs naming
-/// unknown workloads get an `"error"` line instead of poisoning the whole
-/// batch.
+/// batch runs through [`simulate_cached`], so a `(workload, budget)` is
+/// traced at most once, and only when this process has not fingerprinted
+/// it yet or one of its jobs misses the store; identical requests are
+/// coalesced in flight: duplicates of a canonical key simulate once and
+/// report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
+/// instead of poisoning the whole batch.
 pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -> Vec<Json> {
+    execute(req, service, workers).0
+}
+
+/// [`execute_batch`], plus the number of traces the batch built.
+fn execute(req: &BatchRequest, service: &SimService, workers: usize) -> (Vec<Json>, u64) {
     // Response lines always carry keys, so a disabled service is stood in
     // for by a batch-local memo.
     let local;
@@ -177,7 +194,7 @@ pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -
         .iter()
         .filter(|job| lvp_workloads::by_name(&job.workload).is_some())
         .collect();
-    let batch = simulate_cached(
+    let run = simulate_cached(
         service,
         &valid,
         |job| job.point(),
@@ -186,8 +203,9 @@ pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -
         &NullPhases,
         &Progress::off(),
         |_| String::new(),
-    )
-    .outcomes;
+    );
+    let traced = run.traces.len() as u64;
+    let batch = run.outcomes;
 
     // Fan results back out to request order.
     let mut answered = batch
@@ -195,7 +213,8 @@ pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -
         .into_iter()
         .zip(batch.provenance)
         .zip(batch.results);
-    req.jobs
+    let lines = req
+        .jobs
         .iter()
         .enumerate()
         .map(|(i, job)| {
@@ -213,7 +232,8 @@ pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -
             }
             Json::obj(pairs)
         })
-        .collect()
+        .collect();
+    (lines, traced)
 }
 
 /// Server configuration (mirrors the `serve` binary's flags).
@@ -222,7 +242,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Drain the pending queue, then exit (CI and tests).
     pub once: bool,
-    /// Sleep between queue scans when idle.
+    /// Interval between queue scans; socket requests wake the server
+    /// sooner.
     pub poll_ms: u64,
     /// Optional Unix socket path for low-latency clients.
     pub socket: Option<PathBuf>,
@@ -235,13 +256,15 @@ pub struct ServeStats {
     pub batches: u64,
     pub jobs: u64,
     pub errors: u64,
+    /// Traces built: a warm server builds none for a batch of hits.
+    pub traced: u64,
 }
 
 /// The one request handler both transports share: parses a batch
-/// document, executes it, and counts the batch, its jobs and its error
-/// lines into `stats`. `claimed_id`, set for queue batches, is the id the
-/// request file's name carries; the document's id must match it, and error
-/// lines carry it.
+/// document, executes it, and counts the batch, its jobs, the traces it
+/// built and its error lines into `stats`. `claimed_id`, set for queue
+/// batches, is the id the request file's name carries; the document's id
+/// must match it, and error lines carry it.
 fn answer(
     cfg: &ServeConfig,
     service: &SimService,
@@ -263,7 +286,9 @@ fn answer(
                 eprintln!("serve: batch {} ({} jobs)", req.id, req.jobs.len());
             }
             stats.jobs += req.jobs.len() as u64;
-            execute_batch(&req, service, cfg.workers)
+            let (lines, traced) = execute(&req, service, cfg.workers);
+            stats.traced += traced;
+            lines
         }
     };
     stats.batches += 1;
@@ -284,74 +309,143 @@ fn handle_claimed(
     complete(&cfg.queue, id, &lines).map_err(|e| format!("cannot publish {id}: {e}"))
 }
 
+/// How long a socket client may take to send its request line, or to
+/// take its response, before the connection is dropped.
 #[cfg(unix)]
-fn handle_socket_conn(
-    stream: std::os::unix::net::UnixStream,
+const SOCKET_IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The longest socket request line read; a longer one is cut here and
+/// fails to parse.
+#[cfg(unix)]
+const MAX_REQUEST_BYTES: u64 = 16 << 20;
+
+/// A complete socket request: its line, and where its response goes.
+struct SocketRequest {
+    line: String,
+    reply: Box<dyn Write + Send>,
+}
+
+/// Reads one request line off a fresh connection. `Ok(None)` is a client
+/// that closed without sending anything.
+#[cfg(unix)]
+fn read_request(stream: std::os::unix::net::UnixStream) -> std::io::Result<Option<SocketRequest>> {
+    use std::io::{BufRead, Read};
+    stream.set_read_timeout(Some(SOCKET_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(SOCKET_IO_TIMEOUT))?;
+    let mut reader = std::io::BufReader::new(stream).take(MAX_REQUEST_BYTES);
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Ok(None);
+    }
+    Ok(Some(SocketRequest {
+        line,
+        reply: Box::new(reader.into_inner().into_inner()),
+    }))
+}
+
+/// Accepts socket connections until the server is gone, reading each
+/// request line on a thread of its own so that only complete requests
+/// reach the serving loop; a failed accept or read arrives as an error.
+/// The reader threads are detached: each ends when its line is in, or once
+/// its client has sent nothing for [`SOCKET_IO_TIMEOUT`].
+#[cfg(unix)]
+fn accept_requests(
+    listener: std::os::unix::net::UnixListener,
+    requests: mpsc::Sender<Result<SocketRequest, String>>,
+) {
+    for conn in listener.incoming() {
+        let requests = requests.clone();
+        let sent = match conn {
+            Ok(conn) => {
+                std::thread::spawn(move || {
+                    let req = read_request(conn).map_err(|e| format!("socket read failed: {e}"));
+                    if let Some(req) = req.transpose() {
+                        let _ = requests.send(req);
+                    }
+                });
+                Ok(())
+            }
+            Err(e) => {
+                // Back off: a persistent failure (out of descriptors) would
+                // otherwise spin.
+                std::thread::sleep(Duration::from_millis(10));
+                requests.send(Err(format!("socket accept failed: {e}")))
+            }
+        };
+        if sent.is_err() {
+            return;
+        }
+    }
+}
+
+/// Answers one socket request and writes its response lines back.
+fn handle_socket_request(
     cfg: &ServeConfig,
     service: &SimService,
+    req: SocketRequest,
     stats: &mut ServeStats,
 ) -> std::io::Result<()> {
-    let mut reader = std::io::BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let lines = answer(cfg, service, &line, None, stats);
-    let mut stream = reader.into_inner();
+    let lines = answer(cfg, service, &req.line, None, stats);
+    let mut reply = req.reply;
     for l in &lines {
-        stream.write_all(l.compact().as_bytes())?;
-        stream.write_all(b"\n")?;
+        reply.write_all(l.compact().as_bytes())?;
+        reply.write_all(b"\n")?;
     }
-    stream.flush()
+    reply.flush()
 }
 
 /// Runs the batch server: drains `queue/new/`, serving each claimed batch
 /// through `service`, until interrupted (or immediately after the backlog
-/// with [`ServeConfig::once`]). A non-blocking Unix socket, when
-/// configured, is polled between queue scans.
+/// with [`ServeConfig::once`], answering too the socket requests that have
+/// arrived by then). Between queue scans, every `poll_ms`, it waits on the
+/// Unix socket's accept thread, when one is configured, so a socket request
+/// is answered as soon as its line is in.
 pub fn serve(cfg: &ServeConfig, service: &SimService) -> Result<ServeStats, String> {
     queue_init(&cfg.queue).map_err(|e| format!("cannot init queue: {e}"))?;
+    // The server keeps one sender, so with no socket the wait below is a
+    // plain `poll_ms` sleep.
+    let (sender, requests) = mpsc::channel();
     #[cfg(unix)]
-    let listener = match &cfg.socket {
-        Some(path) => {
-            let _ = std::fs::remove_file(path);
-            let l = std::os::unix::net::UnixListener::bind(path)
-                .map_err(|e| format!("cannot bind {}: {e}", path.display()))?;
-            l.set_nonblocking(true)
-                .map_err(|e| format!("cannot set socket non-blocking: {e}"))?;
-            Some(l)
-        }
-        None => None,
-    };
+    if let Some(path) = &cfg.socket {
+        let _ = std::fs::remove_file(path);
+        let listener = std::os::unix::net::UnixListener::bind(path)
+            .map_err(|e| format!("cannot bind {}: {e}", path.display()))?;
+        let sender = sender.clone();
+        // Detached: it blocks in `accept` for the life of the process.
+        std::thread::spawn(move || accept_requests(listener, sender));
+    }
     #[cfg(not(unix))]
     if cfg.socket.is_some() {
         return Err("--socket requires a Unix platform".to_string());
     }
 
     let mut stats = ServeStats::default();
+    let poll = Duration::from_millis(cfg.poll_ms.max(1));
+    let handle = |req: Result<SocketRequest, String>, stats: &mut ServeStats| {
+        let result = req.and_then(|req| {
+            handle_socket_request(cfg, service, req, stats)
+                .map_err(|e| format!("socket connection failed: {e}"))
+        });
+        if let Err(e) = result {
+            eprintln!("serve: {e}");
+            stats.errors += 1;
+        }
+    };
     loop {
-        let mut idle = true;
         while let Some((id, path)) = claim_next(&cfg.queue) {
-            idle = false;
             if let Err(e) = handle_claimed(cfg, service, &id, &path, &mut stats) {
                 eprintln!("serve: {e}");
                 stats.errors += 1;
             }
         }
-        #[cfg(unix)]
-        if let Some(listener) = &listener {
-            while let Ok((conn, _)) = listener.accept() {
-                idle = false;
-                let _ = conn.set_nonblocking(false);
-                if let Err(e) = handle_socket_conn(conn, cfg, service, &mut stats) {
-                    eprintln!("serve: socket connection failed: {e}");
-                    stats.errors += 1;
-                }
-            }
+        while let Ok(req) = requests.try_recv() {
+            handle(req, &mut stats);
         }
         if cfg.once {
             return Ok(stats);
         }
-        if idle {
-            std::thread::sleep(std::time::Duration::from_millis(cfg.poll_ms.max(1)));
+        if let Ok(req) = requests.recv_timeout(poll) {
+            handle(req, &mut stats);
         }
     }
 }
@@ -472,6 +566,8 @@ mod tests {
     use dlvp::SchemeKind;
     use lvp_json::FromJson;
     use lvp_uarch::SampleSpec;
+    use std::io::{BufRead, Read};
+    use std::time::Instant;
 
     fn tiny_spec() -> MatrixSpec {
         MatrixSpec {
@@ -697,8 +793,9 @@ mod tests {
         std::fs::remove_dir_all(&root).expect("cleanup");
     }
 
-    /// Sends `req` over a Unix socket to one `handle_socket_conn` call and
-    /// returns its response lines and the stats it counted.
+    /// Sends `req` over a Unix socket to one `read_request` and
+    /// `handle_socket_request` call and returns its response lines and the
+    /// stats it counted.
     #[cfg(unix)]
     fn socket_round_trip(tag: &str, req: &BatchRequest) -> (Vec<Json>, ServeStats) {
         let root = temp_queue(tag);
@@ -716,7 +813,8 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (conn, _) = listener.accept().expect("accept");
             let mut stats = ServeStats::default();
-            handle_socket_conn(conn, &cfg, &SimService::in_memory(), &mut stats).expect("handle");
+            let req = read_request(conn).expect("read").expect("a request line");
+            handle_socket_request(&cfg, &SimService::in_memory(), req, &mut stats).expect("handle");
             stats
         });
         let mut conn = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
@@ -777,9 +875,165 @@ mod tests {
             ServeStats {
                 batches: 1,
                 jobs: 2,
-                errors: 1
+                errors: 1,
+                traced: 1,
             }
         );
+    }
+
+    /// Starts a server with a 60 s poll on a socket in a fresh queue, left
+    /// running, and returns the socket once it accepts connections.
+    #[cfg(unix)]
+    fn start_socket_server(tag: &str) -> PathBuf {
+        let root = temp_queue(tag);
+        let sock = root.join("serve.sock");
+        let cfg = ServeConfig {
+            queue: root,
+            workers: 1,
+            once: false,
+            poll_ms: 60_000,
+            socket: Some(sock.clone()),
+            quiet: true,
+        };
+        std::thread::spawn(move || serve(&cfg, &SimService::in_memory()));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while std::os::unix::net::UnixStream::connect(&sock).is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "server never bound {}",
+                sock.display()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sock
+    }
+
+    /// One client round trip: a request line out, response lines until EOF.
+    #[cfg(unix)]
+    fn socket_request(sock: &Path, req: &BatchRequest) -> Vec<Json> {
+        let mut conn = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        conn.write_all((req.to_json().compact() + "\n").as_bytes())
+            .expect("send");
+        let mut text = String::new();
+        conn.read_to_string(&mut text).expect("answered");
+        text.lines()
+            .map(|l| Json::parse(l).expect("parse"))
+            .collect()
+    }
+
+    #[cfg(unix)]
+    fn one_job(id: &str) -> BatchRequest {
+        let mut jobs = tiny_spec().expand();
+        jobs.truncate(1);
+        jobs[0].budget = 1_000;
+        BatchRequest {
+            id: id.into(),
+            jobs,
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn socket_batch_wakes_a_server_polling_every_minute() {
+        let sock = start_socket_server("wake");
+        let start = Instant::now();
+        let lines = socket_request(&sock, &one_job("b-wake"));
+        let elapsed = start.elapsed();
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].get("outcome").is_some(), "{:?}", lines[0]);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "answered after {elapsed:?}"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn silent_socket_client_does_not_stall_the_next_one() {
+        let sock = start_socket_server("silent");
+        // Connected first, so the server accepts it first.
+        let _silent = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+        let start = Instant::now();
+        let lines = socket_request(&sock, &one_job("b-after-silent"));
+        let elapsed = start.elapsed();
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].get("outcome").is_some(), "{:?}", lines[0]);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "answered after {elapsed:?}"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn socket_request_lines_are_bounded() {
+        let (mut client, server) = std::os::unix::net::UnixStream::pair().expect("pair");
+        let writer = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..17 {
+                if client.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let req = read_request(server).expect("read").expect("a line");
+        assert_eq!(req.line.len() as u64, MAX_REQUEST_BYTES);
+        drop(req);
+        writer.join().expect("writer");
+    }
+
+    #[test]
+    fn repeated_batch_is_all_hits_and_builds_no_trace() {
+        let root = temp_queue("traced");
+        let mut spec = tiny_spec();
+        spec.budget = 1_700;
+        let mut jobs = spec.expand();
+        jobs.push(JobSpec {
+            budget: 1_800,
+            ..jobs[0].clone()
+        });
+        let distinct = 3; // aifirf and nat at 1_700, aifirf at 1_800
+        for id in ["traced-1", "traced-2"] {
+            let req = BatchRequest {
+                id: id.into(),
+                jobs: jobs.clone(),
+            };
+            submit(&root, &req).expect("submit");
+        }
+        let cfg = ServeConfig {
+            queue: root.clone(),
+            workers: 2,
+            once: true,
+            poll_ms: 5,
+            socket: None,
+            quiet: true,
+        };
+        let stats = serve(&cfg, &SimService::in_memory()).expect("serve");
+        assert_eq!((stats.batches, stats.errors), (2, 0));
+        assert_eq!(
+            stats.traced, distinct,
+            "the cold batch traces each pair once"
+        );
+        let read = |id: &str| -> Vec<Json> {
+            std::fs::read_to_string(root.join("done").join(format!("{id}.jsonl")))
+                .expect("response written")
+                .lines()
+                .map(|l| Json::parse(l).expect("parse"))
+                .collect()
+        };
+        let (cold, warm) = (read("traced-1"), read("traced-2"));
+        assert_eq!(warm.len(), jobs.len());
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.get("source").and_then(Json::as_str), Some("computed"));
+            assert_eq!(w.get("source").and_then(Json::as_str), Some("store"));
+            for field in ["key", "outcome"] {
+                let bytes = |l: &Json| l.get(field).map(Json::compact);
+                assert_eq!(bytes(w), bytes(c), "{field}");
+            }
+        }
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 
     #[test]

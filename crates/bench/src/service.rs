@@ -5,18 +5,20 @@
 //! document* shape every consumer hashes — so `figs`, `runner`, `serve`
 //! and `bench` share one key space and a result computed by any of them is
 //! a hit for all of them — and (b) [`simulate_cached`], the one
-//! lookup-or-run executor those three front ends share: it traces each
-//! workload once, keys every simulation, coalesces duplicate keys, shards
-//! only the misses across the [`par_map_metered`] pool, and records what it
-//! computed. Every `sim` key stores one payload shape, a bare
-//! [`SchemeOutcome`] — the D-VTAGE extension included, keyed by its scheme
-//! name `D-VTAGE`.
+//! lookup-or-run executor those three front ends share: it keys every
+//! simulation, coalesces duplicate keys, shards only the misses across the
+//! [`par_map_metered`] pool, and records what it computed. Every `sim` key
+//! stores one payload shape, a bare [`SchemeOutcome`] — the D-VTAGE
+//! extension included, keyed by its scheme name `D-VTAGE`.
 //!
 //! Request documents embed the trace *fingerprint* rather than the
 //! workload name: a workload-generator edit changes the fingerprint and
 //! silently invalidates every affected entry, while `SimConfig` is
 //! embedded fully resolved so a preset edit recomputes exactly the design
-//! points it touches (the incremental-`figs` property).
+//! points it touches (the incremental-`figs` property). A process-wide memo
+//! maps each `(workload, budget)` to the fingerprint of the trace this
+//! process built for it, so a warm process keys a hit without emulating or
+//! fingerprinting anything, and builds a trace only for a miss.
 
 use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
 use crate::runner::par_map_metered;
@@ -26,7 +28,8 @@ use lvp_obs::PhaseSink;
 use lvp_store::SimService;
 use lvp_trace::Trace;
 use lvp_uarch::SimConfig;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The canonical request document for one simulation: everything its
 /// result is a pure function of.
@@ -99,9 +102,61 @@ pub struct SimPoint<'a> {
     pub config: SimConfig,
 }
 
+/// `Trace::fingerprint()` of every `(workload, budget)` trace an enabled
+/// service has keyed in this process. Within one binary a registered
+/// workload name fixes its program, so an entry never goes stale and needs
+/// no version stamp; keys stay content-derived because every entry is a
+/// fingerprint this process computed from a trace it built.
+static FINGERPRINTS: Mutex<BTreeMap<(String, u64), u64>> = Mutex::new(BTreeMap::new());
+
+fn memoized_fingerprint(workload: &str, budget: u64) -> Option<u64> {
+    FINGERPRINTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&(workload.to_string(), budget))
+        .copied()
+}
+
+/// Builds the trace `needs[t]` for every `t` in `pick` on the pool, one
+/// `trace:<name>` span each. Where `fingerprint(t)` holds, the worker also
+/// fingerprints the trace it just built and memoizes the value: a second
+/// pool pass for the fingerprints raised `serve`'s peak resident set by
+/// about half in the `serve_mixed` benchmark (allocator arena retention).
+fn build_traces<P: PhaseSink>(
+    needs: &[(&str, u64)],
+    pick: &[usize],
+    fingerprint: impl Fn(usize) -> bool + Sync,
+    workers: usize,
+    phases: &P,
+) -> Vec<(Trace, Option<u64>)> {
+    par_map_metered(
+        pick,
+        workers,
+        phases,
+        &Progress::off(),
+        |&t| format!("trace:{}", needs[t].0),
+        |(trace, _): &(Trace, Option<u64>)| (0, trace.len() as u64),
+        |&t| {
+            let (w, budget) = needs[t];
+            let trace = lvp_workloads::by_name(w)
+                .unwrap_or_else(|| panic!("unknown workload '{w}'"))
+                .trace(budget);
+            let fingerprint = fingerprint(t).then(|| {
+                let fp = trace.fingerprint();
+                FINGERPRINTS
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert((w.to_string(), budget), fp);
+                fp
+            });
+            (trace, fingerprint)
+        },
+    )
+}
+
 /// What [`simulate_cached`] returns: every item's outcome (input order,
-/// with provenance and keys) and the traces it built, one per distinct
-/// `(workload, budget)` in first-seen order.
+/// with provenance and keys) and the traces it built, at most one per
+/// distinct `(workload, budget)`, in first-seen order.
 pub struct SimRun<'a> {
     pub outcomes: CachedBatch<SchemeOutcome>,
     pub traces: Vec<((&'a str, u64), Trace)>,
@@ -110,15 +165,24 @@ pub struct SimRun<'a> {
 /// The one cached-simulation executor behind `figs`, `runner` and
 /// `serve`. Each item names a [`SimPoint`] through `point`.
 ///
-/// Builds each distinct `(workload, budget)` trace once, in parallel,
-/// under a lane-0 `build_traces` span (one `trace:<name>` span per trace,
-/// which also covers fingerprinting that trace when `service` is enabled;
-/// a disabled service fingerprints nothing); `also_trace` adds traces no
-/// item simulates but the caller reads. Then, under a
-/// lane-0 `simulate` span charged with the misses' simulated work, keys
-/// every item with [`sim_request_doc`], answers hits with their stored
-/// [`SchemeOutcome`], and runs the misses with [`run_scheme`] on the pool,
-/// each under a `label(item)` span.
+/// With a disabled service it builds each distinct `(workload, budget)`
+/// trace once, in parallel, under a lane-0 `build_traces` span (one
+/// `trace:<name>` span per trace), then runs every item with
+/// [`run_scheme`] on the pool under a lane-0 `simulate` span, each item
+/// under a `label(item)` span.
+///
+/// With an enabled service every item is keyed with [`sim_request_doc`]
+/// over its trace's fingerprint, and a trace is built only when it is
+/// needed: the first pass (under `build_traces`) builds the traces whose
+/// fingerprint this process has not memoized yet, fingerprinting each once,
+/// plus every `also_trace` entry. Under `simulate`, charged with the
+/// misses' simulated work, it answers hits with their stored
+/// [`SchemeOutcome`], builds the traces that missed items still lack (no
+/// fingerprint), and runs the misses. A batch of hits whose fingerprints
+/// are memoized therefore builds and fingerprints nothing.
+///
+/// `also_trace` adds traces no item simulates but the caller reads; they
+/// are always built and returned.
 ///
 /// # Panics
 ///
@@ -160,29 +224,38 @@ where
         })
         .collect();
 
-    // Each worker fingerprints the trace it just built. A second pool pass
-    // for the fingerprints raised `serve`'s peak resident set by about half
-    // in the `serve_mixed` benchmark (allocator arena retention).
+    // The first pass builds what a disabled service simulates (every
+    // trace), and what an enabled one reads or cannot key without
+    // building: `also_trace`, and each item's trace of unknown fingerprint.
     let enabled = service.enabled();
+    let mut fingerprints: Vec<Option<u64>> = needs
+        .iter()
+        .map(|&(w, budget)| enabled.then(|| memoized_fingerprint(w, budget)).flatten())
+        .collect();
+    let mut simulated = vec![false; needs.len()];
+    for &(_, _, t) in &jobs {
+        simulated[t] = true;
+    }
+    let first: Vec<usize> = (0..needs.len())
+        .filter(|&t| also_trace.contains(&needs[t]) || fingerprints[t].is_none())
+        .collect();
+    let traces: Vec<OnceLock<Trace>> = needs.iter().map(|_| OnceLock::new()).collect();
     let mut span = phases.span(0, "build_traces");
-    let built: Vec<(Trace, Option<u64>)> = par_map_metered(
+    let built = build_traces(
         &needs,
+        &first,
+        |t| enabled && simulated[t] && fingerprints[t].is_none(),
         workers,
         phases,
-        &Progress::off(),
-        |(w, _)| format!("trace:{w}"),
-        |(t, _): &(Trace, Option<u64>)| (0, t.len() as u64),
-        |&(w, budget)| {
-            let trace = lvp_workloads::by_name(w)
-                .unwrap_or_else(|| panic!("unknown workload '{w}'"))
-                .trace(budget);
-            let fingerprint = enabled.then(|| trace.fingerprint());
-            (trace, fingerprint)
-        },
     );
     span.charge(0, built.iter().map(|(t, _)| t.len() as u64).sum(), 0);
     span.finish();
-    let (traces, fingerprints): (Vec<Trace>, Vec<Option<u64>>) = built.into_iter().unzip();
+    for (&t, (trace, fingerprint)) in first.iter().zip(built) {
+        if fingerprint.is_some() {
+            fingerprints[t] = fingerprint;
+        }
+        let _ = traces[t].set(trace);
+    }
 
     let mut span = phases.span(0, "simulate");
     let outcomes = par_map_cached(
@@ -190,16 +263,34 @@ where
         &jobs,
         |(_, p, t)| {
             let fingerprint =
-                fingerprints[*t].expect("an enabled service fingerprints every trace");
+                fingerprints[*t].expect("an enabled service knows every item's fingerprint");
             sim_request_doc(fingerprint, p.budget, p.scheme.name(), &p.config)
         },
         |_, payload| SchemeOutcome::from_json(payload).ok(),
+        |misses| {
+            let mut second: Vec<usize> = misses
+                .iter()
+                .map(|&&(_, _, t)| t)
+                .filter(|&t| traces[t].get().is_none())
+                .collect();
+            second.sort_unstable();
+            second.dedup();
+            let built = build_traces(&needs, &second, |_| false, workers, phases);
+            for (&t, (trace, _)) in second.iter().zip(built) {
+                let _ = traces[t].set(trace);
+            }
+        },
         workers,
         phases,
         progress,
         |(item, _, _)| label(item),
         |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
-        |(_, p, t)| run_scheme(&traces[*t], p.scheme, &p.config),
+        |(_, p, t)| {
+            let trace = traces[*t]
+                .get()
+                .expect("every executed item's trace is built");
+            run_scheme(trace, p.scheme, &p.config)
+        },
     );
     span.charge(
         outcomes.executed.sim_cycles,
@@ -209,7 +300,11 @@ where
     span.finish();
     SimRun {
         outcomes,
-        traces: needs.into_iter().zip(traces).collect(),
+        traces: needs
+            .into_iter()
+            .zip(traces)
+            .filter_map(|(need, trace)| Some((need, trace.into_inner()?)))
+            .collect(),
     }
 }
 
@@ -220,19 +315,21 @@ where
 /// on the worker pool (same labels, same input-order slots), records what it
 /// computed, and reassembles results in input order. A payload that
 /// `decode` rejects is recomputed, exactly like an absent entry; payloads
-/// are written with `R`'s [`ToJson`].
+/// are written with `R`'s [`ToJson`]. `prepare` sees the misses once,
+/// before the pool runs them.
 ///
 /// With a disabled service this *is* [`par_map_metered`] — same pool, same
-/// spans, no keys, bit-identical results — so store-off runs keep their
-/// exact artifact and manifest bytes. With an enabled service the results
-/// are still bit-identical because payloads round-trip losslessly; only the
-/// set of executed `job:` spans shrinks.
+/// spans, no keys, no `prepare`, bit-identical results — so store-off runs
+/// keep their exact artifact and manifest bytes. With an enabled service
+/// the results are still bit-identical because payloads round-trip
+/// losslessly; only the set of executed `job:` spans shrinks.
 #[allow(clippy::too_many_arguments)]
-fn par_map_cached<T, R, F, L, M, P, Q, D>(
+fn par_map_cached<T, R, F, L, M, P, Q, D, G>(
     service: &SimService,
     items: &[T],
     request_doc: Q,
     decode: D,
+    prepare: G,
     workers: usize,
     phases: &P,
     progress: &Progress,
@@ -249,6 +346,7 @@ where
     P: PhaseSink,
     Q: Fn(&T) -> Json,
     D: Fn(&T, &Json) -> Option<R>,
+    G: FnOnce(&[&T]),
 {
     let tally = |results: &[R]| {
         results.iter().map(&meter).fold(
@@ -303,6 +401,7 @@ where
     }
 
     let miss_items: Vec<&T> = misses.iter().map(|&i| &items[i]).collect();
+    prepare(&miss_items);
     let computed = par_map_metered(
         &miss_items,
         workers,
@@ -342,6 +441,120 @@ mod tests {
     use super::*;
     use lvp_obs::NullPhases;
 
+    // The fingerprint memo is process-wide, so each test below simulates
+    // at budgets no other test uses.
+
+    type Item = (&'static str, u64, SchemeKind);
+
+    fn sim<'a>(service: &SimService, items: &'a [Item], also: &[(&'a str, u64)]) -> SimRun<'a> {
+        simulate_cached(
+            service,
+            items,
+            |&(workload, budget, scheme)| SimPoint {
+                workload,
+                budget,
+                scheme,
+                config: SimConfig::default(),
+            },
+            also,
+            2,
+            &NullPhases,
+            &Progress::off(),
+            |_| String::new(),
+        )
+    }
+
+    fn traced<'a>(run: &SimRun<'a>) -> Vec<(&'a str, u64)> {
+        run.traces.iter().map(|&(need, _)| need).collect()
+    }
+
+    #[test]
+    fn memoized_fingerprints_equal_fresh_ones_and_key_identically() {
+        let items: Vec<Item> = [1_201, 1_301]
+            .into_iter()
+            .flat_map(|budget| {
+                lvp_workloads::names()
+                    .into_iter()
+                    .map(move |w| (w, budget, SchemeKind::Baseline))
+            })
+            .collect();
+        let svc = SimService::in_memory();
+        let run = sim(&svc, &items, &[]);
+        for (i, &(w, budget, scheme)) in items.iter().enumerate() {
+            let fresh = lvp_workloads::by_name(w)
+                .expect("registered workload")
+                .trace(budget)
+                .fingerprint();
+            assert_eq!(memoized_fingerprint(w, budget), Some(fresh), "{w}@{budget}");
+            let doc = sim_request_doc(fresh, budget, scheme.name(), &SimConfig::default());
+            assert_eq!(run.outcomes.keys[i], svc.key(&doc), "{w}@{budget}");
+        }
+    }
+
+    #[test]
+    fn warm_hit_only_batch_builds_and_fingerprints_nothing() {
+        let items: Vec<Item> = vec![
+            ("aifirf", 1_401, SchemeKind::Baseline),
+            ("aifirf", 1_401, SchemeKind::Dlvp),
+            ("nat", 1_401, SchemeKind::Baseline),
+        ];
+        let svc = SimService::in_memory();
+        let cold = sim(&svc, &items, &[]);
+        assert_eq!(traced(&cold), [("aifirf", 1_401), ("nat", 1_401)]);
+        assert_eq!(cold.outcomes.provenance, [Provenance::Computed; 3]);
+
+        let warm = sim(&svc, &items, &[]);
+        assert!(
+            traced(&warm).is_empty(),
+            "a warm hit-only batch traces nothing"
+        );
+        assert_eq!(warm.outcomes.provenance, [Provenance::Store; 3]);
+        assert_eq!(warm.outcomes.executed, ExecutedWork::default());
+        assert_eq!(warm.outcomes.keys, cold.outcomes.keys);
+        assert_eq!(warm.outcomes.results, cold.outcomes.results);
+
+        // A trace the caller reads is built even when every item hits.
+        let read = sim(&svc, &items, &[("nat", 1_401)]);
+        assert_eq!(traced(&read), [("nat", 1_401)]);
+        assert_eq!(read.outcomes.provenance, [Provenance::Store; 3]);
+    }
+
+    #[test]
+    fn mixed_batch_traces_exactly_the_workloads_that_miss() {
+        let svc = SimService::in_memory();
+        let warmed: Vec<Item> = vec![
+            ("aifirf", 1_501, SchemeKind::Baseline),
+            ("nat", 1_501, SchemeKind::Baseline),
+        ];
+        sim(&svc, &warmed, &[]);
+        let mut mixed = warmed.clone();
+        // A known fingerprint that misses, then an unknown one.
+        mixed.push(("aifirf", 1_501, SchemeKind::Dlvp));
+        mixed.push(("gzip", 1_501, SchemeKind::Baseline));
+        let run = sim(&svc, &mixed, &[]);
+        assert_eq!(traced(&run), [("aifirf", 1_501), ("gzip", 1_501)]);
+        use Provenance::{Computed, Store};
+        assert_eq!(run.outcomes.provenance, [Store, Store, Computed, Computed]);
+        let fresh = sim(&SimService::disabled(), &mixed, &[]);
+        assert_eq!(run.outcomes.results, fresh.outcomes.results);
+    }
+
+    #[test]
+    fn disabled_service_builds_every_trace_and_fingerprints_none() {
+        let items: Vec<Item> = vec![
+            ("aifirf", 1_601, SchemeKind::Baseline),
+            ("nat", 1_601, SchemeKind::Baseline),
+            ("aifirf", 1_601, SchemeKind::Dlvp),
+        ];
+        for _ in 0..2 {
+            let run = sim(&SimService::disabled(), &items, &[]);
+            assert_eq!(traced(&run), [("aifirf", 1_601), ("nat", 1_601)]);
+            assert!(run.outcomes.keys.is_empty());
+            assert_eq!(run.outcomes.provenance, [Provenance::Computed; 3]);
+        }
+        assert_eq!(memoized_fingerprint("aifirf", 1_601), None);
+    }
+
     fn doc(n: &u64) -> Json {
         Json::obj([("n", Json::U64(*n))])
     }
@@ -355,6 +568,7 @@ mod tests {
             &items,
             doc,
             |_, p| p.as_f64().map(|x| x as u64),
+            |_| {},
             4,
             &NullPhases,
             &Progress::off(),
@@ -382,6 +596,7 @@ mod tests {
                     Json::U64(n) => Some(*n),
                     _ => None,
                 },
+                |_| {},
                 4,
                 &NullPhases,
                 &Progress::off(),
@@ -414,6 +629,7 @@ mod tests {
                 Json::U64(n) => Some(*n),
                 _ => None,
             },
+            |misses| assert_eq!(misses, [&1, &2, &3]),
             2,
             &NullPhases,
             &Progress::off(),

@@ -7,7 +7,8 @@
 //! byte-exact text the retired one-binary-per-figure harnesses printed.
 //! [`run_specs`] dedups the requests across every selected spec and hands
 //! the unique simulations to [`simulate_cached`], which builds each
-//! workload trace once and runs them on the deterministic worker pool — so
+//! workload trace at most once and runs them on the deterministic worker
+//! pool — so
 //! `figs --all` simulates each design point exactly once even when several
 //! figures share it, and its output is bit-identical for any worker count.
 //!
@@ -98,8 +99,9 @@ impl ResultSet {
     ///
     /// # Panics
     ///
-    /// Panics if the spec did not declare the trace (its `traces` need or a
-    /// simulation request must cover `workload`).
+    /// Panics if the spec did not declare the trace in its `traces` need: a
+    /// store-enabled run builds a simulated workload's trace only when one
+    /// of its simulations misses.
     pub fn trace(&self, workload: &str) -> &Trace {
         self.traces
             .get(workload)
