@@ -142,28 +142,67 @@ wait "$client_pid"
 cmp "$tmp/local_matrix.json" "$tmp/served_matrix.json"
 echo "served matrix is byte-identical to the local run"
 
-# A degenerate sample spec must be rejected at the service boundary: the
-# reply is an error line (serve exits 1) and nothing is simulated or stored.
+# A degenerate sample spec, or a budget that ends before the first detail
+# window (budget <= ff + warmup), must be rejected at the service boundary:
+# the reply is an error line (serve exits 1) and nothing is simulated or
+# stored. runner --sample refuses the same budget before running anything.
 mkdir -p "$tmp/bad_queue/new"
 cat > "$tmp/bad_queue/new/degenerate.json" <<'EOF'
 {"schema_version": 1, "id": "degenerate", "jobs": [
   {"workload": "aifirf", "scheme": "dlvp", "variant": "default", "budget": 10000,
    "sample": {"ff": 0, "warmup": 0, "detail": 5, "period": 1}}]}
 EOF
+cat > "$tmp/bad_queue/new/nodetail.json" <<'EOF'
+{"schema_version": 1, "id": "nodetail", "jobs": [
+  {"workload": "aifirf", "scheme": "dlvp", "variant": "default", "budget": 10000,
+   "sample": {"ff": 20000, "warmup": 100, "detail": 500, "period": 1000}}]}
+EOF
 if ./target/release/serve --queue "$tmp/bad_queue" --store "$tmp/bad_store" \
   --once --quiet; then
   echo "serve accepted a degenerate sample spec" >&2
   exit 1
 fi
-python3 - "$tmp/bad_queue/done/degenerate.jsonl" \
+python3 - "$tmp/bad_queue/done" \
   "$(./target/release/store --dir "$tmp/bad_store" stats)" <<'EOF'
 import json, sys
-lines = [json.loads(l) for l in open(sys.argv[1])]
-assert len(lines) == 1 and "error" in lines[0], f"expected one error line, got {lines}"
+for batch in ["degenerate", "nodetail"]:
+    lines = [json.loads(l) for l in open(f"{sys.argv[1]}/{batch}.jsonl")]
+    assert len(lines) == 1 and "error" in lines[0], f"{batch}: expected one error line, got {lines}"
+    print(f"serve rejected the {batch} sample spec:", lines[0]["error"])
 entries = json.loads(sys.argv[2])["entries"]
 assert entries == 0, f"a rejected batch stored {entries} entries"
-print("serve rejected the degenerate sample spec:", lines[0]["error"])
 EOF
+status=0
+./target/release/runner --workloads aifirf --budget 10000 \
+  --sample 20000:100:500:1000 --out "$tmp/nodetail.json" --quiet 2> /dev/null || status=$?
+if [ "$status" -ne 2 ] || [ -e "$tmp/nodetail.json" ]; then
+  echo "runner --sample ran a budget with no detail window (exit $status)" >&2
+  exit 1
+fi
+echo "runner --sample refuses a budget with no detail window (exit 2)"
+
+echo "== sampled runner gate (streamed; cold, warm and --jobs 1 byte-identical) =="
+# Sampled jobs stream their records from the emulator, one stream per
+# (workload, budget, spec) shared by every scheme and variant on it. A cold
+# store run, a warm rerun (every job a hit) and a store-off single-worker
+# run (no stream split) must write the same bytes.
+sampled=(--workloads aifirf,perlbmk,mcf --schemes baseline,dlvp,vtage
+  --variants default,no_prefetch --budget 200000 --sample 10000:2000:3000:20000 --quiet)
+./target/release/runner "${sampled[@]}" --jobs 4 --store "$tmp/sampled_store" \
+  --out "$tmp/sampled_cold.json"
+./target/release/runner "${sampled[@]}" --jobs 4 --store "$tmp/sampled_store" \
+  --out "$tmp/sampled_warm.json" --telemetry "$tmp/sampled_warm_manifest.json"
+./target/release/runner "${sampled[@]}" --jobs 1 --out "$tmp/sampled_jobs1.json"
+cmp "$tmp/sampled_cold.json" "$tmp/sampled_warm.json"
+cmp "$tmp/sampled_cold.json" "$tmp/sampled_jobs1.json"
+python3 - "$tmp/sampled_warm_manifest.json" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+store = m.get("store") or {}
+assert m["jobs"] == 0 and store.get("misses") == 0, f"warm sampled rerun executed work: {m['jobs']} jobs, {store}"
+print(f"warm sampled rerun: 0 jobs, {store.get('hits')} store hits")
+EOF
+echo "sampled runner output is byte-identical cold, warm and at --jobs 1"
 
 echo "== serve trace gate (a repeated batch is all hits and builds no trace) =="
 # Two identical batches dropped straight into the queue, drained by one
@@ -255,7 +294,9 @@ echo "== benchmark harness tests + serve_mixed cross-check =="
 # edge); restore the committed file so the checkout stays untouched. The
 # traced serve_mixed smoke replays served batches layer by layer and fails
 # unless its keys, sim_request_doc over trace.fingerprint(), and every
-# response line equal execute_batch's.
+# response line equal execute_batch's. The sampled_long smoke runs the
+# streamed sampled matrix at 2M instructions and fails if any sampled
+# digest drifts from benchmark/pins.json.
 cp benchmark/Cargo.lock "$tmp/benchmark.Cargo.lock"
 status=0
 cargo test -q --offline --manifest-path benchmark/Cargo.toml || status=$?
@@ -263,8 +304,12 @@ if [ "$status" -eq 0 ]; then
   benchmark/run.sh --workload serve_mixed --quick --traced --seed 1 \
     > "$tmp/serve_mixed.log" 2>&1 || { status=$?; tail -20 "$tmp/serve_mixed.log" >&2; }
 fi
+if [ "$status" -eq 0 ]; then
+  benchmark/run.sh --workload sampled_long --quick --seed 1 \
+    > "$tmp/sampled_long.log" 2>&1 || { status=$?; tail -20 "$tmp/sampled_long.log" >&2; }
+fi
 cp "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock
 [ "$status" -eq 0 ]
-echo "benchmark harness builds, its tests pass, and traced serve_mixed has 0 failed"
+echo "benchmark harness builds, its tests pass, traced serve_mixed and sampled_long have 0 failed"
 
 echo "CI OK"

@@ -70,16 +70,12 @@ fn parse_sample(v: &str) -> cli::Result<SampleSpec> {
     let [ff, warmup, detail, period] = parts[..] else {
         return cli::usage("--sample needs exactly four ':'-separated integers");
     };
-    let sample = SampleSpec {
+    Ok(SampleSpec {
         ff,
         warmup,
         detail,
         period,
-    };
-    sample
-        .validate()
-        .map_err(|e| Error::Usage(format!("--sample: {e}")))?;
-    Ok(sample)
+    })
 }
 
 fn run(args: &mut Args) -> cli::Result<ExitCode> {
@@ -106,7 +102,11 @@ fn run(args: &mut Args) -> cli::Result<ExitCode> {
         spec.budget = budget;
     }
     if let Some(sample) = args.value("--sample")? {
-        spec.sample = Some(parse_sample(&sample)?);
+        let sample = parse_sample(&sample)?;
+        sample
+            .validate_for(spec.budget)
+            .map_err(|e| Error::Usage(format!("--sample: {e}")))?;
+        spec.sample = Some(sample);
     }
     let jobs = args.jobs()?;
     let out = args

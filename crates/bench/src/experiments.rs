@@ -11,7 +11,8 @@ use lvp_energy::{core_energy, EnergyInput, EnergyParams, PredictorEnergyInput};
 use lvp_json::{entries, json_struct, DecodeError, FromJson, Json};
 use lvp_obs::{EventSink, NullSink};
 use lvp_trace::Trace;
-use lvp_uarch::{Core, SimConfig, SimStats, VpScheme};
+use lvp_uarch::{Core, SampleSpec, SampledRun, SimConfig, SimStats, VpScheme};
+use lvp_workloads::Workload;
 
 /// One scheme's outcome on one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,24 +134,51 @@ pub fn run_scheme_with<K: EventSink>(
     trace: &Trace,
     scheme: SchemeKind,
     cfg: &SimConfig,
-    mut sink: K,
+    sink: K,
     spin: u32,
 ) -> (SchemeOutcome, K) {
     if let Some(spec) = cfg.sample {
-        let (stats, s) = lvp_uarch::run_sampled(
-            &cfg.core,
+        let mut runs = [SampledRun::new(
+            cfg.core.clone(),
             scheme.build(cfg),
-            trace.records().iter().cloned(),
-            spec,
             spin,
-            &mut sink,
+            sink,
+        )];
+        lvp_uarch::run_sampled(&mut runs, trace.records().iter().cloned(), spec);
+        let [run] = runs;
+        return (
+            SchemeOutcome::collect(scheme, run.stats, &run.scheme),
+            run.sink,
         );
-        return (SchemeOutcome::collect(scheme, stats, &s), sink);
     }
     let mut core = Core::with_sink(cfg.core.clone(), scheme.build(cfg), sink);
     core.set_host_spin(spin);
     let (stats, s, sink) = core.run_traced(trace);
     (SchemeOutcome::collect(scheme, stats, &s), sink)
+}
+
+/// Runs every `(scheme, config)` of `points` under sampling `spec` over one
+/// emulator pass of `workload`'s first `budget` instructions, building no
+/// trace: each window is taken from the emulator once and run through
+/// every point's own core and scheme. Outcome `i` is bit-identical to
+/// [`run_scheme`] of `points[i]` on `workload.trace(budget)` under a config
+/// whose `sample` is `spec`.
+pub fn run_sampled_stream(
+    workload: &Workload,
+    budget: u64,
+    spec: SampleSpec,
+    points: &[(SchemeKind, &SimConfig)],
+) -> Vec<SchemeOutcome> {
+    let mut runs: Vec<_> = points
+        .iter()
+        .map(|&(scheme, cfg)| SampledRun::new(cfg.core.clone(), scheme.build(cfg), 0, NullSink))
+        .collect();
+    lvp_uarch::run_sampled(&mut runs, workload.records(budget), spec);
+    points
+        .iter()
+        .zip(runs)
+        .map(|(&(scheme, _), run)| SchemeOutcome::collect(scheme, run.stats, &run.scheme))
+        .collect()
 }
 
 #[cfg(test)]
@@ -256,5 +284,107 @@ mod tests {
                 .any(|e| matches!(e, ObsEvent::TierTransition { .. })),
             "a sampled run records its tier transitions"
         );
+    }
+
+    /// Every end of a 12k-instruction stream: mid-warmup, mid-detail,
+    /// mid-skip, a zero-warmup spec, and a fast-forward past the budget.
+    const STREAM_BUDGET: u64 = 12_000;
+    const STREAM_SPECS: [lvp_uarch::SampleSpec; 5] = [
+        lvp_uarch::SampleSpec {
+            ff: 0,
+            warmup: 3_000,
+            detail: 1_000,
+            period: 5_000,
+        },
+        lvp_uarch::SampleSpec {
+            ff: 0,
+            warmup: 1_000,
+            detail: 3_000,
+            period: 5_000,
+        },
+        lvp_uarch::SampleSpec {
+            ff: 1_000,
+            warmup: 1_000,
+            detail: 1_000,
+            period: 4_000,
+        },
+        lvp_uarch::SampleSpec {
+            ff: 2_000,
+            warmup: 0,
+            detail: 1_500,
+            period: 2_500,
+        },
+        lvp_uarch::SampleSpec {
+            ff: 20_000,
+            warmup: 100,
+            detail: 500,
+            period: 1_000,
+        },
+    ];
+
+    fn every_scheme() -> Vec<SchemeKind> {
+        SchemeKind::all()
+            .into_iter()
+            .chain([SchemeKind::Dvtage])
+            .collect()
+    }
+
+    #[test]
+    fn a_stream_group_equals_one_member_trace_runs_with_their_events() {
+        let w = lvp_workloads::by_name("perlbmk").expect("workload");
+        let trace = w.trace(STREAM_BUDGET);
+        let variants = [
+            SimConfig::default(),
+            SimConfig::preset("no_prefetch").expect("known preset"),
+        ];
+        for spec in STREAM_SPECS {
+            let points: Vec<(SchemeKind, SimConfig)> = variants
+                .iter()
+                .flat_map(|v| {
+                    every_scheme().into_iter().map(move |kind| {
+                        let cfg = SimConfig {
+                            sample: Some(spec),
+                            ..v.clone()
+                        };
+                        (kind, cfg)
+                    })
+                })
+                .collect();
+            let mut group: Vec<_> = points
+                .iter()
+                .map(|(kind, cfg)| {
+                    SampledRun::new(cfg.core.clone(), kind.build(cfg), 0, RingSink::new(1024))
+                })
+                .collect();
+            lvp_uarch::run_sampled(&mut group, w.records(STREAM_BUDGET), spec);
+            for ((kind, cfg), run) in points.iter().zip(group) {
+                let (alone, sink) = run_scheme_with(&trace, *kind, cfg, RingSink::new(1024), 0);
+                let shared = SchemeOutcome::collect(*kind, run.stats, &run.scheme);
+                let what = format!("{} under {spec:?}", kind.name());
+                assert_eq!(shared, alone, "{what}");
+                assert_eq!(
+                    run.sink.into_ring().drain(),
+                    sink.into_ring().drain(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_sampled_stream_equals_run_scheme_on_the_trace() {
+        let w = lvp_workloads::by_name("aifirf").expect("workload");
+        let trace = w.trace(STREAM_BUDGET);
+        let spec = STREAM_SPECS[2];
+        let cfg = SimConfig {
+            sample: Some(spec),
+            ..SimConfig::default()
+        };
+        let kinds = every_scheme();
+        let points: Vec<(SchemeKind, &SimConfig)> = kinds.iter().map(|&k| (k, &cfg)).collect();
+        let streamed = run_sampled_stream(&w, STREAM_BUDGET, spec, &points);
+        for (&kind, o) in kinds.iter().zip(&streamed) {
+            assert_eq!(*o, run_scheme(&trace, kind, &cfg), "{}", kind.name());
+        }
     }
 }

@@ -75,9 +75,10 @@ impl BatchRequest {
         BatchRequest::decode(&j).map_err(|e| e.to_string())
     }
 
-    /// Every job's sample spec is validated here, at the service boundary
-    /// (as `runner --sample` does), so a degenerate spec fails the whole
-    /// batch before anything is simulated or stored.
+    /// Every job's sample spec is validated here against its budget, at
+    /// the service boundary (as `runner --sample` does), so a degenerate
+    /// spec, or one whose budget ends before the first detail window,
+    /// fails the whole batch before anything is simulated or stored.
     fn decode(j: &Json) -> Result<BatchRequest, DecodeError> {
         let f = Fields::of(j)?;
         let version: u64 = f.req("schema_version")?;
@@ -97,7 +98,7 @@ impl BatchRequest {
         let jobs: Vec<JobSpec> = f.req("jobs")?;
         for (i, job) in jobs.iter().enumerate() {
             if let Some(sample) = &job.sample {
-                sample.validate().map_err(|e| {
+                sample.validate_for(job.budget).map_err(|e| {
                     let at = format!("jobs.{i}.sample");
                     DecodeError::new(e.to_string()).at(&at)
                 })?;
@@ -169,7 +170,8 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
 /// job, in request order, with its store `key` and [`Provenance`]. The
 /// batch runs through [`simulate_cached`], so a `(workload, budget)` is
 /// traced at most once, and only when this process has not fingerprinted
-/// it yet or one of its jobs misses the store; identical requests are
+/// it yet or one of its unsampled jobs misses the store (sampled jobs
+/// stream their records and build no trace); identical requests are
 /// coalesced in flight: duplicates of a canonical key simulate once and
 /// report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
 /// instead of poisoning the whole batch.
@@ -610,9 +612,14 @@ mod tests {
         let store = root.join("store");
         let service = SimService::open(&store).expect("store opens");
         let mut ids = Vec::new();
-        for (i, (ff, warmup, detail, period)) in
-            [(0, 0, 5, 1), (0, 0, 0, 0)].into_iter().enumerate()
-        {
+        // The last spec is valid, but the 4k budget ends inside its
+        // fast-forward, so it has no detail window.
+        let specs = [
+            ((0, 0, 5, 1), "degenerate sample spec"),
+            ((0, 0, 0, 0), "degenerate sample spec"),
+            ((20_000, 100, 500, 1_000), "before the first detail window"),
+        ];
+        for (i, ((ff, warmup, detail, period), why)) in specs.into_iter().enumerate() {
             let mut spec = tiny_spec();
             spec.sample = Some(SampleSpec {
                 ff,
@@ -625,7 +632,7 @@ mod tests {
                 jobs: spec.expand(),
             };
             submit(&root, &req).expect("submit");
-            ids.push(req.id);
+            ids.push((req.id, why));
         }
         let cfg = ServeConfig {
             queue: root.clone(),
@@ -636,8 +643,8 @@ mod tests {
             quiet: true,
         };
         let stats = serve(&cfg, &service).expect("serve runs");
-        assert_eq!((stats.batches, stats.errors), (2, 2));
-        for id in ids {
+        assert_eq!((stats.batches, stats.errors), (3, 3));
+        for (id, why) in ids {
             let text = std::fs::read_to_string(root.join("done").join(format!("{id}.jsonl")))
                 .expect("response written");
             let line = Json::parse(text.trim()).expect("one JSON line");
@@ -646,7 +653,7 @@ mod tests {
                 .and_then(Json::as_str)
                 .expect("error line");
             assert!(err.contains("jobs.0.sample"), "{err}");
-            assert!(err.contains("degenerate sample spec"), "{err}");
+            assert!(err.contains(why), "{err}");
         }
         assert_eq!(service.counters(), lvp_store::StoreCounters::default());
         let stored = lvp_store::Store::open(&store)

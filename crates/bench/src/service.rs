@@ -16,17 +16,19 @@
 //! silently invalidates every affected entry, while `SimConfig` is
 //! embedded fully resolved so a preset edit recomputes exactly the design
 //! points it touches (the incremental-`figs` property). A process-wide memo
-//! maps each `(workload, budget)` to the fingerprint of the trace this
-//! process built for it, so a warm process keys a hit without emulating or
-//! fingerprinting anything, and builds a trace only for a miss.
+//! maps each `(workload, budget)` to the fingerprint of its records, so a
+//! warm process keys a hit without emulating or fingerprinting anything,
+//! and builds a trace only for an unsampled miss. Sampled items never
+//! build one: they stream their records from the emulator, one pass per
+//! `(workload, budget, SampleSpec)` shared by every item on it.
 
-use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
+use crate::experiments::{run_sampled_stream, run_scheme, SchemeKind, SchemeOutcome};
 use crate::runner::par_map_metered;
-use crate::telemetry::Progress;
+use crate::telemetry::{Progress, STREAM_PREFIX};
 use lvp_json::{Json, ToJson};
 use lvp_obs::PhaseSink;
 use lvp_store::SimService;
-use lvp_trace::Trace;
+use lvp_trace::{Fingerprinter, Trace};
 use lvp_uarch::SimConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -102,11 +104,12 @@ pub struct SimPoint<'a> {
     pub config: SimConfig,
 }
 
-/// `Trace::fingerprint()` of every `(workload, budget)` trace an enabled
-/// service has keyed in this process. Within one binary a registered
+/// `Trace::fingerprint()` of every `(workload, budget)` an enabled service
+/// has keyed in this process, computed from a trace it built or from the
+/// stream of records that trace would hold. Within one binary a registered
 /// workload name fixes its program, so an entry never goes stale and needs
 /// no version stamp; keys stay content-derived because every entry is a
-/// fingerprint this process computed from a trace it built.
+/// fingerprint this process computed from the workload's records.
 static FINGERPRINTS: Mutex<BTreeMap<(String, u64), u64>> = Mutex::new(BTreeMap::new());
 
 fn memoized_fingerprint(workload: &str, budget: u64) -> Option<u64> {
@@ -115,6 +118,17 @@ fn memoized_fingerprint(workload: &str, budget: u64) -> Option<u64> {
         .unwrap_or_else(PoisonError::into_inner)
         .get(&(workload.to_string(), budget))
         .copied()
+}
+
+fn memoize_fingerprint(workload: &str, budget: u64, fingerprint: u64) {
+    FINGERPRINTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert((workload.to_string(), budget), fingerprint);
+}
+
+fn workload(name: &str) -> lvp_workloads::Workload {
+    lvp_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload '{name}'"))
 }
 
 /// Builds the trace `needs[t]` for every `t` in `pick` on the pool, one
@@ -138,15 +152,10 @@ fn build_traces<P: PhaseSink>(
         |(trace, _): &(Trace, Option<u64>)| (0, trace.len() as u64),
         |&t| {
             let (w, budget) = needs[t];
-            let trace = lvp_workloads::by_name(w)
-                .unwrap_or_else(|| panic!("unknown workload '{w}'"))
-                .trace(budget);
+            let trace = workload(w).trace(budget);
             let fingerprint = fingerprint(t).then(|| {
                 let fp = trace.fingerprint();
-                FINGERPRINTS
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert((w.to_string(), budget), fp);
+                memoize_fingerprint(w, budget, fp);
                 fp
             });
             (trace, fingerprint)
@@ -154,9 +163,154 @@ fn build_traces<P: PhaseSink>(
     )
 }
 
+/// Fingerprints the record stream of `needs[t]` for every `t` in `pick` on
+/// the pool, one `fingerprint:<name>` span each, storing no record, and
+/// memoizes each value. Returns `(fingerprint, records)` per pick.
+fn stream_fingerprints<P: PhaseSink>(
+    needs: &[(&str, u64)],
+    pick: &[usize],
+    workers: usize,
+    phases: &P,
+) -> Vec<(u64, u64)> {
+    par_map_metered(
+        pick,
+        workers,
+        phases,
+        &Progress::off(),
+        |&t| format!("fingerprint:{}", needs[t].0),
+        |&(_, records): &(u64, u64)| (0, records),
+        |&t| {
+            let (w, budget) = needs[t];
+            let mut f = Fingerprinter::new();
+            let mut records = 0;
+            for rec in workload(w).records(budget) {
+                f.push(&rec);
+                records += 1;
+            }
+            memoize_fingerprint(w, budget, f.finish());
+            (f.finish(), records)
+        },
+    )
+}
+
+/// One pool task of [`simulate_cached`]'s executed items, as indices into
+/// them: an unsampled item run on its trace, or a stream — sampled items
+/// sharing `(workload, budget, SampleSpec)` — run over one emulator pass.
+enum Unit {
+    One(usize),
+    Stream(Vec<usize>),
+}
+
+/// Plans the pool tasks for `points`: one stream per distinct `(workload,
+/// budget, SampleSpec)` of sampled points (in first-seen order, listed
+/// first because they run longest), then one task per unsampled point.
+/// While there are fewer tasks than `workers`, the largest stream is halved
+/// so the pool stays busy; the halves emulate the workload twice, and
+/// every outcome stays the same.
+fn plan_units(points: &[&SimPoint<'_>], workers: usize) -> Vec<Unit> {
+    let mut streams: Vec<Vec<usize>> = Vec::new();
+    let mut ones: Vec<usize> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        if p.config.sample.is_none() {
+            ones.push(i);
+            continue;
+        }
+        let stream = (p.workload, p.budget, p.config.sample);
+        match streams.iter_mut().find(|g| {
+            let q = points[g[0]];
+            (q.workload, q.budget, q.config.sample) == stream
+        }) {
+            Some(g) => g.push(i),
+            None => streams.push(vec![i]),
+        }
+    }
+    while streams.len() + ones.len() < workers {
+        let Some(largest) = streams
+            .iter_mut()
+            .filter(|g| g.len() > 1)
+            .max_by_key(|g| g.len())
+        else {
+            break;
+        };
+        let half = largest.split_off(largest.len() / 2);
+        streams.push(half);
+    }
+    streams
+        .into_iter()
+        .map(Unit::Stream)
+        .chain(ones.into_iter().map(Unit::One))
+        .collect()
+}
+
+/// Runs `points` on the pool and returns their outcomes in order: each
+/// unsampled point `i` on `trace(i)` under a `label(i)` span, and each
+/// stream of [`plan_units`] over one emulator pass under a
+/// `stream:<workload>` span. `progress` ticks once per point.
+fn run_points<'t, P: PhaseSink>(
+    points: &[&SimPoint<'_>],
+    trace: impl Fn(usize) -> &'t Trace + Sync,
+    label: impl Fn(usize) -> String + Sync,
+    workers: usize,
+    phases: &P,
+    progress: &Progress,
+) -> Vec<SchemeOutcome> {
+    let units = plan_units(points, workers);
+    let done = par_map_metered(
+        &units,
+        workers,
+        phases,
+        &Progress::off(),
+        |unit| match unit {
+            Unit::One(i) => label(*i),
+            Unit::Stream(g) => format!("{STREAM_PREFIX}{}", points[g[0]].workload),
+        },
+        |outs: &Vec<SchemeOutcome>| {
+            outs.iter().fold((0, 0), |(c, n), o| {
+                (c + o.stats.cycles, n + o.stats.instructions)
+            })
+        },
+        |unit| {
+            let outs = match unit {
+                Unit::One(i) => {
+                    let p = points[*i];
+                    vec![run_scheme(trace(*i), p.scheme, &p.config)]
+                }
+                Unit::Stream(g) => {
+                    let p = points[g[0]];
+                    let spec = p.config.sample.expect("a stream holds sampled points");
+                    let members: Vec<(SchemeKind, &SimConfig)> = g
+                        .iter()
+                        .map(|&i| (points[i].scheme, &points[i].config))
+                        .collect();
+                    run_sampled_stream(&workload(p.workload), p.budget, spec, &members)
+                }
+            };
+            for o in &outs {
+                progress.tick(o.stats.cycles);
+            }
+            outs
+        },
+    );
+    let mut outcomes: Vec<Option<SchemeOutcome>> = points.iter().map(|_| None).collect();
+    for (unit, outs) in units.iter().zip(done) {
+        let slots = match unit {
+            Unit::One(i) => std::slice::from_ref(i),
+            Unit::Stream(g) => g.as_slice(),
+        };
+        for (&i, o) in slots.iter().zip(outs) {
+            outcomes[i] = Some(o);
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every point belongs to one unit"))
+        .collect()
+}
+
 /// What [`simulate_cached`] returns: every item's outcome (input order,
 /// with provenance and keys) and the traces it built, at most one per
-/// distinct `(workload, budget)`, in first-seen order.
+/// distinct `(workload, budget)`, in first-seen order. Sampled items never
+/// build a trace.
 pub struct SimRun<'a> {
     pub outcomes: CachedBatch<SchemeOutcome>,
     pub traces: Vec<((&'a str, u64), Trace)>,
@@ -165,21 +319,29 @@ pub struct SimRun<'a> {
 /// The one cached-simulation executor behind `figs`, `runner` and
 /// `serve`. Each item names a [`SimPoint`] through `point`.
 ///
-/// With a disabled service it builds each distinct `(workload, budget)`
-/// trace once, in parallel, under a lane-0 `build_traces` span (one
-/// `trace:<name>` span per trace), then runs every item with
-/// [`run_scheme`] on the pool under a lane-0 `simulate` span, each item
-/// under a `label(item)` span.
+/// Unsampled items run on a trace. With a disabled service each distinct
+/// `(workload, budget)` trace an unsampled item or `also_trace` needs is
+/// built once, in parallel, under a lane-0 `build_traces` span (one
+/// `trace:<name>` span per trace). Sampled items never build a trace: the
+/// ones sharing `(workload, budget, SampleSpec)` run as one stream, whose
+/// windows are taken from the emulator once and run through every member
+/// (see [`run_sampled_stream`]), so a sampled run's memory does not grow
+/// with its budget. Every executed item runs on the pool under a lane-0
+/// `simulate` span: an unsampled one under a `label(item)` span, a stream
+/// under a `stream:<name>` span.
 ///
 /// With an enabled service every item is keyed with [`sim_request_doc`]
-/// over its trace's fingerprint, and a trace is built only when it is
+/// over its workload's fingerprint, and a trace is built only when it is
 /// needed: the first pass (under `build_traces`) builds the traces whose
-/// fingerprint this process has not memoized yet, fingerprinting each once,
-/// plus every `also_trace` entry. Under `simulate`, charged with the
+/// fingerprint this process has not memoized yet and that an unsampled
+/// item needs, fingerprinting each once, plus every `also_trace` entry. A
+/// `(workload, budget)` only sampled items need is fingerprinted instead
+/// from its record stream, storing nothing (under `fingerprint_streams`,
+/// one `fingerprint:<name>` span each). Under `simulate`, charged with the
 /// misses' simulated work, it answers hits with their stored
-/// [`SchemeOutcome`], builds the traces that missed items still lack (no
-/// fingerprint), and runs the misses. A batch of hits whose fingerprints
-/// are memoized therefore builds and fingerprints nothing.
+/// [`SchemeOutcome`], builds the traces that unsampled misses still lack
+/// (no fingerprint), and runs the misses. A batch of hits whose
+/// fingerprints are memoized therefore builds and fingerprints nothing.
 ///
 /// `also_trace` adds traces no item simulates but the caller reads; they
 /// are always built and returned.
@@ -224,20 +386,25 @@ where
         })
         .collect();
 
-    // The first pass builds what a disabled service simulates (every
-    // trace), and what an enabled one reads or cannot key without
-    // building: `also_trace`, and each item's trace of unknown fingerprint.
+    // A need is traced when the caller reads it or an unsampled item runs
+    // on it; a need only sampled items have is only ever streamed.
+    let mut traced: Vec<bool> = needs.iter().map(|n| also_trace.contains(n)).collect();
+    let mut simulated = vec![false; needs.len()];
+    for (_, p, t) in &jobs {
+        traced[*t] |= p.config.sample.is_none();
+        simulated[*t] = true;
+    }
+
+    // The first pass builds what a disabled service simulates (every traced
+    // need), and what an enabled one reads or cannot key without building:
+    // `also_trace`, and each traced need of unknown fingerprint.
     let enabled = service.enabled();
     let mut fingerprints: Vec<Option<u64>> = needs
         .iter()
         .map(|&(w, budget)| enabled.then(|| memoized_fingerprint(w, budget)).flatten())
         .collect();
-    let mut simulated = vec![false; needs.len()];
-    for &(_, _, t) in &jobs {
-        simulated[t] = true;
-    }
     let first: Vec<usize> = (0..needs.len())
-        .filter(|&t| also_trace.contains(&needs[t]) || fingerprints[t].is_none())
+        .filter(|&t| traced[t] && (also_trace.contains(&needs[t]) || fingerprints[t].is_none()))
         .collect();
     let traces: Vec<OnceLock<Trace>> = needs.iter().map(|_| OnceLock::new()).collect();
     let mut span = phases.span(0, "build_traces");
@@ -257,6 +424,21 @@ where
         let _ = traces[t].set(trace);
     }
 
+    // An enabled service keys a stream-only need of unknown fingerprint
+    // from a streaming pass that stores nothing.
+    let streamed: Vec<usize> = (0..needs.len())
+        .filter(|&t| enabled && !traced[t] && fingerprints[t].is_none())
+        .collect();
+    if !streamed.is_empty() {
+        let mut span = phases.span(0, "fingerprint_streams");
+        let hashed = stream_fingerprints(&needs, &streamed, workers, phases);
+        span.charge(0, hashed.iter().map(|&(_, n)| n).sum(), 0);
+        span.finish();
+        for (&t, (fingerprint, _)) in streamed.iter().zip(hashed) {
+            fingerprints[t] = Some(fingerprint);
+        }
+    }
+
     let mut span = phases.span(0, "simulate");
     let outcomes = par_map_cached(
         service,
@@ -267,29 +449,35 @@ where
             sim_request_doc(fingerprint, p.budget, p.scheme.name(), &p.config)
         },
         |_, payload| SchemeOutcome::from_json(payload).ok(),
-        |misses| {
-            let mut second: Vec<usize> = misses
+        |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
+        |todo| {
+            let mut second: Vec<usize> = todo
                 .iter()
+                .filter(|(_, p, _)| p.config.sample.is_none())
                 .map(|&&(_, _, t)| t)
                 .filter(|&t| traces[t].get().is_none())
                 .collect();
             second.sort_unstable();
             second.dedup();
-            let built = build_traces(&needs, &second, |_| false, workers, phases);
-            for (&t, (trace, _)) in second.iter().zip(built) {
-                let _ = traces[t].set(trace);
+            if !second.is_empty() {
+                let built = build_traces(&needs, &second, |_| false, workers, phases);
+                for (&t, (trace, _)) in second.iter().zip(built) {
+                    let _ = traces[t].set(trace);
+                }
             }
-        },
-        workers,
-        phases,
-        progress,
-        |(item, _, _)| label(item),
-        |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
-        |(_, p, t)| {
-            let trace = traces[*t]
-                .get()
-                .expect("every executed item's trace is built");
-            run_scheme(trace, p.scheme, &p.config)
+            let points: Vec<&SimPoint<'a>> = todo.iter().map(|(_, p, _)| p).collect();
+            run_points(
+                &points,
+                |i| {
+                    traces[todo[i].2]
+                        .get()
+                        .expect("every executed unsampled item's trace is built")
+                },
+                |i| label(todo[i].0),
+                workers,
+                phases,
+                progress,
+            )
         },
     );
     span.charge(
@@ -308,45 +496,34 @@ where
     }
 }
 
-/// [`par_map_metered`] behind a [`SimService`], generic over the item and
-/// result types. It keys every item, coalesces items whose key an earlier
-/// item already owns (in-flight dedup: the first occurrence owns the key,
-/// later ones borrow its result), looks each owner up, runs only the misses
-/// on the worker pool (same labels, same input-order slots), records what it
-/// computed, and reassembles results in input order. A payload that
-/// `decode` rejects is recomputed, exactly like an absent entry; payloads
-/// are written with `R`'s [`ToJson`]. `prepare` sees the misses once,
-/// before the pool runs them.
+/// A lookup-or-run batch behind a [`SimService`], generic over the item
+/// and result types. It keys every item, coalesces items whose key an
+/// earlier item already owns (in-flight dedup: the first occurrence owns
+/// the key, later ones borrow its result), looks each owner up, hands only
+/// the misses to `execute` (which returns one result per item, in order),
+/// records what it computed, and reassembles results in input order. A
+/// payload that `decode` rejects is recomputed, exactly like an absent
+/// entry; payloads are written with `R`'s [`ToJson`]. `meter` tallies the
+/// executed work.
 ///
-/// With a disabled service this *is* [`par_map_metered`] — same pool, same
-/// spans, no keys, no `prepare`, bit-identical results — so store-off runs
-/// keep their exact artifact and manifest bytes. With an enabled service
-/// the results are still bit-identical because payloads round-trip
-/// losslessly; only the set of executed `job:` spans shrinks.
-#[allow(clippy::too_many_arguments)]
-fn par_map_cached<T, R, F, L, M, P, Q, D, G>(
+/// With a disabled service `execute` receives every item — no keys, no
+/// lookups — so store-off runs keep their exact artifact and manifest
+/// bytes. With an enabled service the results are still bit-identical
+/// because payloads round-trip losslessly; only the executed set shrinks.
+fn par_map_cached<T, R, Q, D, M, X>(
     service: &SimService,
     items: &[T],
     request_doc: Q,
     decode: D,
-    prepare: G,
-    workers: usize,
-    phases: &P,
-    progress: &Progress,
-    label: L,
     meter: M,
-    f: F,
+    execute: X,
 ) -> CachedBatch<R>
 where
-    T: Sync,
-    R: Send + Clone + ToJson,
-    F: Fn(&T) -> R + Sync,
-    L: Fn(&T) -> String + Sync,
-    M: Fn(&R) -> (u64, u64) + Sync,
-    P: PhaseSink,
+    R: Clone + ToJson,
     Q: Fn(&T) -> Json,
     D: Fn(&T, &Json) -> Option<R>,
-    G: FnOnce(&[&T]),
+    M: Fn(&R) -> (u64, u64),
+    X: FnOnce(&[&T]) -> Vec<R>,
 {
     let tally = |results: &[R]| {
         results.iter().map(&meter).fold(
@@ -359,7 +536,8 @@ where
         )
     };
     if !service.enabled() {
-        let results = par_map_metered(items, workers, phases, progress, &label, &meter, f);
+        let all: Vec<&T> = items.iter().collect();
+        let results = execute(&all);
         return CachedBatch {
             executed: tally(&results),
             provenance: vec![Provenance::Computed; results.len()],
@@ -401,16 +579,7 @@ where
     }
 
     let miss_items: Vec<&T> = misses.iter().map(|&i| &items[i]).collect();
-    prepare(&miss_items);
-    let computed = par_map_metered(
-        &miss_items,
-        workers,
-        phases,
-        progress,
-        |item| label(item),
-        &meter,
-        |item| f(item),
-    );
+    let computed = execute(&miss_items);
     let executed = tally(&computed);
     for (&i, r) in misses.iter().zip(computed) {
         if let Err(e) = service.record(&keys[i], &r.to_json()) {
@@ -555,6 +724,82 @@ mod tests {
         assert_eq!(memoized_fingerprint("aifirf", 1_601), None);
     }
 
+    #[test]
+    fn streams_group_sampled_points_and_split_to_fill_the_pool() {
+        let spec = lvp_uarch::SampleSpec {
+            ff: 1_000,
+            warmup: 500,
+            detail: 1_000,
+            period: 3_000,
+        };
+        let point = |workload, scheme, sample| SimPoint {
+            workload,
+            budget: 9_000,
+            scheme,
+            config: SimConfig {
+                sample,
+                ..SimConfig::default()
+            },
+        };
+        let points: Vec<SimPoint> = [SchemeKind::Baseline, SchemeKind::Cap, SchemeKind::Dlvp]
+            .into_iter()
+            .flat_map(|k| {
+                [
+                    point("aifirf", k, Some(spec)),
+                    point("nat", k, None),
+                    point("nat", k, Some(spec)),
+                ]
+            })
+            .collect();
+        let refs: Vec<&SimPoint> = points.iter().collect();
+        let shape = |workers| -> Vec<Vec<usize>> {
+            plan_units(&refs, workers)
+                .into_iter()
+                .map(|u| match u {
+                    Unit::One(i) => vec![i],
+                    Unit::Stream(g) => g,
+                })
+                .collect()
+        };
+        let grouped = [vec![0, 3, 6], vec![2, 5, 8], vec![1], vec![4], vec![7]];
+        assert_eq!(shape(1), grouped);
+        assert_eq!(shape(5), grouped);
+        let split = shape(7);
+        assert_eq!(split.len(), 7);
+        let mut covered: Vec<usize> = split.concat();
+        covered.sort_unstable();
+        assert_eq!(
+            covered,
+            (0..9).collect::<Vec<_>>(),
+            "every point in one unit"
+        );
+
+        // The outcomes do not depend on how the streams were split.
+        let items: Vec<Item> = vec![
+            ("aifirf", 9_001, SchemeKind::Baseline),
+            ("aifirf", 9_001, SchemeKind::Dlvp),
+            ("aifirf", 9_001, SchemeKind::Vtage),
+        ];
+        let run = |workers| {
+            simulate_cached(
+                &SimService::disabled(),
+                &items,
+                |&(workload, budget, scheme)| SimPoint {
+                    budget,
+                    ..point(workload, scheme, Some(spec))
+                },
+                &[],
+                workers,
+                &NullPhases,
+                &Progress::off(),
+                |_| String::new(),
+            )
+            .outcomes
+            .results
+        };
+        assert_eq!(run(1), run(3));
+    }
+
     fn doc(n: &u64) -> Json {
         Json::obj([("n", Json::U64(*n))])
     }
@@ -568,13 +813,8 @@ mod tests {
             &items,
             doc,
             |_, p| p.as_f64().map(|x| x as u64),
-            |_| {},
-            4,
-            &NullPhases,
-            &Progress::off(),
-            |_| String::new(),
             |r| (*r, 1),
-            |n| n * 2,
+            |todo| crate::runner::par_map(todo, 4, |n| *n * 2),
         );
         assert_eq!(batch.results, (0..10).map(|n| n * 2).collect::<Vec<_>>());
         assert_eq!(batch.provenance, vec![Provenance::Computed; 10]);
@@ -596,13 +836,8 @@ mod tests {
                     Json::U64(n) => Some(*n),
                     _ => None,
                 },
-                |_| {},
-                4,
-                &NullPhases,
-                &Progress::off(),
-                |_| String::new(),
                 |r| (*r, 1),
-                |n| n * 3,
+                |todo| crate::runner::par_map(todo, 4, |n| *n * 3),
             )
         };
         let cold = run(&svc);
@@ -629,13 +864,11 @@ mod tests {
                 Json::U64(n) => Some(*n),
                 _ => None,
             },
-            |misses| assert_eq!(misses, [&1, &2, &3]),
-            2,
-            &NullPhases,
-            &Progress::off(),
-            |_| String::new(),
             |r| (*r, 1),
-            |n| n * 10,
+            |misses| {
+                assert_eq!(misses, [&1, &2, &3], "only the key owners that miss run");
+                misses.iter().map(|&n| n * 10).collect()
+            },
         );
         assert_eq!(batch.results, vec![10, 20, 10, 30, 20, 10]);
         use Provenance::{Computed, Deduped};

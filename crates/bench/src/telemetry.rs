@@ -26,6 +26,11 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// become [`JobRecord`]s in the manifest.
 pub const JOB_PREFIX: &str = "job:";
 
+/// Span-name prefix of a sampled stream: every sampled simulation that
+/// shares one emulator pass, charged with their summed work. Each becomes
+/// one [`JobRecord`], labelled with its full span name.
+pub const STREAM_PREFIX: &str = "stream:";
+
 /// Canonical configuration fingerprint: FNV-1a over the tool name and the
 /// compact form of its configuration document. Depends only on *what* runs
 /// — never on `--jobs`, the schedule, or the host — so the same spec hashes
@@ -44,10 +49,11 @@ pub fn config_hash(tool: &str, config: &Json) -> String {
     format!("{h:016x}")
 }
 
-/// One accounted work item (a `job:`-prefixed phase span).
+/// One accounted work item (a `job:`- or `stream:`-prefixed phase span).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
-    /// Job identity, e.g. `perlbmk/default/DLVP`.
+    /// Job identity, e.g. `perlbmk/default/DLVP`, or a stream's span name,
+    /// e.g. `stream:perlbmk`.
     pub label: String,
     /// Worker that ran it (lane − 1; coordinator work reports worker 0).
     pub worker: u64,
@@ -147,8 +153,8 @@ pub struct Manifest {
 
 impl Manifest {
     /// Assembles a manifest from a finished [`PhaseRecorder`]. Per-job
-    /// records and work totals come from the `job:`-prefixed spans; pool
-    /// occupancy from the worker lanes.
+    /// records and work totals come from the `job:`- and `stream:`-prefixed
+    /// spans; pool occupancy from the worker lanes.
     pub fn build(
         tool: &str,
         config: &Json,
@@ -163,7 +169,11 @@ impl Manifest {
         let per_job: Vec<JobRecord> = phases
             .iter()
             .filter_map(|s| {
-                let label = s.name.strip_prefix(JOB_PREFIX)?;
+                let label = match s.name.strip_prefix(JOB_PREFIX) {
+                    Some(job) => job,
+                    None if s.name.starts_with(STREAM_PREFIX) => &s.name,
+                    None => return None,
+                };
                 Some(JobRecord {
                     label: label.to_string(),
                     worker: (s.lane.max(1) - 1) as u64,

@@ -182,3 +182,25 @@ fn runner_client_rejects_host_telemetry() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn runner_rejects_a_budget_with_no_detail_window_before_running() {
+    let dir = scratch("runner-no-detail");
+    let out = dir.join("matrix.json");
+    assert_usage_error(
+        RUNNER,
+        &[
+            "--workloads",
+            "aifirf",
+            "--budget",
+            "10000",
+            "--sample",
+            "20000:100:500:1000",
+            "--out",
+            out.to_str().expect("utf-8 path"),
+            "--quiet",
+        ],
+    );
+    assert!(!out.exists(), "a rejected sampled run wrote results");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -175,6 +175,44 @@ fn manifest_round_trips_and_hash_ignores_workers() {
     );
 }
 
+/// A sampled matrix runs one `stream:` span per workload, and the manifest
+/// accounts each stream as a work item carrying its members' summed work.
+#[test]
+fn sampled_streams_are_accounted_in_the_manifest() {
+    let mut spec = small_spec();
+    spec.budget = 20_000;
+    spec.sample = Some(lvp_uarch::SampleSpec {
+        ff: 2_000,
+        warmup: 1_000,
+        detail: 2_000,
+        period: 5_000,
+    });
+    let rec = PhaseRecorder::new();
+    let results = run_matrix_with(&spec, 2, &rec, &Progress::off());
+    assert_eq!(
+        results.to_json().pretty(),
+        run_matrix(&spec, 1).to_json().pretty()
+    );
+    let spans = rec.spans();
+    assert!(
+        !spans.iter().any(|s| s.name.starts_with("trace:")),
+        "a sampled run builds no trace"
+    );
+    let m = Manifest::build(
+        "runner",
+        &spec.to_json(),
+        spec.budget,
+        vec![],
+        2,
+        &rec,
+        None,
+    );
+    let labels: Vec<&str> = m.per_job.iter().map(|j| j.label.as_str()).collect();
+    assert_eq!(labels, ["stream:aifirf", "stream:libquantum"]);
+    let cycles: u64 = results.jobs.iter().map(|j| j.outcome.stats.cycles).sum();
+    assert_eq!(m.sim_cycles, cycles);
+}
+
 /// The Chrome host trace is one JSON array of complete events, one lane per
 /// worker, covering every recorded span.
 #[test]

@@ -22,5 +22,5 @@ pub mod repeat;
 
 pub use conflict::ConflictProfile;
 pub use io::{read_trace, write_trace, TraceIoError, TraceWriter};
-pub use record::{LoadView, Trace, TraceRecord, ValueBuf, MAX_CHUNKS};
+pub use record::{Fingerprinter, LoadView, Trace, TraceRecord, ValueBuf, MAX_CHUNKS};
 pub use repeat::RepeatProfile;

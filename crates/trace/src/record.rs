@@ -152,45 +152,89 @@ impl Trace {
         self.records.iter().filter(|r| r.inst.is_branch()).count()
     }
 
+    /// Empties the trace, keeping its allocation for the next fill.
+    pub fn clear(&mut self) {
+        self.records.clear();
+    }
+
     /// FNV-1a hash over every record's architectural content (pc, encoded
-    /// instruction, next pc, effective address, all values).
+    /// instruction, next pc, effective address, all values): the
+    /// [`Fingerprinter`] fold over the records.
     ///
     /// This is the workload component of a content-addressed store key: a
     /// workload-generator edit that changes what a trace contains changes
     /// the fingerprint, so stale cached results become unreachable without
     /// any manual invalidation.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        let mut words = Vec::new();
+        let mut f = Fingerprinter::new();
         for r in &self.records {
-            mix(r.pc);
-            words.clear();
-            lvp_isa::encode(r.inst, &mut words);
-            mix(words.len() as u64);
-            for &w in &words {
-                mix(u64::from(w));
-            }
-            mix(r.next_pc);
-            mix(r.eff_addr);
-            mix(r.value);
-            match &r.extra_values {
-                Some(extra) => {
-                    mix(extra.len() as u64);
-                    for &v in extra.iter() {
-                        mix(v);
-                    }
-                }
-                None => mix(0),
-            }
+            f.push(r);
         }
-        h
+        f.finish()
+    }
+}
+
+/// One FNV-1a step per little-endian byte of `x`.
+fn mix(h: &mut u64, x: u64) {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+}
+
+/// [`Trace::fingerprint`] one record at a time, so a record stream is
+/// fingerprinted without being stored. The hash is a plain left fold with
+/// no length prefix: pushing a trace's records in order and calling
+/// [`Fingerprinter::finish`] gives exactly `Trace::fingerprint()`.
+#[derive(Debug, Clone)]
+pub struct Fingerprinter {
+    h: u64,
+    /// Scratch for each record's encoded instruction words.
+    words: Vec<u32>,
+}
+
+impl Default for Fingerprinter {
+    fn default() -> Fingerprinter {
+        Fingerprinter {
+            h: 0xcbf2_9ce4_8422_2325,
+            words: Vec::new(),
+        }
+    }
+}
+
+impl Fingerprinter {
+    /// The fingerprint of an empty record sequence.
+    pub fn new() -> Fingerprinter {
+        Fingerprinter::default()
+    }
+
+    /// Folds the next record into the hash.
+    pub fn push(&mut self, r: &TraceRecord) {
+        let h = &mut self.h;
+        mix(h, r.pc);
+        self.words.clear();
+        lvp_isa::encode(r.inst, &mut self.words);
+        mix(h, self.words.len() as u64);
+        for &w in &self.words {
+            mix(h, u64::from(w));
+        }
+        mix(h, r.next_pc);
+        mix(h, r.eff_addr);
+        mix(h, r.value);
+        match &r.extra_values {
+            Some(extra) => {
+                mix(h, extra.len() as u64);
+                for &v in extra.iter() {
+                    mix(h, v);
+                }
+            }
+            None => mix(h, 0),
+        }
+    }
+
+    /// The fingerprint of the records pushed so far.
+    pub fn finish(&self) -> u64 {
+        self.h
     }
 }
 

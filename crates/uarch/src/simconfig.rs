@@ -500,6 +500,21 @@ impl SampleSpec {
         }
         Ok(())
     }
+
+    /// [`SampleSpec::validate`], plus: a run of `budget` instructions
+    /// reaches its first detail window. It has none — and would report an
+    /// empty outcome — exactly when `budget <= ff + warmup`.
+    pub fn validate_for(&self, budget: u64) -> Result<(), ConfigError> {
+        self.validate()?;
+        if budget <= self.ff.saturating_add(self.warmup) {
+            return Err(ConfigError::NoDetailWindow {
+                budget,
+                ff: self.ff,
+                warmup: self.warmup,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Why a [`SimConfig`] was rejected.
@@ -527,6 +542,8 @@ pub enum ConfigError {
     /// A [`SampleSpec`] is degenerate (zero-length windows, or windows
     /// that do not fit their period).
     DegenerateSample(&'static str),
+    /// A sampled run's budget ends before its first detail window.
+    NoDetailWindow { budget: u64, ff: u64, warmup: u64 },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -559,6 +576,11 @@ impl std::fmt::Display for ConfigError {
                 PRESETS.join(", ")
             ),
             ConfigError::DegenerateSample(detail) => write!(f, "degenerate sample spec: {detail}"),
+            ConfigError::NoDetailWindow { budget, ff, warmup } => write!(
+                f,
+                "budget {budget} ends before the first detail window: it must exceed \
+                 sample.ff + sample.warmup ({ff} + {warmup})"
+            ),
         }
     }
 }
@@ -908,6 +930,23 @@ mod tests {
             assert!(cfg.validate().is_err());
         }
         assert_eq!(spec(0, 0, 100, 100).validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_budget_must_reach_the_first_detail_window() {
+        let s = SampleSpec {
+            ff: 20_000,
+            warmup: 100,
+            detail: 500,
+            period: 1_000,
+        };
+        for budget in [10_000, 20_000, 20_100] {
+            let err = s.validate_for(budget).expect_err("no detail window");
+            assert!(err.to_string().contains("20000 + 100"), "{err}");
+        }
+        assert_eq!(s.validate_for(20_101), Ok(()));
+        let degenerate = SampleSpec { detail: 0, ..s };
+        assert_eq!(degenerate.validate_for(1 << 40), degenerate.validate());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! prefix functionally, then alternate per-period `warmup` windows (the
 //! scheme trains through [`VpScheme::set_warm_only`] but injects nothing,
 //! stats discarded) with `detail` windows whose stats accumulate, skipping
-//! the remainder of each period. Sampling never changes any unsampled
-//! artifact: the driver is only entered when a
+//! the remainder of each period. It consumes a record *stream* and holds
+//! one window at a time, so its memory does not depend on the stream's
+//! length, and one stream drives any number of [`SampledRun`]s. Sampling
+//! never changes any unsampled artifact: the driver is only entered when a
 //! [`SampleSpec`] is present.
 
 use crate::config::CoreConfig;
@@ -129,19 +131,75 @@ impl SimpleTier {
     }
 }
 
-/// Pulls up to `n` records from the stream into a dense-seq window trace.
-fn take_window<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> Trace {
-    let mut t = Trace::new();
+/// Refills `window` with up to `n` records from the stream, numbered
+/// densely from 0, reusing its allocation.
+fn fill_window<I: Iterator<Item = TraceRecord>>(window: &mut Trace, records: &mut I, n: u64) {
+    window.clear();
     for _ in 0..n {
         match records.next() {
-            Some(rec) => t.push(rec),
+            Some(rec) => window.push(rec),
             None => break,
         }
     }
-    t
 }
 
-/// Fast-forward + sampled detailed simulation over a record stream.
+/// Drops up to `n` records from the stream and returns how many it found.
+fn skip<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> u64 {
+    let mut skipped = 0;
+    while skipped < n && records.next().is_some() {
+        skipped += 1;
+    }
+    skipped
+}
+
+/// One simulation a [`run_sampled`] stream drives: its own core
+/// configuration, scheme, host spin and event sink, and the detail-window
+/// stats it has accumulated.
+#[derive(Debug)]
+pub struct SampledRun<S, K> {
+    pub cfg: CoreConfig,
+    pub scheme: S,
+    /// Per-instruction host busy-loop (see [`Core::set_host_spin`]).
+    pub spin: u32,
+    /// Receives this run's tier transitions, stamped with its own cycles.
+    pub sink: K,
+    /// Accumulated detail-window stats; [`SimStats::sampling`] is set when
+    /// the stream ends.
+    pub stats: SimStats,
+}
+
+impl<S: VpScheme, K: EventSink> SampledRun<S, K> {
+    /// A run that has simulated nothing yet.
+    pub fn new(cfg: CoreConfig, scheme: S, spin: u32, sink: K) -> SampledRun<S, K> {
+        SampledRun {
+            cfg,
+            scheme,
+            spin,
+            sink,
+            stats: SimStats::default(),
+        }
+    }
+
+    fn enter(&mut self, seq: u64, tier: TierKind) {
+        if K::ENABLED {
+            self.sink.emit(ObsEvent::TierTransition {
+                seq,
+                cycle: self.stats.cycles,
+                tier,
+            });
+        }
+    }
+
+    /// Runs `window` through a fresh core that borrows this run's scheme.
+    fn run_window(&mut self, window: &Trace) -> SimStats {
+        let mut core = Core::new(self.cfg.clone(), &mut self.scheme);
+        core.set_host_spin(self.spin);
+        core.run(window)
+    }
+}
+
+/// Fast-forward + sampled detailed simulation of every run in `runs` over
+/// one record stream.
 ///
 /// Consumes `records` according to `spec`: the first `spec.ff` records are
 /// skipped functionally, then each `spec.period`-record window runs its
@@ -153,116 +211,85 @@ fn take_window<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> Trac
 /// the whole stream while timing state restarts per window, which is what
 /// makes the result independent of how jobs are scheduled around it.
 ///
-/// Returns the accumulated detail-window stats — with
-/// [`SimStats::sampling`] populated — and the scheme. Tier transitions are
-/// emitted into `sink` (pass [`lvp_obs::NullSink`] to discard them).
-pub fn run_sampled<S, I, K>(
-    cfg: &CoreConfig,
-    mut scheme: S,
-    records: I,
-    spec: SampleSpec,
-    spin: u32,
-    mut sink: K,
-) -> (SimStats, S)
+/// Each window is taken from the stream once, into one reused buffer, and
+/// run through every run's own core in turn. Runs share nothing but the
+/// records, so each ends exactly as it would alone: a single simulation is
+/// the one-run case. On return every run's [`SampledRun::stats`] holds its
+/// accumulated detail-window stats with [`SimStats::sampling`] populated,
+/// and its sink holds its tier transitions.
+pub fn run_sampled<S, K, I>(runs: &mut [SampledRun<S, K>], records: I, spec: SampleSpec)
 where
     S: VpScheme,
-    I: IntoIterator<Item = TraceRecord>,
     K: EventSink,
+    I: IntoIterator<Item = TraceRecord>,
 {
     let mut records = records.into_iter();
-    let mut total = SimStats::default();
+    let mut window = Trace::new();
     let mut acct = SamplingStats::default();
     let mut consumed: u64 = 0;
 
-    if spec.ff > 0 && K::ENABLED {
-        sink.emit(ObsEvent::TierTransition {
-            seq: consumed,
-            cycle: total.cycles,
-            tier: TierKind::Skip,
-        });
+    if spec.ff > 0 {
+        runs.iter_mut()
+            .for_each(|r| r.enter(consumed, TierKind::Skip));
     }
-    for _ in 0..spec.ff {
-        if records.next().is_none() {
-            break;
-        }
-        consumed += 1;
-        acct.skipped_instructions += 1;
-    }
+    let skipped = skip(&mut records, spec.ff);
+    consumed += skipped;
+    acct.skipped_instructions += skipped;
 
     loop {
         // ---- warmup: train predictors, discard timing -----------------
         if spec.warmup > 0 {
-            let warm = take_window(&mut records, spec.warmup);
-            if !warm.is_empty() {
-                if K::ENABLED {
-                    sink.emit(ObsEvent::TierTransition {
-                        seq: consumed,
-                        cycle: total.cycles,
-                        tier: TierKind::Warmup,
-                    });
+            fill_window(&mut window, &mut records, spec.warmup);
+            let n = window.len() as u64;
+            if n > 0 {
+                for run in runs.iter_mut() {
+                    run.enter(consumed, TierKind::Warmup);
+                    run.scheme.set_warm_only(true);
+                    run.run_window(&window);
+                    run.scheme.set_warm_only(false);
                 }
-                scheme.set_warm_only(true);
-                let mut core = Core::new(cfg.clone(), scheme);
-                core.set_host_spin(spin);
-                let (_, back) = core.run_with_scheme(&warm);
-                scheme = back;
-                scheme.set_warm_only(false);
-                consumed += warm.len() as u64;
-                acct.warmup_instructions += warm.len() as u64;
+                consumed += n;
+                acct.warmup_instructions += n;
             }
-            if (warm.len() as u64) < spec.warmup {
+            if n < spec.warmup {
                 break;
             }
         }
 
         // ---- detail: accumulate stats ---------------------------------
-        let detail = take_window(&mut records, spec.detail);
-        if detail.is_empty() {
+        fill_window(&mut window, &mut records, spec.detail);
+        let n = window.len() as u64;
+        if n == 0 {
             break;
         }
-        if K::ENABLED {
-            sink.emit(ObsEvent::TierTransition {
-                seq: consumed,
-                cycle: total.cycles,
-                tier: TierKind::Detail,
-            });
+        for run in runs.iter_mut() {
+            run.enter(consumed, TierKind::Detail);
+            let stats = run.run_window(&window);
+            run.stats.accumulate(&stats);
         }
-        let mut core = Core::new(cfg.clone(), scheme);
-        core.set_host_spin(spin);
-        let (stats, back) = core.run_with_scheme(&detail);
-        scheme = back;
-        consumed += detail.len() as u64;
+        consumed += n;
         acct.windows += 1;
-        total.accumulate(&stats);
-        if (detail.len() as u64) < spec.detail {
+        if n < spec.detail {
             break;
         }
 
         // ---- skip to the end of the period ----------------------------
-        let skip = spec.period - spec.warmup - spec.detail;
-        if skip > 0 && K::ENABLED {
-            sink.emit(ObsEvent::TierTransition {
-                seq: consumed,
-                cycle: total.cycles,
-                tier: TierKind::Skip,
-            });
+        let rest = spec.period - spec.warmup - spec.detail;
+        if rest > 0 {
+            runs.iter_mut()
+                .for_each(|r| r.enter(consumed, TierKind::Skip));
         }
-        let mut exhausted = false;
-        for _ in 0..skip {
-            if records.next().is_none() {
-                exhausted = true;
-                break;
-            }
-            consumed += 1;
-            acct.skipped_instructions += 1;
-        }
-        if exhausted {
+        let skipped = skip(&mut records, rest);
+        consumed += skipped;
+        acct.skipped_instructions += skipped;
+        if skipped < rest {
             break;
         }
     }
 
-    total.sampling = Some(acct);
-    (total, scheme)
+    for run in runs.iter_mut() {
+        run.stats.sampling = Some(acct);
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +300,10 @@ mod tests {
     use lvp_obs::NullSink;
 
     fn sampled(cfg: &CoreConfig, t: &Trace, spec: SampleSpec) -> (SimStats, NoVp) {
-        run_sampled(cfg, NoVp, t.records().iter().cloned(), spec, 0, NullSink)
+        let mut runs = [SampledRun::new(cfg.clone(), NoVp, 0, NullSink)];
+        run_sampled(&mut runs, t.records().iter().cloned(), spec);
+        let [run] = runs;
+        (run.stats, run.scheme)
     }
 
     fn trace(name: &str, budget: u64) -> Trace {
@@ -366,16 +396,16 @@ mod tests {
             detail: 1_000,
             period: 3_000,
         };
-        let mut sink = lvp_obs::RingSink::new(4096);
-        let (stats, _) = run_sampled(
-            &CoreConfig::default(),
+        let mut runs = [SampledRun::new(
+            CoreConfig::default(),
             NoVp,
-            t.records().iter().cloned(),
-            spec,
             0,
-            &mut sink,
-        );
-        let events = sink.into_ring().drain();
+            lvp_obs::RingSink::new(4096),
+        )];
+        run_sampled(&mut runs, t.records().iter().cloned(), spec);
+        let [run] = runs;
+        let stats = run.stats;
+        let events = run.sink.into_ring().drain();
         assert!(!events.is_empty());
         assert_eq!(
             events[0],

@@ -174,43 +174,57 @@ pub trait VpScheme {
     fn set_warm_only(&mut self, _warm: bool) {}
 }
 
-impl<S: VpScheme + ?Sized> VpScheme for Box<S> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+/// Forwards every [`VpScheme`] hook through a pointer to a scheme.
+macro_rules! forward_vp_scheme {
+    ($ptr:ty) => {
+        impl<S: VpScheme + ?Sized> VpScheme for $ptr {
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
 
-    fn track_history(&mut self, hist: &mut GlobalHistory) {
-        (**self).track_history(hist);
-    }
+            fn track_history(&mut self, hist: &mut GlobalHistory) {
+                (**self).track_history(hist);
+            }
 
-    fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
-        (**self).on_fetch(slot, ctx);
-    }
+            fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
+                (**self).on_fetch(slot, ctx);
+            }
 
-    fn prediction_at_rename(&mut self, seq: u64, rename_cycle: u64) -> Option<RenamePrediction> {
-        (**self).prediction_at_rename(seq, rename_cycle)
-    }
+            fn prediction_at_rename(
+                &mut self,
+                seq: u64,
+                rename_cycle: u64,
+            ) -> Option<RenamePrediction> {
+                (**self).prediction_at_rename(seq, rename_cycle)
+            }
 
-    fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
-        (**self).on_execute(info)
-    }
+            fn on_execute(&mut self, info: &ExecInfo<'_>) -> VpVerdict {
+                (**self).on_execute(info)
+            }
 
-    fn extra_counters(&self) -> Vec<(&'static str, f64)> {
-        (**self).extra_counters()
-    }
+            fn extra_counters(&self) -> Vec<(&'static str, f64)> {
+                (**self).extra_counters()
+            }
 
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
+            fn storage_bits(&self) -> u64 {
+                (**self).storage_bits()
+            }
 
-    fn activity(&self) -> (u64, u64) {
-        (**self).activity()
-    }
+            fn activity(&self) -> (u64, u64) {
+                (**self).activity()
+            }
 
-    fn set_warm_only(&mut self, warm: bool) {
-        (**self).set_warm_only(warm);
-    }
+            fn set_warm_only(&mut self, warm: bool) {
+                (**self).set_warm_only(warm);
+            }
+        }
+    };
 }
+
+forward_vp_scheme!(Box<S>);
+// A core can drive a borrowed scheme, so a caller that owns the scheme
+// (the sampled driver's per-member state) lends it to one core per window.
+forward_vp_scheme!(&mut S);
 
 /// The baseline: no value prediction.
 #[derive(Debug, Default, Clone, Copy)]

@@ -41,7 +41,7 @@ pub mod util;
 
 pub use util::Prng;
 
-use lvp_emu::Emulator;
+use lvp_emu::{Emulator, Records};
 use lvp_isa::Program;
 use lvp_trace::Trace;
 use std::fmt;
@@ -114,6 +114,12 @@ impl Workload {
     /// length.
     pub fn trace(&self, budget: u64) -> Trace {
         Emulator::new(self.program()).run(budget).trace
+    }
+
+    /// Streams the records [`Workload::trace`] would hold, one at a time,
+    /// without storing them.
+    pub fn records(&self, budget: u64) -> Records {
+        Emulator::new(self.program()).records(budget)
     }
 }
 
@@ -223,5 +229,23 @@ mod tests {
         let a = w.trace(5_000);
         let b = w.trace(5_000);
         assert_eq!(a.records(), b.records());
+    }
+
+    #[test]
+    fn streamed_records_fingerprint_exactly_like_the_trace() {
+        for w in all() {
+            for budget in [1_000, 7_000] {
+                let trace = w.trace(budget);
+                let mut f = lvp_trace::Fingerprinter::new();
+                let mut n = 0;
+                for (i, rec) in w.records(budget).enumerate() {
+                    assert_eq!(rec, trace.records()[i], "{}@{budget} record {i}", w.name);
+                    f.push(&rec);
+                    n += 1;
+                }
+                assert_eq!(n, trace.len(), "{}@{budget}", w.name);
+                assert_eq!(f.finish(), trace.fingerprint(), "{}@{budget}", w.name);
+            }
+        }
     }
 }
