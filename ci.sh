@@ -13,6 +13,12 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== tests (release: the simulator crates under release overflow semantics) =="
+# The cache/TLB shift-and-mask indexing, the predecode table and their
+# differential tests run again with overflow checks off, as the
+# simulator ships.
+cargo test --release -q -p lvp-mem -p lvp-branch -p lvp-uarch -p dlvp
+
 echo "== fmt =="
 cargo fmt --all -- --check
 

@@ -28,8 +28,8 @@
 use lvp_bench::cli::{self, Args};
 use lvp_bench::perf::{
     bench_doc, check, run_benchmarks, tier_speedups, Baseline, BenchPolicy, ANALYZE_BUDGET,
-    ANALYZE_WORKLOAD, DEFAULT_TOL_REL, FUZZ_PROFILE, FUZZ_SEEDS, INJECT_SPIN, SIMCORE_BUDGET,
-    SIMCORE_SCHEMES, SIMCORE_WORKLOADS, STORE_PHASES, TIER_PHASES, TIER_SAMPLE,
+    ANALYZE_WORKLOAD, DEFAULT_TOL_REL, FUZZ_PROFILE, FUZZ_SEEDS, INJECT_SPIN, MEM_PHASE,
+    SIMCORE_BUDGET, SIMCORE_SCHEMES, SIMCORE_WORKLOADS, STORE_PHASES, TIER_PHASES, TIER_SAMPLE,
 };
 use lvp_bench::telemetry::{fmt_rate, Manifest};
 use lvp_json::{Json, ToJson};
@@ -89,6 +89,14 @@ fn print_matrix() {
         for s in SIMCORE_SCHEMES {
             println!("  simcore/{w}/{}", s.name());
         }
+    }
+    println!(
+        "mem       : {} workloads' loads and stores through the hierarchy, budget {}",
+        SIMCORE_WORKLOADS.len(),
+        SIMCORE_BUDGET
+    );
+    for w in SIMCORE_WORKLOADS {
+        println!("  {MEM_PHASE}/{w}/hierarchy");
     }
     println!(
         "tiers     : {} workloads x {} tiers, budget {} (sampled: ff {} / warm {} / detail {} / period {})",

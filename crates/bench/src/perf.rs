@@ -6,6 +6,8 @@
 //!
 //! * **simcore** — six workloads × three registry schemes through the
 //!   cycle-level `Core::run` loop at a fixed budget;
+//! * **mem** — the same six workloads' loads and stores replayed through
+//!   the memory hierarchy alone;
 //! * **analyze** — the static + dependence passes plus the validating DLVP
 //!   simulation on one workload;
 //! * **fuzz_oracle** — synthesize/execute/differential-check over a fixed
@@ -37,6 +39,7 @@ use dlvp::{DlvpConfig, PapConfig};
 use lvp_analysis::XvalConfig;
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
 use lvp_json::{DecodeError, Fields, FromJson, Json, ToJson};
+use lvp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 use lvp_obs::{NullSink, PhaseSink};
 use lvp_store::{request_key, Store};
 use lvp_uarch::{CoreConfig, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier};
@@ -73,6 +76,12 @@ pub const TIER_SAMPLE: SampleSpec = SampleSpec {
     detail: 4_000,
     period: 10_000,
 };
+
+/// The mem phase: every load and store of a simcore workload's trace
+/// replayed through `MemoryHierarchy::access_data` on one paper-default
+/// hierarchy. Its deterministic counters are each level's hits and misses
+/// and the TLB misses.
+pub const MEM_PHASE: &str = "mem";
 
 /// The store phases: the content-addressed result store's two hot paths,
 /// per simcore workload — `store_cold` (miss: lookup, simulate, record)
@@ -274,6 +283,34 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     span.charge(total_cycles, total_instr, rows.len() as u64);
     span.finish();
 
+    let mut span = phases.span(0, "bench:mem");
+    let mut mem_accesses = 0u64;
+    for name in SIMCORE_WORKLOADS {
+        let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
+        let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
+        let stats = replay_memory(&trace, cfg.core.mem);
+        let m = policy.measure(|| std::hint::black_box(replay_memory(&trace, cfg.core.mem)));
+        mem_accesses += stats.l1d.accesses;
+        let det = vec![
+            ("l1d_hits", stats.l1d.hits),
+            ("l1d_misses", stats.l1d.misses),
+            ("l2_hits", stats.l2.hits),
+            ("l2_misses", stats.l2.misses),
+            ("l3_hits", stats.l3.hits),
+            ("l3_misses", stats.l3.misses),
+            ("tlb_misses", stats.tlb.misses),
+        ];
+        rows.push(BenchRow::measured(
+            (MEM_PHASE, name, "hierarchy"),
+            SIMCORE_BUDGET,
+            det,
+            0,
+            &m,
+        ));
+    }
+    span.charge(0, mem_accesses, SIMCORE_WORKLOADS.len() as u64);
+    span.finish();
+
     // Tier cells: same workloads, alternative execution tiers. The spin
     // reaches every tier (the functional tier included), so
     // `--inject-slowdown` provably trips the gate on the fastest path too.
@@ -467,6 +504,19 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     ));
 
     rows
+}
+
+/// Replays every load and store of `trace`, in order, through a fresh
+/// hierarchy built from `cfg` and returns its counters.
+fn replay_memory(trace: &lvp_trace::Trace, cfg: HierarchyConfig) -> HierarchyStats {
+    let mut mem = MemoryHierarchy::new(cfg);
+    for r in trace.records() {
+        let is_load = r.inst.is_load();
+        if is_load || r.inst.is_store() {
+            mem.access_data(r.pc, r.eff_addr, is_load);
+        }
+    }
+    mem.stats()
 }
 
 /// Geometric-mean wall-clock speedup of each tier phase over the

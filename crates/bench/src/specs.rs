@@ -19,6 +19,7 @@
 use crate::analysis::analyze_workload;
 use crate::experiments::{SchemeKind, SchemeOutcome};
 use crate::report;
+use crate::runner::par_map_metered;
 use crate::service::{simulate_cached, SimPoint};
 use crate::telemetry::Progress;
 use dlvp::{
@@ -163,8 +164,9 @@ pub fn run_specs(specs: &[&ExperimentSpec], budget: u64, workers: usize) -> Vec<
 /// [`run_specs`] with host telemetry: trace building runs under a lane-0
 /// `build_traces` span, the deduped simulations under a `simulate` span
 /// with one `job:<workload>/<preset>/<scheme>` span per request (charged
-/// with its simulated cycles and instructions), and the renders under a
-/// `render` span. Rendered texts are byte-identical to [`run_specs`]'s.
+/// with its simulated cycles and instructions), and the renders, also on
+/// the pool, under a `render` span with one `render:<spec>` span each.
+/// Rendered texts are byte-identical to [`run_specs`]'s.
 pub fn run_specs_with<P: PhaseSink>(
     specs: &[&ExperimentSpec],
     budget: u64,
@@ -247,14 +249,21 @@ pub fn run_specs_serviced<P: PhaseSink>(
         traces,
         sims,
     };
+    // Renders are pure functions of the set: they run on the pool too, one
+    // `render:<spec>` span each, and land in spec order.
     phases.time(0, "render", || {
-        specs
-            .iter()
-            .map(|spec| RenderedSpec {
+        par_map_metered(
+            specs,
+            workers,
+            phases,
+            &Progress::off(),
+            |spec| format!("render:{}", spec.name),
+            |_| (0, 0),
+            |spec| RenderedSpec {
                 name: spec.name,
                 text: (spec.render)(&set),
-            })
-            .collect()
+            },
+        )
     })
 }
 
@@ -1933,11 +1942,25 @@ mod tests {
 
     #[test]
     fn run_specs_is_schedule_invariant() {
-        let spec = by_name("fig09_selected").expect("registered spec");
-        let serial = run_specs(&[spec], 3_000, 1);
-        let parallel = run_specs(&[spec], 3_000, 8);
-        assert_eq!(serial.len(), 1);
-        assert_eq!(serial[0].text, parallel[0].text);
-        assert!(serial[0].text.contains("bzip2"));
+        // Several specs, trace-reading ones among them, render on the pool:
+        // identical texts in spec order at any worker count.
+        let names = [
+            "fig01_conflicts",
+            "fig04_addr_pred",
+            "table03_workloads",
+            "fig09_selected",
+        ];
+        let specs: Vec<_> = names
+            .iter()
+            .map(|n| by_name(n).expect("registered spec"))
+            .collect();
+        let serial = run_specs(&specs, 3_000, 1);
+        let parallel = run_specs(&specs, 3_000, 3);
+        assert_eq!(serial.len(), names.len());
+        for ((a, b), name) in serial.iter().zip(&parallel).zip(names) {
+            assert_eq!((a.name, b.name), (name, name));
+            assert_eq!(a.text, b.text, "{name}");
+        }
+        assert!(serial[3].text.contains("bzip2"));
     }
 }

@@ -57,29 +57,44 @@ impl Fold {
 }
 
 /// One incrementally maintained fold. Bit `i` of the history (age `i`,
-/// newest 0) lives at position `i mod width` for every `i < len`.
+/// newest 0) lives at position `i mod width` for every `i < len`. The
+/// position an outgoing bit is cancelled at (`len mod width`) and the width
+/// mask are fixed when the fold is tracked, so a push never divides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FoldRegister {
     len: u32,
     width: u32,
+    /// `len % width`: where the bit aging past `len` sits after a rotation.
+    out_pos: u32,
+    /// The low `width` bits.
+    mask: u64,
     value: u64,
 }
 
 impl FoldRegister {
+    fn new(len: u32, width: u32, value: u64) -> FoldRegister {
+        FoldRegister {
+            len,
+            width,
+            out_pos: len % width,
+            mask: u64::MAX >> (64 - width),
+            value,
+        }
+    }
+
     /// Advances the register past one push: `before` is the history before
     /// the push, `taken` the outcome shifted in.
+    #[inline]
     fn push(&mut self, before: u128, taken: bool) {
         if self.len == 0 {
             return;
         }
-        let w = self.width;
-        let mask = u64::MAX >> (64 - w);
         // Every bit ages by one: rotate left within `width` bits.
-        let rotated = ((self.value << 1) | (self.value >> (w - 1))) & mask;
+        let rotated = ((self.value << 1) | (self.value >> (self.width - 1))) & self.mask;
         // The bit that was age `len - 1` is now age `len`: cancel it at the
         // position the rotation carried it to.
         let outgoing = ((before >> (self.len - 1)) & 1) as u64;
-        self.value = rotated ^ u64::from(taken) ^ (outgoing << (self.len % w));
+        self.value = rotated ^ u64::from(taken) ^ (outgoing << self.out_pos);
     }
 }
 
@@ -102,6 +117,7 @@ impl GlobalHistory {
 
     /// Shifts in one outcome (newest at bit 0) and advances every tracked
     /// fold.
+    #[inline]
     pub fn push(&mut self, taken: bool) {
         let before = self.bits;
         self.bits = (before << 1) | (taken as u128);
@@ -127,11 +143,8 @@ impl GlobalHistory {
         {
             Some(slot) => slot,
             None => {
-                self.folds.push(FoldRegister {
-                    len,
-                    width,
-                    value: self.folded(len, width),
-                });
+                self.folds
+                    .push(FoldRegister::new(len, width, self.folded(len, width)));
                 self.folds.len() - 1
             }
         };

@@ -132,6 +132,7 @@ impl Tage {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
+    #[inline]
     pub fn predict(&self, pc: u64) -> TagePrediction {
         let mut provider = None;
         let mut provider_taken = self.base[self.base_index(pc)] >= 0;
@@ -153,6 +154,7 @@ impl Tage {
 
     /// Updates with the actual outcome; call with the prediction returned by
     /// [`Tage::predict`] for this branch. Also advances the global history.
+    #[inline]
     pub fn update(&mut self, pc: u64, taken: bool, pred: TagePrediction) {
         self.predictions += 1;
         let correct = pred.taken == taken;

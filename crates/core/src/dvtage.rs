@@ -226,7 +226,7 @@ impl VpScheme for Dvtage {
 
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
         self.pending.seq = None;
-        if !slot.inst.is_load() || slot.inst.dest_chunks() != 1 || slot.inst.is_ordered() {
+        if !slot.inst.is_load() || slot.dest_chunks != 1 || slot.inst.is_ordered() {
             return;
         }
         let (li, ltag) = self.lvt_index_tag(slot.pc);
@@ -393,6 +393,7 @@ mod tests {
                 index_in_group: 0,
                 load_index_in_group: 0,
                 inst,
+                dest_chunks: inst.dest_chunks() as u32,
             };
             // No FetchCtx available standalone; emulate via direct calls:
             // fetch

@@ -88,7 +88,7 @@ impl VpScheme for Tournament {
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
         self.dlvp.on_fetch(slot, ctx);
         self.vtage.on_fetch(slot, ctx);
-        self.pending_pc = (slot.inst.dest_chunks() > 0).then_some((slot.seq, slot.pc));
+        self.pending_pc = (slot.dest_chunks > 0).then_some((slot.seq, slot.pc));
         self.chosen = None;
     }
 

@@ -228,8 +228,9 @@ impl Vtage {
         (self.reads, self.writes)
     }
 
-    fn eligible(&mut self, inst: Instruction) -> bool {
-        if inst.is_branch() || inst.is_store() || inst.dest_chunks() == 0 || inst.is_ordered() {
+    /// Whether `inst`, with `dest_chunks` destination chunks, is looked up.
+    fn eligible(&mut self, inst: Instruction, dest_chunks: u32) -> bool {
+        if inst.is_branch() || inst.is_store() || dest_chunks == 0 || inst.is_ordered() {
             return false;
         }
         if self.cfg.targets == VtageTargets::LoadsOnly && !inst.is_load() {
@@ -415,14 +416,14 @@ impl VpScheme for Vtage {
 
     fn on_fetch(&mut self, slot: &FetchSlot, ctx: &mut FetchCtx<'_>) {
         self.pending.seq = None;
-        if !self.eligible(slot.inst) {
-            if slot.inst.dest_chunks() > 0 && !slot.inst.is_branch() && !slot.inst.is_store() {
+        let chunks = slot.dest_chunks;
+        if !self.eligible(slot.inst, chunks) {
+            if chunks > 0 && !slot.inst.is_branch() && !slot.inst.is_store() {
                 self.counters.filtered += 1;
             }
             return;
         }
         self.counters.lookups += 1;
-        let chunks = slot.inst.dest_chunks() as u32;
         // The slot's buffers are taken out for the lookup and put back, so
         // their capacity is reused across instructions.
         let mut p = std::mem::take(&mut self.pending);
@@ -574,16 +575,16 @@ mod tests {
             rn: Reg::X0,
             offset: 0,
         };
-        assert!(!v.eligible(ldp));
-        assert!(!v.eligible(ldm));
-        assert!(!v.eligible(vld));
+        assert!(!v.eligible(ldp, ldp.dest_chunks() as u32));
+        assert!(!v.eligible(ldm, ldm.dest_chunks() as u32));
+        assert!(!v.eligible(vld, vld.dest_chunks() as u32));
         let ldr = Instruction::Ldr {
             rd: Reg::X1,
             rn: Reg::X0,
             offset: 0,
             size: lvp_isa::MemSize::X,
         };
-        assert!(v.eligible(ldr));
+        assert!(v.eligible(ldr, ldr.dest_chunks() as u32));
     }
 
     #[test]
@@ -596,9 +597,9 @@ mod tests {
             rn: Reg::X2,
             rm: Reg::X3,
         };
-        assert!(!v.eligible(alu));
+        assert!(!v.eligible(alu, alu.dest_chunks() as u32));
         let mut all = Vtage::variant(VtageFilter::Static, VtageTargets::AllInstructions);
-        assert!(all.eligible(alu));
+        assert!(all.eligible(alu, alu.dest_chunks() as u32));
     }
 
     #[test]
@@ -611,12 +612,18 @@ mod tests {
             rn: Reg::X0,
             offset: 0,
         };
-        assert!(v.eligible(ldp), "dynamic filter starts permissive");
+        assert!(
+            v.eligible(ldp, ldp.dest_chunks() as u32),
+            "dynamic filter starts permissive"
+        );
         // Feed it a terrible accuracy record for LDP.
         let st = &mut v.filter_stats[OpcodeClass::Ldp as usize];
         st.predictions = 100;
         st.mispredictions = 50;
-        assert!(!v.eligible(ldp), "must block after observed low accuracy");
+        assert!(
+            !v.eligible(ldp, ldp.dest_chunks() as u32),
+            "must block after observed low accuracy"
+        );
     }
 
     #[test]

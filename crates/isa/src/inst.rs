@@ -366,6 +366,7 @@ impl Dests {
 impl std::ops::Deref for Dests {
     type Target = [Reg];
 
+    #[inline]
     fn deref(&self) -> &[Reg] {
         &self.regs[..self.len as usize]
     }

@@ -36,12 +36,20 @@ impl CacheConfig {
     }
 }
 
+/// One way of a set. `lru` is the tick of the last touch; 0 marks an
+/// invalid way (every touch stamps a tick ≥ 1), so the smallest `lru` in a
+/// set is its victim: the first invalid way, else the true-LRU one.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    /// Monotonic timestamp of last touch; smallest = LRU victim.
     lru: u64,
+}
+
+impl Line {
+    #[inline]
+    fn holds(&self, tag: u64) -> bool {
+        self.lru != 0 && self.tag == tag
+    }
 }
 
 /// Counters exported for the energy model and the statistics blocks.
@@ -77,22 +85,39 @@ pub struct Access {
     pub way: usize,
 }
 
-/// A single cache level.
+/// A single cache level: one set-major array of lines (set `s` is
+/// `lines[s * ways..][..ways]`), indexed by shift and mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    ways: usize,
+    block_shift: u32,
+    set_mask: u64,
+    set_bits: u32,
     tick: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Builds an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block size or the set count is not a power of two.
     pub fn new(cfg: CacheConfig) -> Cache {
-        let sets = cfg.sets() as usize;
+        assert!(
+            cfg.block_bytes.is_power_of_two(),
+            "block size must be a power of two"
+        );
+        let sets = cfg.sets();
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.ways]; sets],
+            lines: vec![Line::default(); sets as usize * cfg.ways],
+            ways: cfg.ways,
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -108,36 +133,63 @@ impl Cache {
         self.stats
     }
 
-    fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.cfg.block_bytes;
-        let sets = self.sets.len() as u64;
-        ((block % sets) as usize, block / sets)
+    /// The first line of `addr`'s set and the block's tag.
+    #[inline]
+    fn base_tag(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.block_shift;
+        (
+            (block & self.set_mask) as usize * self.ways,
+            block >> self.set_bits,
+        )
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// One pass over the set: `Ok(way)` when `tag` is resident, else
+    /// `Err(victim)`, the smallest `lru` (first on a tie, so the first
+    /// invalid way when there is one).
+    #[inline]
+    fn find_or_victim(&self, base: usize, tag: u64) -> Result<usize, usize> {
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, l) in self.lines[base..base + self.ways].iter().enumerate() {
+            if l.holds(tag) {
+                return Ok(w);
+            }
+            if l.lru < oldest {
+                oldest = l.lru;
+                victim = w;
+            }
+        }
+        Err(victim)
+    }
+
+    /// Stamps `base + way` with `tag` and a fresh tick.
+    #[inline]
+    fn touch(&mut self, base: usize, way: usize, tag: u64) {
         self.tick += 1;
-        self.sets[set][way].lru = self.tick;
+        self.lines[base + way] = Line {
+            tag,
+            lru: self.tick,
+        };
     }
 
     /// Demand access: looks up `addr`, allocating (LRU) on miss. Returns
     /// whether it hit and the resident way.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
         self.stats.accesses += 1;
-        let (set, tag) = self.index_tag(addr);
-        if let Some(way) = self.find(set, tag) {
-            self.stats.hits += 1;
-            self.touch(set, way);
-            return Access { hit: true, way };
-        }
-        self.stats.misses += 1;
-        let way = self.victim(set);
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            lru: 0,
+        let (base, tag) = self.base_tag(addr);
+        let (hit, way) = match self.find_or_victim(base, tag) {
+            Ok(way) => {
+                self.stats.hits += 1;
+                (true, way)
+            }
+            Err(victim) => {
+                self.stats.misses += 1;
+                (false, victim)
+            }
         };
-        self.touch(set, way);
-        Access { hit: false, way }
+        self.touch(base, way, tag);
+        Access { hit, way }
     }
 
     /// Non-allocating probe (used for DLVP speculative cache reads).
@@ -145,11 +197,11 @@ impl Cache {
     /// real read of the data array.
     pub fn probe(&mut self, addr: u64) -> Option<usize> {
         self.stats.probes += 1;
-        let (set, tag) = self.index_tag(addr);
-        let way = self.find(set, tag);
+        let (base, tag) = self.base_tag(addr);
+        let way = self.find_or_victim(base, tag).ok();
         if let Some(w) = way {
             self.stats.probe_hits += 1;
-            self.touch(set, w);
+            self.touch(base, w, tag);
         }
         way
     }
@@ -157,49 +209,28 @@ impl Cache {
     /// Pure lookup with no statistics or LRU effect (way-prediction check,
     /// test assertions).
     pub fn lookup(&self, addr: u64) -> Option<usize> {
-        let (set, tag) = self.index_tag(addr);
-        self.find(set, tag)
+        let (base, tag) = self.base_tag(addr);
+        self.find_or_victim(base, tag).ok()
     }
 
     /// Fills `addr` without counting a demand access (prefetch fill). If the
     /// block is already resident this is a no-op. Returns true if a new line
     /// was brought in.
     pub fn prefetch_fill(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        if self.find(set, tag).is_some() {
-            return false;
+        let (base, tag) = self.base_tag(addr);
+        match self.find_or_victim(base, tag) {
+            Ok(_) => false,
+            Err(victim) => {
+                self.touch(base, victim, tag);
+                self.stats.prefetch_fills += 1;
+                true
+            }
         }
-        let way = self.victim(set);
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            lru: 0,
-        };
-        self.touch(set, way);
-        self.stats.prefetch_fills += 1;
-        true
-    }
-
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
-    }
-
-    fn victim(&self, set: usize) -> usize {
-        // Invalid way first, else true LRU.
-        if let Some(w) = self.sets[set].iter().position(|l| !l.valid) {
-            return w;
-        }
-        self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(w, _)| w)
-            .expect("cache ways must be non-zero")
     }
 
     /// Block-aligns an address.
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.block_bytes * self.cfg.block_bytes
+        addr & !(self.cfg.block_bytes - 1)
     }
 }
 
@@ -295,5 +326,17 @@ mod tests {
         })
         .config()
         .sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be a power of two")]
+    fn non_power_of_two_block_rejected() {
+        // 2 sets x 2 ways x 96B: the set count is fine, the block is not.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 384,
+            ways: 2,
+            block_bytes: 96,
+            hit_latency: 1,
+        });
     }
 }

@@ -155,6 +155,7 @@ impl MemoryHierarchy {
     }
 
     /// Instruction fetch for the block containing `pc`; returns latency.
+    #[inline]
     pub fn fetch_inst(&mut self, pc: u64) -> u32 {
         let a = self.l1i.access(pc);
         if a.hit {
@@ -171,6 +172,7 @@ impl MemoryHierarchy {
 
     /// Demand data access (load or store) by the instruction at `pc`.
     /// Trains the stride prefetcher for loads.
+    #[inline]
     pub fn access_data(&mut self, pc: u64, addr: u64, is_load: bool) -> DataAccess {
         let walk = self.tlb.access(addr);
         let tlb_miss = walk > 0;

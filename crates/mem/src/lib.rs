@@ -26,6 +26,8 @@ pub mod cache;
 pub mod hierarchy;
 mod json;
 pub mod prefetch;
+#[cfg(test)]
+mod reference;
 pub mod tlb;
 
 pub use cache::{Access, Cache, CacheConfig, CacheStats};

@@ -1,6 +1,8 @@
 //! Data TLB: 512-entry, 8-way set-associative over 4 KiB pages (paper
 //! Table 4), with a fixed page-walk penalty on miss.
 
+use crate::cache::{Cache, CacheConfig};
+
 /// TLB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -22,13 +24,6 @@ impl Default for TlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct TlbLine {
-    vpn: u64,
-    valid: bool,
-    lru: u64,
-}
-
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
@@ -44,13 +39,14 @@ impl TlbStats {
     }
 }
 
-/// A set-associative TLB.
+/// A set-associative TLB. Its entries behave exactly like a true-LRU
+/// cache whose blocks are pages (a translation is touched once per access
+/// and filled on a miss), so they are one: a [`Cache`] of `entries`
+/// page-sized blocks.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<TlbLine>>,
-    tick: u64,
-    stats: TlbStats,
+    pages: Cache,
 }
 
 impl Tlb {
@@ -58,18 +54,17 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not divisible into a power-of-two set count.
+    /// Panics if `entries` is not divisible into a power-of-two set count,
+    /// or the page size is not a power of two.
     pub fn new(cfg: TlbConfig) -> Tlb {
-        let sets = cfg.entries / cfg.ways;
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "TLB set count must be a power of two"
-        );
         Tlb {
             cfg,
-            sets: vec![vec![TlbLine::default(); cfg.ways]; sets],
-            tick: 0,
-            stats: TlbStats::default(),
+            pages: Cache::new(CacheConfig {
+                size_bytes: cfg.entries as u64 * cfg.page_bytes,
+                ways: cfg.ways,
+                block_bytes: cfg.page_bytes,
+                hit_latency: 0,
+            }),
         }
     }
 
@@ -80,40 +75,27 @@ impl Tlb {
 
     /// Accumulated counters.
     pub fn stats(&self) -> TlbStats {
-        self.stats
+        let c = self.pages.stats();
+        TlbStats {
+            accesses: c.accesses,
+            misses: c.misses,
+        }
     }
 
     /// Translates `addr`; returns the added latency (0 on hit, the walk
     /// penalty on miss) and fills on miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u32 {
-        self.stats.accesses += 1;
-        let vpn = addr / self.cfg.page_bytes;
-        let set = (vpn % self.sets.len() as u64) as usize;
-        self.tick += 1;
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.vpn == vpn) {
-            l.lru = self.tick;
-            return 0;
+        if self.pages.access(addr).hit {
+            0
+        } else {
+            self.cfg.miss_penalty
         }
-        self.stats.misses += 1;
-        let victim = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-            .map(|(w, _)| w)
-            .expect("TLB ways must be non-zero");
-        self.sets[set][victim] = TlbLine {
-            vpn,
-            valid: true,
-            lru: self.tick,
-        };
-        self.cfg.miss_penalty
     }
 
     /// Pure lookup (no fill, no stats) — used by tests.
     pub fn contains(&self, addr: u64) -> bool {
-        let vpn = addr / self.cfg.page_bytes;
-        let set = (vpn % self.sets.len() as u64) as usize;
-        self.sets[set].iter().any(|l| l.valid && l.vpn == vpn)
+        self.pages.lookup(addr).is_some()
     }
 }
 
@@ -169,6 +151,15 @@ mod tests {
             ways: 2,
             page_bytes: 4096,
             miss_penalty: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be a power of two")]
+    fn non_power_of_two_page_rejected() {
+        let _ = Tlb::new(TlbConfig {
+            page_bytes: 3000,
+            ..TlbConfig::default()
         });
     }
 }

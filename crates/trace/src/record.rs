@@ -36,6 +36,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Whether this record is a taken control transfer.
+    #[inline]
     pub fn taken(&self) -> bool {
         self.next_pc != self.pc.wrapping_add(lvp_isa::INST_BYTES)
     }
@@ -47,6 +48,7 @@ impl TraceRecord {
     /// # Panics
     ///
     /// Panics if the record carries more than [`MAX_CHUNKS`] chunks.
+    #[inline]
     pub fn values<'a>(&'a self, buf: &'a mut ValueBuf) -> &'a [u64] {
         match &self.extra_values {
             None => std::slice::from_ref(&self.value),

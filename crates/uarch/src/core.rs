@@ -120,44 +120,106 @@ impl Decoded {
 /// The per-core predecode table: one [`Decoded`] per static PC, plus the
 /// dense per-static-load counters behind [`SimStats::per_pc`]. Decoding
 /// happens on a PC's first step (or when its record's instruction differs
-/// from the decoded one); every later step is one map probe.
-#[derive(Debug, Default)]
+/// from the decoded one).
+///
+/// A PC finds its entry by direct index, not by hashing: the PC space is
+/// cut into pages of [`Predecode::PAGE_SLOTS`] word-aligned PCs, each page
+/// a block of `u32` slots in `slots`, and a step on the page of the
+/// previous step indexes `slots` straight away. Only a step onto another
+/// page probes the page map. A PC's two low bits are part of its page key,
+/// so unaligned PCs get pages of their own and no two PCs share a slot.
+#[derive(Debug)]
 struct Predecode {
-    index: U64Map<u32>,
+    /// Page key → offset of that page's block in `slots`.
+    pages: U64Map<u32>,
+    /// Per PC of every page seen: its index in `entries`, or [`Self::EMPTY`].
+    slots: Vec<u32>,
+    /// The page key of the last lookup and its block offset.
+    page: (u64, usize),
     entries: Vec<Decoded>,
     /// Per static load PC, in first-execution order.
     loads: Vec<(u64, PcLoadStats)>,
 }
 
+impl Default for Predecode {
+    fn default() -> Predecode {
+        Predecode {
+            pages: U64Map::default(),
+            slots: Vec::new(),
+            // No PC has this key (page keys stay below 2^54).
+            page: (u64::MAX, 0),
+            entries: Vec::new(),
+            loads: Vec::new(),
+        }
+    }
+}
+
 impl Predecode {
-    /// The entry for `pc`, decoding `inst` unless the cached entry was
-    /// decoded from it.
+    /// Word-aligned PCs per page (a 4 KiB code page).
+    const PAGE_SLOTS: usize = 1024;
+    /// A slot no entry has claimed yet.
+    const EMPTY: u32 = u32::MAX;
+
+    /// `pc`'s page key and slot within the page.
     #[inline]
-    fn lookup(&mut self, pc: u64, inst: Instruction) -> Decoded {
-        let next = self.entries.len() as u32;
-        let i = *self.index.entry(pc).or_insert(next) as usize;
+    fn split(pc: u64) -> (u64, usize) {
+        (
+            ((pc >> 12) << 2) | (pc & 3),
+            (pc >> 2) as usize % Self::PAGE_SLOTS,
+        )
+    }
+
+    /// The index in `entries` of `pc`'s entry, decoding `inst` unless the
+    /// cached entry was decoded from it.
+    #[inline]
+    fn lookup(&mut self, pc: u64, inst: Instruction) -> usize {
+        let (key, offset) = Self::split(pc);
+        if key != self.page.0 {
+            self.enter_page(key);
+        }
+        let slot = self.page.1 + offset;
+        let i = self.slots[slot] as usize;
         match self.entries.get(i) {
-            Some(d) if d.inst == inst => *d,
-            cached => {
-                // First step at `pc`, or another instruction there. The
-                // counters belong to the PC, so a re-decode keeps its slot.
-                let mut slot = cached.map_or(u32::MAX, |d| d.load_slot);
-                if slot == u32::MAX && inst.is_load() {
-                    slot = self.loads.len() as u32;
-                    self.loads.push((pc, PcLoadStats::default()));
-                }
-                let d = Decoded::new(inst, slot);
-                match self.entries.get_mut(i) {
-                    Some(e) => *e = d,
-                    None => self.entries.push(d),
-                }
-                d
-            }
+            Some(d) if d.inst == inst => i,
+            _ => self.decode(slot, pc, inst),
         }
     }
 
-    fn load_stats(&mut self, d: &Decoded) -> &mut PcLoadStats {
-        &mut self.loads[d.load_slot as usize].1
+    /// Makes `key`'s page current, giving it a block of slots on its first
+    /// visit.
+    fn enter_page(&mut self, key: u64) {
+        let next = self.slots.len() as u32;
+        let base = *self.pages.entry(key).or_insert(next) as usize;
+        if base == self.slots.len() {
+            self.slots.resize(base + Self::PAGE_SLOTS, Self::EMPTY);
+        }
+        self.page = (key, base);
+    }
+
+    /// Decodes `inst` into `slot`'s entry (allocating it on the PC's first
+    /// step) and returns the entry's index.
+    #[cold]
+    fn decode(&mut self, slot: usize, pc: u64, inst: Instruction) -> usize {
+        let i = self.slots[slot] as usize;
+        // First step at `pc`, or another instruction there. The counters
+        // belong to the PC, so a re-decode keeps its load slot.
+        let mut load_slot = self.entries.get(i).map_or(u32::MAX, |d| d.load_slot);
+        if load_slot == u32::MAX && inst.is_load() {
+            load_slot = self.loads.len() as u32;
+            self.loads.push((pc, PcLoadStats::default()));
+        }
+        let d = Decoded::new(inst, load_slot);
+        match self.entries.get_mut(i) {
+            Some(e) => {
+                *e = d;
+                i
+            }
+            None => {
+                self.slots[slot] = self.entries.len() as u32;
+                self.entries.push(d);
+                self.entries.len() - 1
+            }
+        }
     }
 }
 
@@ -344,7 +406,8 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
         self.stats.instructions += 1;
         let inst = rec.inst;
-        let d = self.predecode.lookup(rec.pc, inst);
+        let di = self.predecode.lookup(rec.pc, inst);
+        let d = &self.predecode.entries[di];
         let is_load = d.is_load;
         let is_store = d.is_store;
         if is_load {
@@ -388,6 +451,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             index_in_group: self.group_count,
             load_index_in_group: self.group_loads,
             inst,
+            dest_chunks: d.dests.len() as u32,
         };
         self.group_count += 1;
         if is_load {
@@ -489,7 +553,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 rename_cycle = rename_cycle.max(free + 1);
             }
         }
-        let dests = d.dests;
+        let dests = &d.dests;
         let prf_cap = self.cfg.physical_regs - Reg::COUNT;
         for _ in 0..dests.len() {
             if self.prf.len() >= prf_cap {
@@ -651,7 +715,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
         // ---- per-PC load breakdown --------------------------------------
         if is_load {
-            let pcs = self.predecode.load_stats(&d);
+            let pcs = &mut self.predecode.loads[d.load_slot as usize].1;
             pcs.executions += 1;
             if conflicting_store_commit.is_some() {
                 pcs.conflict_exposed += 1;
@@ -701,7 +765,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 });
             }
             if is_load {
-                let pcs = self.predecode.load_stats(&d);
+                let pcs = &mut self.predecode.loads[d.load_slot as usize].1;
                 pcs.injected += 1;
                 if verdict.correct {
                     pcs.correct += 1;
@@ -715,7 +779,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                     if is_load {
                         self.stats.vp_predicted_loads += 1;
                     }
-                    self.vpe.allocate(&dests, complete);
+                    self.vpe.allocate(dests, complete);
                     if verdict.correct {
                         self.stats.vp_correct += 1;
                         dest_avail = rename_cycle;
@@ -731,7 +795,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                     }
                     if verdict.correct {
                         self.stats.vp_correct += 1;
-                        self.vpe.allocate(&dests, complete);
+                        self.vpe.allocate(dests, complete);
                         dest_avail = rename_cycle;
                     } else {
                         // Oracle replay: as if never predicted.
@@ -742,7 +806,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
 
         // ---- write back -------------------------------------------------
-        for r in dests {
+        for r in dests.iter() {
             self.reg_avail[r.index()] = dest_avail;
         }
         self.stats.prf_writes += dests.len() as u64;
@@ -1015,6 +1079,53 @@ mod tests {
         assert_eq!(s.per_pc.len(), 2);
         assert_eq!(s.per_pc[&0x100].executions, 2);
         assert_eq!(s.per_pc[&0x104].executions, 1);
+    }
+
+    #[test]
+    fn predecode_re_decodes_in_place_and_never_aliases_pcs() {
+        let ldr = Instruction::Ldr {
+            rd: Reg::X1,
+            rn: Reg::X0,
+            offset: 0,
+            size: MemSize::X,
+        };
+        let add = Instruction::AluImm {
+            op: lvp_isa::AluOp::Add,
+            rd: Reg::X2,
+            rn: Reg::X2,
+            imm: 1,
+        };
+        let mut p = Predecode::default();
+        // A changed instruction is re-decoded in the same entry and keeps
+        // the PC's load slot.
+        let i = p.lookup(0x100, ldr);
+        assert_eq!(p.lookup(0x100, add), i);
+        assert_eq!(p.entries[i].inst, add);
+        assert_eq!(p.lookup(0x100, ldr), i);
+        assert_eq!((p.entries[i].load_slot, p.loads.len()), (0, 1));
+
+        // The same in-page offset on other pages (near, far, at the top of
+        // the address space) and unaligned PCs in the same word: every PC
+        // gets an entry and a load slot of its own, and finds them again.
+        let pcs = [
+            0x100,
+            0x100 + 4096,
+            0x100 + (1 << 40),
+            0x101,
+            0x103,
+            0x105,
+            u64::MAX - 0xfff + 0x100,
+            u64::MAX,
+        ];
+        let entries: Vec<usize> = pcs.iter().map(|&pc| p.lookup(pc, ldr)).collect();
+        for (a, &ea) in entries.iter().enumerate() {
+            assert_eq!(p.lookup(pcs[a], ldr), ea, "{:#x} found again", pcs[a]);
+            for &eb in &entries[a + 1..] {
+                assert_ne!(ea, eb, "{:#x} shares an entry", pcs[a]);
+            }
+        }
+        let load_pcs: Vec<u64> = p.loads.iter().map(|&(pc, _)| pc).collect();
+        assert_eq!(load_pcs, pcs);
     }
 
     #[test]

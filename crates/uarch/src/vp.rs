@@ -46,6 +46,9 @@ pub struct FetchSlot {
     /// at most two loads per group).
     pub load_index_in_group: u32,
     pub inst: Instruction,
+    /// `inst`'s destination chunks ([`Instruction::dest_chunks`]), from the
+    /// core's predecode table.
+    pub dest_chunks: u32,
 }
 
 /// Front-end context available to schemes during [`VpScheme::on_fetch`].
