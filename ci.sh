@@ -210,10 +210,10 @@ print(f"warm sampled rerun: 0 jobs, {store.get('hits')} store hits")
 EOF
 echo "sampled runner output is byte-identical cold, warm and at --jobs 1"
 
-echo "== serve trace gate (a repeated batch is all hits and builds no trace) =="
+echo "== serve stream gate (a repeated batch is all hits and emulates nothing) =="
 # Two identical batches dropped straight into the queue, drained by one
-# warm server: the first traces each distinct (workload, budget) once, the
-# second is answered from the store with no trace built or fingerprinted.
+# warm server: the first streams each distinct (workload, budget) once, the
+# second is answered from the store with nothing emulated or fingerprinted.
 mkdir -p "$tmp/trace_queue/new"
 cat > "$tmp/trace_batch.json" <<'EOF'
 {"schema_version": 1, "id": "ID", "jobs": [
@@ -231,12 +231,12 @@ import json, re, sys
 served, batch, done = sys.argv[1:]
 jobs = json.load(open(batch))["jobs"]
 pairs = len({(j["workload"], j["budget"]) for j in jobs})
-traced = int(re.search(r"traced (\d+)", served).group(1))
-assert traced == pairs, f"serve built {traced} traces for {pairs} distinct (workload, budget) pairs: {served}"
+streamed = int(re.search(r"streamed (\d+)", served).group(1))
+assert streamed == pairs, f"serve streamed {streamed} pairs for {pairs} distinct (workload, budget) pairs: {served}"
 warm = [json.loads(l) for l in open(f"{done}/traced-2.jsonl")]
 sources = [l.get("source") for l in warm]
 assert len(warm) == len(jobs) and set(sources) == {"store"}, f"repeated batch was not all hits: {sources}"
-print(f"serve: {traced} traces for {pairs} distinct pairs; the repeated batch is {len(warm)} store hits")
+print(f"serve: {streamed} pairs streamed for {pairs} distinct pairs; the repeated batch is {len(warm)} store hits")
 EOF
 
 echo "== obs smoke (trace artifacts are schedule-invariant) =="

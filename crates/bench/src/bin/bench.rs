@@ -71,7 +71,7 @@ fn validate_manifest(path: &Path) -> Result<(), String> {
         "manifest OK: tool {}, config {}, {} jobs on {} workers, {} sim cycles/s",
         manifest.tool,
         manifest.config_hash,
-        manifest.per_job.len(),
+        manifest.jobs,
         manifest.workers,
         fmt_rate(manifest.sim_cycles_per_sec),
     );

@@ -67,7 +67,7 @@ fn run_campaign<P: PhaseSink>(
         phases,
         progress,
         |seed| format!("job:seed{seed}/fuzz/oracle"),
-        |o: &SeedOutcome| (0, o.dynamic as u64),
+        |o: &SeedOutcome| (0, o.dynamic as u64, 1),
         |&seed| run_seed_serviced(profile, seed, cfg, service),
     );
     let dynamic: u64 = outcomes.iter().map(|o| o.dynamic as u64).sum();

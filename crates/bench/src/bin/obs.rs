@@ -240,12 +240,17 @@ fn cmd_stats(args: &mut Args) -> cli::Result<ExitCode> {
     println!("loads        : {}", trace.load_count());
     println!("stores       : {}", trace.store_count());
     println!("branches     : {}", trace.branch_count());
-    let rep = lvp_trace::RepeatProfile::profile(&trace);
+    let mut rep = lvp_trace::RepeatProfiler::default();
+    let mut conf = lvp_trace::ConflictProfiler::new(96);
+    for rec in trace.records() {
+        rep.push(rec);
+        conf.push(rec);
+    }
+    let (rep, conf) = (rep.finish(), conf.finish());
     match lvp_trace::RepeatProfile::threshold_index(8) {
         Some(i8) => println!("addr repeat>=8: {:.1}%", rep.addr_fraction(i8) * 100.0),
         None => eprintln!("obs: repeat profile has no >=8 threshold bucket"),
     }
-    let conf = lvp_trace::ConflictProfile::profile(&trace, 96);
     println!(
         "store-conflicting loads: {:.1}%",
         conf.total_fraction() * 100.0

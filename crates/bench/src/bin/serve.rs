@@ -77,11 +77,11 @@ fn run(args: &mut Args) -> cli::Result<ExitCode> {
     let stats = serve(&cfg, &service)?;
     let c = service.counters();
     println!(
-        "serve: {} batches, {} jobs ({} errors), traced {}; store hits {} misses {} writes {} deduped {}",
+        "serve: {} batches, {} jobs ({} errors), streamed {}; store hits {} misses {} writes {} deduped {}",
         stats.batches,
         stats.jobs,
         stats.errors,
-        stats.traced,
+        stats.streamed,
         c.hits,
         c.misses,
         c.writes,

@@ -1,5 +1,6 @@
-//! Shared experiment machinery: run a workload trace under each prediction
-//! scheme and collect the statistics every figure draws from.
+//! Shared experiment machinery: run a workload's record stream (or a
+//! trace) under each prediction scheme and collect the statistics every
+//! figure draws from.
 //!
 //! Scheme dispatch lives in `dlvp::SchemeKind::build` — the single registry
 //! that turns a scheme name into a configured predictor. The functions here
@@ -157,27 +158,62 @@ pub fn run_scheme_with<K: EventSink>(
     (SchemeOutcome::collect(scheme, stats, &s), sink)
 }
 
-/// Runs every `(scheme, config)` of `points` under sampling `spec` over one
-/// emulator pass of `workload`'s first `budget` instructions, building no
-/// trace: each window is taken from the emulator once and run through
-/// every point's own core and scheme. Outcome `i` is bit-identical to
-/// [`run_scheme`] of `points[i]` on `workload.trace(budget)` under a config
-/// whose `sample` is `spec`.
-pub fn run_sampled_stream(
+/// Records an unsampled stream takes from the emulator at a time, into
+/// one reused buffer that every member core then steps through in turn.
+pub(crate) const STREAM_CHUNK: usize = 65_536;
+
+/// Runs every `(scheme, config)` of `members` over one emulator pass of
+/// `workload`'s first `budget` instructions, building no trace, and
+/// returns their outcomes in order. Members share nothing but the records,
+/// so outcome `i` is bit-identical to [`run_scheme`] of `members[i]` on
+/// `workload.trace(budget)` under a config whose `sample` is `sample`.
+///
+/// With `sample` unset, the records are taken 65,536 at a time
+/// (`STREAM_CHUNK`) and fed to every member's cycle-level [`Core`]. With a
+/// [`SampleSpec`], each window is taken once and run through every
+/// member's core (`lvp_uarch::run_sampled`). Either way the memory a
+/// stream holds does not grow with `budget`.
+pub fn run_stream(
     workload: &Workload,
     budget: u64,
-    spec: SampleSpec,
-    points: &[(SchemeKind, &SimConfig)],
+    sample: Option<SampleSpec>,
+    members: &[(SchemeKind, &SimConfig)],
 ) -> Vec<SchemeOutcome> {
-    let mut runs: Vec<_> = points
+    if let Some(spec) = sample {
+        let mut runs: Vec<_> = members
+            .iter()
+            .map(|&(scheme, cfg)| SampledRun::new(cfg.core.clone(), scheme.build(cfg), 0, NullSink))
+            .collect();
+        lvp_uarch::run_sampled(&mut runs, workload.records(budget), spec);
+        return members
+            .iter()
+            .zip(runs)
+            .map(|(&(scheme, _), run)| SchemeOutcome::collect(scheme, run.stats, &run.scheme))
+            .collect();
+    }
+    let mut cores: Vec<_> = members
         .iter()
-        .map(|&(scheme, cfg)| SampledRun::new(cfg.core.clone(), scheme.build(cfg), 0, NullSink))
+        .map(|&(scheme, cfg)| Core::new(cfg.core.clone(), scheme.build(cfg)))
         .collect();
-    lvp_uarch::run_sampled(&mut runs, workload.records(budget), spec);
-    points
+    let mut records = workload.records(budget);
+    let mut chunk = Vec::with_capacity(STREAM_CHUNK);
+    loop {
+        chunk.clear();
+        chunk.extend(records.by_ref().take(STREAM_CHUNK));
+        if chunk.is_empty() {
+            break;
+        }
+        for core in &mut cores {
+            core.feed(&chunk);
+        }
+    }
+    members
         .iter()
-        .zip(runs)
-        .map(|(&(scheme, _), run)| SchemeOutcome::collect(scheme, run.stats, &run.scheme))
+        .zip(cores)
+        .map(|(&(scheme, _), core)| {
+            let (stats, s, _) = core.finish();
+            SchemeOutcome::collect(scheme, stats, &s)
+        })
         .collect()
 }
 
@@ -372,18 +408,35 @@ mod tests {
     }
 
     #[test]
-    fn run_sampled_stream_equals_run_scheme_on_the_trace() {
+    fn run_stream_equals_run_scheme_on_the_trace() {
         let w = lvp_workloads::by_name("aifirf").expect("workload");
+        let kinds = every_scheme();
+
         let trace = w.trace(STREAM_BUDGET);
         let spec = STREAM_SPECS[2];
         let cfg = SimConfig {
             sample: Some(spec),
             ..SimConfig::default()
         };
-        let kinds = every_scheme();
         let points: Vec<(SchemeKind, &SimConfig)> = kinds.iter().map(|&k| (k, &cfg)).collect();
-        let streamed = run_sampled_stream(&w, STREAM_BUDGET, spec, &points);
+        let streamed = run_stream(&w, STREAM_BUDGET, Some(spec), &points);
         for (&kind, o) in kinds.iter().zip(&streamed) {
+            assert_eq!(
+                *o,
+                run_scheme(&trace, kind, &cfg),
+                "{} sampled",
+                kind.name()
+            );
+        }
+
+        // Unsampled, over a budget that ends inside the second chunk.
+        let budget = STREAM_CHUNK as u64 + 3_001;
+        let trace = w.trace(budget);
+        let cfg = SimConfig::default();
+        let points: Vec<(SchemeKind, &SimConfig)> = kinds.iter().map(|&k| (k, &cfg)).collect();
+        let streamed = run_stream(&w, budget, None, &points);
+        for (&kind, o) in kinds.iter().zip(&streamed) {
+            assert_eq!(o.stats.instructions, budget);
             assert_eq!(*o, run_scheme(&trace, kind, &cfg), "{}", kind.name());
         }
     }

@@ -39,7 +39,7 @@ pub use runner::{
 };
 pub use serve::{client_run_matrix, execute_batch, serve, BatchRequest, ServeConfig, ServeStats};
 pub use service::{
-    sim_request_doc, simulate_cached, CachedBatch, ExecutedWork, Provenance, SimPoint, SimRun,
+    sim_request_doc, simulate_cached, CachedBatch, ExecutedWork, Provenance, SimPoint,
 };
 pub use specs::{
     run_specs, run_specs_serviced, run_specs_with, ExperimentSpec, RenderedSpec, ResultSet,

@@ -6,13 +6,14 @@
 //!
 //! * a [`MatrixSpec`] expands to a flat job list — (workload ×
 //!   [`ConfigVariant`] × [`SchemeKind`]) at a fixed instruction budget;
-//! * [`run_matrix`] executes jobs on a `std::thread::scope` worker pool.
-//!   Worker count comes from `--jobs`/[`default_jobs`]; results land in
-//!   their job-index slot, so the output order — and the serialized bytes —
-//!   are identical for 1 worker and 8;
-//! * every job is a **pure function of its spec**: traces are rebuilt from
-//!   per-kernel constant seeds, predictor FPC/LFSR seeds are per-entry
-//!   constants, and no state is shared between jobs. The recorded per-job
+//! * [`run_matrix`] executes jobs on a `std::thread::scope` worker pool,
+//!   the jobs on one `(workload, budget)` as one stream fed by a single
+//!   emulator pass. Worker count comes from `--jobs`/[`default_jobs`];
+//!   results land in their job-index slot, so the output order — and the
+//!   serialized bytes — are identical for 1 worker and 8;
+//! * every job is a **pure function of its spec**: records are re-emulated
+//!   from per-kernel constant seeds, predictor FPC/LFSR seeds are per-entry
+//!   constants, and jobs sharing a stream share nothing but its records. The recorded per-job
 //!   [`JobSpec::seed`] is the FNV-1a hash of the job identity — the
 //!   deterministic seed namespace jobs draw from, and a quick fingerprint
 //!   for log correlation;
@@ -344,15 +345,15 @@ where
         &NullPhases,
         &Progress::off(),
         |_| String::new(),
-        |_| (0, 0),
+        |_| (0, 0, 0),
         f,
     )
 }
 
 /// [`par_map`] with host telemetry: each item runs inside a phase span on
 /// its worker's lane (worker `i` = lane `i + 1`), charged with the
-/// simulated work the `meter` closure extracts from its result, and ticks
-/// the [`Progress`] meter. With [`NullPhases`] the span and `label` calls
+/// `(sim_cycles, instructions, jobs)` the `meter` closure extracts from
+/// its result, and ticks the [`Progress`] meter. With [`NullPhases`] the span and `label` calls
 /// compile out entirely and this **is** `par_map` — same pool, same
 /// input-order slots, bit-identical results for any worker count.
 pub fn par_map_metered<T, R, F, L, M, P>(
@@ -369,7 +370,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
     L: Fn(&T) -> String + Sync,
-    M: Fn(&R) -> (u64, u64) + Sync,
+    M: Fn(&R) -> (u64, u64, u64) + Sync,
     P: PhaseSink,
 {
     let workers = workers.max(1).min(items.len().max(1));
@@ -389,9 +390,9 @@ where
                     None
                 };
                 let r = f(item);
-                let (sim_cycles, instructions) = meter(&r);
+                let (sim_cycles, instructions, jobs) = meter(&r);
                 if let Some(g) = guard.as_mut() {
-                    g.charge(sim_cycles, instructions, 1);
+                    g.charge(sim_cycles, instructions, jobs);
                     g.finish();
                 }
                 progress.tick(sim_cycles);
@@ -412,17 +413,17 @@ where
 /// Executes the matrix on `workers` scoped threads and returns results in
 /// canonical job order, bit-identical for any `workers >= 1`.
 ///
-/// Traces are built once per (workload, budget) up front — shared read-only
-/// across jobs — then the job list is consumed via an atomic cursor.
+/// The jobs sharing a `(workload, budget)` run as one stream: one emulator
+/// pass feeds every record to each job's core, so no trace is built and
+/// memory does not grow with the budget.
 pub fn run_matrix(spec: &MatrixSpec, workers: usize) -> MatrixResults {
     run_matrix_with(spec, workers, &NullPhases, &Progress::off())
 }
 
-/// [`run_matrix`] with host telemetry: trace construction runs under a
-/// lane-0 `build_traces` span (per-workload `trace:<name>` spans on the
-/// worker lanes), simulation under a `simulate` span with one
-/// `job:<workload>/<variant>/<scheme>` span per job, charged with that
-/// job's simulated cycles and instructions. The returned results — and
+/// [`run_matrix`] with host telemetry: simulation runs under a lane-0
+/// `simulate` span with one `stream:<workload>` span per stream on the
+/// worker lanes, charged with its jobs' simulated cycles and instructions
+/// and their count. The returned results — and
 /// their serialized bytes — are identical to [`run_matrix`]'s: telemetry
 /// observes the run, it never feeds back into it.
 pub fn run_matrix_with<P: PhaseSink>(
@@ -447,25 +448,8 @@ pub fn run_matrix_serviced<P: PhaseSink>(
     service: &SimService,
 ) -> MatrixResults {
     let jobs = spec.expand();
-    let outcomes = simulate_cached(
-        service,
-        &jobs,
-        JobSpec::point,
-        &[],
-        workers,
-        phases,
-        progress,
-        |job| {
-            format!(
-                "job:{}/{}/{}",
-                job.workload,
-                job.variant.name(),
-                job.scheme.name()
-            )
-        },
-    )
-    .outcomes
-    .results;
+    let outcomes =
+        simulate_cached(service, &jobs, JobSpec::point, workers, phases, progress).results;
     MatrixResults {
         spec: spec.clone(),
         jobs: jobs

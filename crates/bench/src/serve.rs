@@ -31,9 +31,9 @@
 //! from either transport execute one at a time.
 //!
 //! Execution goes through [`simulate_cached`], whose fingerprint memo makes
-//! a warm server answer a batch of hits from the store alone: no trace is
-//! built and none is fingerprinted. `ServeStats::traced` counts the traces
-//! a server did build.
+//! a warm server answer a batch of hits from the store alone: nothing is
+//! emulated and nothing is fingerprinted. `ServeStats::streamed` counts the
+//! `(workload, budget)` pairs a server did emulate to simulate.
 
 use crate::experiments::SchemeOutcome;
 use crate::runner::{JobResult, JobSpec, MatrixResults, MatrixSpec};
@@ -42,7 +42,7 @@ use crate::telemetry::Progress;
 use lvp_json::{DecodeError, Fields, Json, ToJson};
 use lvp_obs::NullPhases;
 use lvp_store::SimService;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -169,17 +169,17 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
 /// Executes a batch behind the service and returns one response line per
 /// job, in request order, with its store `key` and [`Provenance`]. The
 /// batch runs through [`simulate_cached`], so a `(workload, budget)` is
-/// traced at most once, and only when this process has not fingerprinted
-/// it yet or one of its unsampled jobs misses the store (sampled jobs
-/// stream their records and build no trace); identical requests are
-/// coalesced in flight: duplicates of a canonical key simulate once and
-/// report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
+/// fingerprinted only when this process has not fingerprinted it yet, and
+/// emulated to simulate only when one of its jobs misses the store;
+/// identical requests are coalesced in flight: duplicates of a canonical
+/// key simulate once and report `"deduped"`. Jobs naming unknown workloads get an `"error"` line
 /// instead of poisoning the whole batch.
 pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -> Vec<Json> {
     execute(req, service, workers).0
 }
 
-/// [`execute_batch`], plus the number of traces the batch built.
+/// [`execute_batch`], plus the number of distinct `(workload, budget)`
+/// pairs the batch emulated to simulate its misses.
 fn execute(req: &BatchRequest, service: &SimService, workers: usize) -> (Vec<Json>, u64) {
     // Response lines always carry keys, so a disabled service is stood in
     // for by a batch-local memo.
@@ -196,18 +196,21 @@ fn execute(req: &BatchRequest, service: &SimService, workers: usize) -> (Vec<Jso
         .iter()
         .filter(|job| lvp_workloads::by_name(&job.workload).is_some())
         .collect();
-    let run = simulate_cached(
+    let batch = simulate_cached(
         service,
         &valid,
         |job| job.point(),
-        &[],
         workers,
         &NullPhases,
         &Progress::off(),
-        |_| String::new(),
     );
-    let traced = run.traces.len() as u64;
-    let batch = run.outcomes;
+    let streamed: HashSet<(&str, u64)> = valid
+        .iter()
+        .zip(&batch.provenance)
+        .filter(|(_, &p)| p == Provenance::Computed)
+        .map(|(job, _)| (job.workload.as_str(), job.budget))
+        .collect();
+    let streamed = streamed.len() as u64;
 
     // Fan results back out to request order.
     let mut answered = batch
@@ -235,7 +238,7 @@ fn execute(req: &BatchRequest, service: &SimService, workers: usize) -> (Vec<Jso
             Json::obj(pairs)
         })
         .collect();
-    (lines, traced)
+    (lines, streamed)
 }
 
 /// Server configuration (mirrors the `serve` binary's flags).
@@ -258,13 +261,15 @@ pub struct ServeStats {
     pub batches: u64,
     pub jobs: u64,
     pub errors: u64,
-    /// Traces built: a warm server builds none for a batch of hits.
-    pub traced: u64,
+    /// Distinct `(workload, budget)` pairs each batch emulated to simulate,
+    /// summed over batches: a warm server emulates none for a batch of
+    /// hits.
+    pub streamed: u64,
 }
 
 /// The one request handler both transports share: parses a batch
-/// document, executes it, and counts the batch, its jobs, the traces it
-/// built and its error lines into `stats`. `claimed_id`, set for queue
+/// document, executes it, and counts the batch, its jobs, the pairs it
+/// streamed and its error lines into `stats`. `claimed_id`, set for queue
 /// batches, is the id the request file's name carries; the document's id
 /// must match it, and error lines carry it.
 fn answer(
@@ -288,8 +293,8 @@ fn answer(
                 eprintln!("serve: batch {} ({} jobs)", req.id, req.jobs.len());
             }
             stats.jobs += req.jobs.len() as u64;
-            let (lines, traced) = execute(&req, service, cfg.workers);
-            stats.traced += traced;
+            let (lines, streamed) = execute(&req, service, cfg.workers);
+            stats.streamed += streamed;
             lines
         }
     };
@@ -883,7 +888,7 @@ mod tests {
                 batches: 1,
                 jobs: 2,
                 errors: 1,
-                traced: 1,
+                streamed: 1,
             }
         );
     }
@@ -992,8 +997,8 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batch_is_all_hits_and_builds_no_trace() {
-        let root = temp_queue("traced");
+    fn repeated_batch_is_all_hits_and_emulates_nothing() {
+        let root = temp_queue("streamed");
         let mut spec = tiny_spec();
         spec.budget = 1_700;
         let mut jobs = spec.expand();
@@ -1002,7 +1007,7 @@ mod tests {
             ..jobs[0].clone()
         });
         let distinct = 3; // aifirf and nat at 1_700, aifirf at 1_800
-        for id in ["traced-1", "traced-2"] {
+        for id in ["streamed-1", "streamed-2"] {
             let req = BatchRequest {
                 id: id.into(),
                 jobs: jobs.clone(),
@@ -1020,8 +1025,8 @@ mod tests {
         let stats = serve(&cfg, &SimService::in_memory()).expect("serve");
         assert_eq!((stats.batches, stats.errors), (2, 0));
         assert_eq!(
-            stats.traced, distinct,
-            "the cold batch traces each pair once"
+            stats.streamed, distinct,
+            "the cold batch streams each pair once"
         );
         let read = |id: &str| -> Vec<Json> {
             std::fs::read_to_string(root.join("done").join(format!("{id}.jsonl")))
@@ -1030,7 +1035,7 @@ mod tests {
                 .map(|l| Json::parse(l).expect("parse"))
                 .collect()
         };
-        let (cold, warm) = (read("traced-1"), read("traced-2"));
+        let (cold, warm) = (read("streamed-1"), read("streamed-2"));
         assert_eq!(warm.len(), jobs.len());
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.get("source").and_then(Json::as_str), Some("computed"));

@@ -17,21 +17,21 @@
 //! embedded fully resolved so a preset edit recomputes exactly the design
 //! points it touches (the incremental-`figs` property). A process-wide memo
 //! maps each `(workload, budget)` to the fingerprint of its records, so a
-//! warm process keys a hit without emulating or fingerprinting anything,
-//! and builds a trace only for an unsampled miss. Sampled items never
-//! build one: they stream their records from the emulator, one pass per
-//! `(workload, budget, SampleSpec)` shared by every item on it.
+//! warm process keys a hit without emulating or fingerprinting anything.
+//! No simulation builds a trace: the misses stream their records from the
+//! emulator, one pass per `(workload, budget, sample)` shared by every
+//! item on it.
 
-use crate::experiments::{run_sampled_stream, run_scheme, SchemeKind, SchemeOutcome};
+use crate::experiments::{run_stream, SchemeKind, SchemeOutcome};
 use crate::runner::par_map_metered;
 use crate::telemetry::{Progress, STREAM_PREFIX};
 use lvp_json::{Json, ToJson};
 use lvp_obs::PhaseSink;
 use lvp_store::SimService;
-use lvp_trace::{Fingerprinter, Trace};
+use lvp_trace::Fingerprinter;
 use lvp_uarch::SimConfig;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// The canonical request document for one simulation: everything its
 /// result is a pure function of.
@@ -105,11 +105,11 @@ pub struct SimPoint<'a> {
 }
 
 /// `Trace::fingerprint()` of every `(workload, budget)` an enabled service
-/// has keyed in this process, computed from a trace it built or from the
-/// stream of records that trace would hold. Within one binary a registered
-/// workload name fixes its program, so an entry never goes stale and needs
-/// no version stamp; keys stay content-derived because every entry is a
-/// fingerprint this process computed from the workload's records.
+/// has keyed in this process, computed from the stream of records that
+/// trace would hold. Within one binary a registered workload name fixes
+/// its program, so an entry never goes stale and needs no version stamp;
+/// keys stay content-derived because every entry is a fingerprint this
+/// process computed from the workload's records.
 static FINGERPRINTS: Mutex<BTreeMap<(String, u64), u64>> = Mutex::new(BTreeMap::new());
 
 fn memoized_fingerprint(workload: &str, budget: u64) -> Option<u64> {
@@ -131,56 +131,18 @@ fn workload(name: &str) -> lvp_workloads::Workload {
     lvp_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload '{name}'"))
 }
 
-/// Builds the trace `needs[t]` for every `t` in `pick` on the pool, one
-/// `trace:<name>` span each. Where `fingerprint(t)` holds, the worker also
-/// fingerprints the trace it just built and memoizes the value: a second
-/// pool pass for the fingerprints raised `serve`'s peak resident set by
-/// about half in the `serve_mixed` benchmark (allocator arena retention).
-fn build_traces<P: PhaseSink>(
-    needs: &[(&str, u64)],
-    pick: &[usize],
-    fingerprint: impl Fn(usize) -> bool + Sync,
-    workers: usize,
-    phases: &P,
-) -> Vec<(Trace, Option<u64>)> {
-    par_map_metered(
-        pick,
+/// Fingerprints the record stream of every `(workload, budget)` of `needs`
+/// on the pool, one `fingerprint:<name>` span each, storing no record, and
+/// memoizes each value. Returns the records it hashed.
+fn stream_fingerprints<P: PhaseSink>(needs: &[(&str, u64)], workers: usize, phases: &P) -> u64 {
+    let records = par_map_metered(
+        needs,
         workers,
         phases,
         &Progress::off(),
-        |&t| format!("trace:{}", needs[t].0),
-        |(trace, _): &(Trace, Option<u64>)| (0, trace.len() as u64),
-        |&t| {
-            let (w, budget) = needs[t];
-            let trace = workload(w).trace(budget);
-            let fingerprint = fingerprint(t).then(|| {
-                let fp = trace.fingerprint();
-                memoize_fingerprint(w, budget, fp);
-                fp
-            });
-            (trace, fingerprint)
-        },
-    )
-}
-
-/// Fingerprints the record stream of `needs[t]` for every `t` in `pick` on
-/// the pool, one `fingerprint:<name>` span each, storing no record, and
-/// memoizes each value. Returns `(fingerprint, records)` per pick.
-fn stream_fingerprints<P: PhaseSink>(
-    needs: &[(&str, u64)],
-    pick: &[usize],
-    workers: usize,
-    phases: &P,
-) -> Vec<(u64, u64)> {
-    par_map_metered(
-        pick,
-        workers,
-        phases,
-        &Progress::off(),
-        |&t| format!("fingerprint:{}", needs[t].0),
-        |&(_, records): &(u64, u64)| (0, records),
-        |&t| {
-            let (w, budget) = needs[t];
+        |&(w, _)| format!("fingerprint:{w}"),
+        |&records| (0, records, 0),
+        |&(w, budget)| {
             let mut f = Fingerprinter::new();
             let mut records = 0;
             for rec in workload(w).records(budget) {
@@ -188,43 +150,30 @@ fn stream_fingerprints<P: PhaseSink>(
                 records += 1;
             }
             memoize_fingerprint(w, budget, f.finish());
-            (f.finish(), records)
+            records
         },
-    )
+    );
+    records.iter().sum()
 }
 
-/// One pool task of [`simulate_cached`]'s executed items, as indices into
-/// them: an unsampled item run on its trace, or a stream — sampled items
-/// sharing `(workload, budget, SampleSpec)` — run over one emulator pass.
-enum Unit {
-    One(usize),
-    Stream(Vec<usize>),
-}
-
-/// Plans the pool tasks for `points`: one stream per distinct `(workload,
-/// budget, SampleSpec)` of sampled points (in first-seen order, listed
-/// first because they run longest), then one task per unsampled point.
-/// While there are fewer tasks than `workers`, the largest stream is halved
-/// so the pool stays busy; the halves emulate the workload twice, and
-/// every outcome stays the same.
-fn plan_units(points: &[&SimPoint<'_>], workers: usize) -> Vec<Unit> {
+/// Plans the streams for `points`, as indices into them: one per distinct
+/// `(workload, budget, sample)`, in first-seen order. While there are fewer
+/// streams than `workers`, the largest is halved so the pool stays busy;
+/// the halves emulate the workload twice, and every outcome stays the
+/// same.
+fn plan_streams(points: &[&SimPoint<'_>], workers: usize) -> Vec<Vec<usize>> {
     let mut streams: Vec<Vec<usize>> = Vec::new();
-    let mut ones: Vec<usize> = Vec::new();
     for (i, p) in points.iter().enumerate() {
-        if p.config.sample.is_none() {
-            ones.push(i);
-            continue;
-        }
-        let stream = (p.workload, p.budget, p.config.sample);
+        let key = (p.workload, p.budget, p.config.sample);
         match streams.iter_mut().find(|g| {
             let q = points[g[0]];
-            (q.workload, q.budget, q.config.sample) == stream
+            (q.workload, q.budget, q.config.sample) == key
         }) {
             Some(g) => g.push(i),
             None => streams.push(vec![i]),
         }
     }
-    while streams.len() + ones.len() < workers {
+    while streams.len() < workers {
         let Some(largest) = streams
             .iter_mut()
             .filter(|g| g.len() > 1)
@@ -236,55 +185,37 @@ fn plan_units(points: &[&SimPoint<'_>], workers: usize) -> Vec<Unit> {
         streams.push(half);
     }
     streams
-        .into_iter()
-        .map(Unit::Stream)
-        .chain(ones.into_iter().map(Unit::One))
-        .collect()
 }
 
 /// Runs `points` on the pool and returns their outcomes in order: each
-/// unsampled point `i` on `trace(i)` under a `label(i)` span, and each
-/// stream of [`plan_units`] over one emulator pass under a
-/// `stream:<workload>` span. `progress` ticks once per point.
-fn run_points<'t, P: PhaseSink>(
+/// stream of [`plan_streams`] over one emulator pass ([`run_stream`]) under
+/// a `stream:<workload>` span charged with its members' summed work and
+/// their count. `progress` ticks once per point.
+fn run_points<P: PhaseSink>(
     points: &[&SimPoint<'_>],
-    trace: impl Fn(usize) -> &'t Trace + Sync,
-    label: impl Fn(usize) -> String + Sync,
     workers: usize,
     phases: &P,
     progress: &Progress,
 ) -> Vec<SchemeOutcome> {
-    let units = plan_units(points, workers);
+    let streams = plan_streams(points, workers);
     let done = par_map_metered(
-        &units,
+        &streams,
         workers,
         phases,
         &Progress::off(),
-        |unit| match unit {
-            Unit::One(i) => label(*i),
-            Unit::Stream(g) => format!("{STREAM_PREFIX}{}", points[g[0]].workload),
-        },
+        |g| format!("{STREAM_PREFIX}{}", points[g[0]].workload),
         |outs: &Vec<SchemeOutcome>| {
-            outs.iter().fold((0, 0), |(c, n), o| {
-                (c + o.stats.cycles, n + o.stats.instructions)
+            outs.iter().fold((0, 0, 0), |(c, n, j), o| {
+                (c + o.stats.cycles, n + o.stats.instructions, j + 1)
             })
         },
-        |unit| {
-            let outs = match unit {
-                Unit::One(i) => {
-                    let p = points[*i];
-                    vec![run_scheme(trace(*i), p.scheme, &p.config)]
-                }
-                Unit::Stream(g) => {
-                    let p = points[g[0]];
-                    let spec = p.config.sample.expect("a stream holds sampled points");
-                    let members: Vec<(SchemeKind, &SimConfig)> = g
-                        .iter()
-                        .map(|&i| (points[i].scheme, &points[i].config))
-                        .collect();
-                    run_sampled_stream(&workload(p.workload), p.budget, spec, &members)
-                }
-            };
+        |g| {
+            let p = points[g[0]];
+            let members: Vec<(SchemeKind, &SimConfig)> = g
+                .iter()
+                .map(|&i| (points[i].scheme, &points[i].config))
+                .collect();
+            let outs = run_stream(&workload(p.workload), p.budget, p.config.sample, &members);
             for o in &outs {
                 progress.tick(o.stats.cycles);
             }
@@ -292,193 +223,81 @@ fn run_points<'t, P: PhaseSink>(
         },
     );
     let mut outcomes: Vec<Option<SchemeOutcome>> = points.iter().map(|_| None).collect();
-    for (unit, outs) in units.iter().zip(done) {
-        let slots = match unit {
-            Unit::One(i) => std::slice::from_ref(i),
-            Unit::Stream(g) => g.as_slice(),
-        };
-        for (&i, o) in slots.iter().zip(outs) {
+    for (g, outs) in streams.iter().zip(done) {
+        for (&i, o) in g.iter().zip(outs) {
             outcomes[i] = Some(o);
         }
     }
     outcomes
         .into_iter()
-        .map(|o| o.expect("every point belongs to one unit"))
+        .map(|o| o.expect("every point belongs to one stream"))
         .collect()
-}
-
-/// What [`simulate_cached`] returns: every item's outcome (input order,
-/// with provenance and keys) and the traces it built, at most one per
-/// distinct `(workload, budget)`, in first-seen order. Sampled items never
-/// build a trace.
-pub struct SimRun<'a> {
-    pub outcomes: CachedBatch<SchemeOutcome>,
-    pub traces: Vec<((&'a str, u64), Trace)>,
 }
 
 /// The one cached-simulation executor behind `figs`, `runner` and
 /// `serve`. Each item names a [`SimPoint`] through `point`.
 ///
-/// Unsampled items run on a trace. With a disabled service each distinct
-/// `(workload, budget)` trace an unsampled item or `also_trace` needs is
-/// built once, in parallel, under a lane-0 `build_traces` span (one
-/// `trace:<name>` span per trace). Sampled items never build a trace: the
-/// ones sharing `(workload, budget, SampleSpec)` run as one stream, whose
-/// windows are taken from the emulator once and run through every member
-/// (see [`run_sampled_stream`]), so a sampled run's memory does not grow
-/// with its budget. Every executed item runs on the pool under a lane-0
-/// `simulate` span: an unsampled one under a `label(item)` span, a stream
-/// under a `stream:<name>` span.
+/// Every executed item is a member of a stream: the items sharing
+/// `(workload, budget, sample)` run over one emulator pass, which feeds
+/// each record to every member's core (see [`run_stream`]). No item
+/// builds a trace, so a run's memory does not grow with its budget. The
+/// streams run on the pool under a lane-0 `simulate` span, one
+/// `stream:<name>` span each.
 ///
 /// With an enabled service every item is keyed with [`sim_request_doc`]
-/// over its workload's fingerprint, and a trace is built only when it is
-/// needed: the first pass (under `build_traces`) builds the traces whose
-/// fingerprint this process has not memoized yet and that an unsampled
-/// item needs, fingerprinting each once, plus every `also_trace` entry. A
-/// `(workload, budget)` only sampled items need is fingerprinted instead
-/// from its record stream, storing nothing (under `fingerprint_streams`,
-/// one `fingerprint:<name>` span each). Under `simulate`, charged with the
-/// misses' simulated work, it answers hits with their stored
-/// [`SchemeOutcome`], builds the traces that unsampled misses still lack
-/// (no fingerprint), and runs the misses. A batch of hits whose
-/// fingerprints are memoized therefore builds and fingerprints nothing.
-///
-/// `also_trace` adds traces no item simulates but the caller reads; they
-/// are always built and returned.
+/// over its workload's fingerprint. A `(workload, budget)` whose
+/// fingerprint this process has not memoized is first fingerprinted from
+/// its record stream, storing nothing (under `fingerprint_streams`, one
+/// `fingerprint:<name>` span each). Under `simulate`, charged with the
+/// misses' simulated work, hits are answered with their stored
+/// [`SchemeOutcome`] and only the misses run. A batch of hits whose
+/// fingerprints are memoized therefore emulates nothing.
 ///
 /// # Panics
 ///
-/// Panics if an item or `also_trace` names an unknown workload.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cached<'a, T, F, L, P>(
+/// Panics if an item names an unknown workload.
+pub fn simulate_cached<'a, T, F, P>(
     service: &SimService,
     items: &'a [T],
     point: F,
-    also_trace: &[(&'a str, u64)],
     workers: usize,
     phases: &P,
     progress: &Progress,
-    label: L,
-) -> SimRun<'a>
+) -> CachedBatch<SchemeOutcome>
 where
-    T: Sync,
     F: Fn(&'a T) -> SimPoint<'a>,
-    L: Fn(&T) -> String + Sync,
     P: PhaseSink,
 {
-    let mut needs: Vec<(&'a str, u64)> = Vec::new();
-    let mut trace_index = |need: (&'a str, u64)| match needs.iter().position(|&n| n == need) {
-        Some(i) => i,
-        None => {
-            needs.push(need);
-            needs.len() - 1
+    let points: Vec<SimPoint<'a>> = items.iter().map(point).collect();
+
+    // An enabled service keys every item by its workload's fingerprint;
+    // the ones this process has not memoized come from a streaming pass
+    // that stores nothing.
+    let mut unknown: Vec<(&str, u64)> = Vec::new();
+    for p in points.iter().filter(|_| service.enabled()) {
+        let need = (p.workload, p.budget);
+        if memoized_fingerprint(p.workload, p.budget).is_none() && !unknown.contains(&need) {
+            unknown.push(need);
         }
-    };
-    for &need in also_trace {
-        trace_index(need);
     }
-    let jobs: Vec<(&'a T, SimPoint<'a>, usize)> = items
-        .iter()
-        .map(|item| {
-            let p = point(item);
-            let t = trace_index((p.workload, p.budget));
-            (item, p, t)
-        })
-        .collect();
-
-    // A need is traced when the caller reads it or an unsampled item runs
-    // on it; a need only sampled items have is only ever streamed.
-    let mut traced: Vec<bool> = needs.iter().map(|n| also_trace.contains(n)).collect();
-    let mut simulated = vec![false; needs.len()];
-    for (_, p, t) in &jobs {
-        traced[*t] |= p.config.sample.is_none();
-        simulated[*t] = true;
-    }
-
-    // The first pass builds what a disabled service simulates (every traced
-    // need), and what an enabled one reads or cannot key without building:
-    // `also_trace`, and each traced need of unknown fingerprint.
-    let enabled = service.enabled();
-    let mut fingerprints: Vec<Option<u64>> = needs
-        .iter()
-        .map(|&(w, budget)| enabled.then(|| memoized_fingerprint(w, budget)).flatten())
-        .collect();
-    let first: Vec<usize> = (0..needs.len())
-        .filter(|&t| traced[t] && (also_trace.contains(&needs[t]) || fingerprints[t].is_none()))
-        .collect();
-    let traces: Vec<OnceLock<Trace>> = needs.iter().map(|_| OnceLock::new()).collect();
-    let mut span = phases.span(0, "build_traces");
-    let built = build_traces(
-        &needs,
-        &first,
-        |t| enabled && simulated[t] && fingerprints[t].is_none(),
-        workers,
-        phases,
-    );
-    span.charge(0, built.iter().map(|(t, _)| t.len() as u64).sum(), 0);
-    span.finish();
-    for (&t, (trace, fingerprint)) in first.iter().zip(built) {
-        if fingerprint.is_some() {
-            fingerprints[t] = fingerprint;
-        }
-        let _ = traces[t].set(trace);
-    }
-
-    // An enabled service keys a stream-only need of unknown fingerprint
-    // from a streaming pass that stores nothing.
-    let streamed: Vec<usize> = (0..needs.len())
-        .filter(|&t| enabled && !traced[t] && fingerprints[t].is_none())
-        .collect();
-    if !streamed.is_empty() {
+    if !unknown.is_empty() {
         let mut span = phases.span(0, "fingerprint_streams");
-        let hashed = stream_fingerprints(&needs, &streamed, workers, phases);
-        span.charge(0, hashed.iter().map(|&(_, n)| n).sum(), 0);
+        span.charge(0, stream_fingerprints(&unknown, workers, phases), 0);
         span.finish();
-        for (&t, (fingerprint, _)) in streamed.iter().zip(hashed) {
-            fingerprints[t] = Some(fingerprint);
-        }
     }
 
     let mut span = phases.span(0, "simulate");
     let outcomes = par_map_cached(
         service,
-        &jobs,
-        |(_, p, t)| {
-            let fingerprint =
-                fingerprints[*t].expect("an enabled service knows every item's fingerprint");
+        &points,
+        |p| {
+            let fingerprint = memoized_fingerprint(p.workload, p.budget)
+                .expect("an enabled service memoizes every item's fingerprint");
             sim_request_doc(fingerprint, p.budget, p.scheme.name(), &p.config)
         },
         |_, payload| SchemeOutcome::from_json(payload).ok(),
         |o: &SchemeOutcome| (o.stats.cycles, o.stats.instructions),
-        |todo| {
-            let mut second: Vec<usize> = todo
-                .iter()
-                .filter(|(_, p, _)| p.config.sample.is_none())
-                .map(|&&(_, _, t)| t)
-                .filter(|&t| traces[t].get().is_none())
-                .collect();
-            second.sort_unstable();
-            second.dedup();
-            if !second.is_empty() {
-                let built = build_traces(&needs, &second, |_| false, workers, phases);
-                for (&t, (trace, _)) in second.iter().zip(built) {
-                    let _ = traces[t].set(trace);
-                }
-            }
-            let points: Vec<&SimPoint<'a>> = todo.iter().map(|(_, p, _)| p).collect();
-            run_points(
-                &points,
-                |i| {
-                    traces[todo[i].2]
-                        .get()
-                        .expect("every executed unsampled item's trace is built")
-                },
-                |i| label(todo[i].0),
-                workers,
-                phases,
-                progress,
-            )
-        },
+        |todo| run_points(todo, workers, phases, progress),
     );
     span.charge(
         outcomes.executed.sim_cycles,
@@ -486,14 +305,7 @@ where
         outcomes.executed.jobs,
     );
     span.finish();
-    SimRun {
-        outcomes,
-        traces: needs
-            .into_iter()
-            .zip(traces)
-            .filter_map(|(need, trace)| Some((need, trace.into_inner()?)))
-            .collect(),
-    }
+    outcomes
 }
 
 /// A lookup-or-run batch behind a [`SimService`], generic over the item
@@ -608,33 +420,47 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_obs::NullPhases;
+    use lvp_obs::{NullPhases, PhaseRecorder};
+    use std::collections::BTreeSet;
 
     // The fingerprint memo is process-wide, so each test below simulates
     // at budgets no other test uses.
 
     type Item = (&'static str, u64, SchemeKind);
 
-    fn sim<'a>(service: &SimService, items: &'a [Item], also: &[(&'a str, u64)]) -> SimRun<'a> {
-        simulate_cached(
-            service,
-            items,
-            |&(workload, budget, scheme)| SimPoint {
-                workload,
-                budget,
-                scheme,
-                config: SimConfig::default(),
-            },
-            also,
-            2,
-            &NullPhases,
-            &Progress::off(),
-            |_| String::new(),
-        )
+    fn point(&(workload, budget, scheme): &Item) -> SimPoint<'_> {
+        SimPoint {
+            workload,
+            budget,
+            scheme,
+            config: SimConfig::default(),
+        }
     }
 
-    fn traced<'a>(run: &SimRun<'a>) -> Vec<(&'a str, u64)> {
-        run.traces.iter().map(|&(need, _)| need).collect()
+    /// A batch and the workloads it emulated, by span name and in name
+    /// order: to simulate (`stream:`) and to fingerprint (`fingerprint:`).
+    struct Run {
+        batch: CachedBatch<SchemeOutcome>,
+        streamed: Vec<String>,
+        fingerprinted: Vec<String>,
+    }
+
+    fn sim(service: &SimService, items: &[Item]) -> Run {
+        let rec = PhaseRecorder::new();
+        let batch = simulate_cached(service, items, point, 2, &rec, &Progress::off());
+        let spans = rec.spans();
+        let emulated = |prefix: &str| -> Vec<String> {
+            let names: BTreeSet<&str> = spans
+                .iter()
+                .filter_map(|s| s.name.strip_prefix(prefix))
+                .collect();
+            names.into_iter().map(str::to_string).collect()
+        };
+        Run {
+            streamed: emulated(STREAM_PREFIX),
+            fingerprinted: emulated("fingerprint:"),
+            batch,
+        }
     }
 
     #[test]
@@ -648,7 +474,7 @@ mod tests {
             })
             .collect();
         let svc = SimService::in_memory();
-        let run = sim(&svc, &items, &[]);
+        let run = sim(&svc, &items);
         for (i, &(w, budget, scheme)) in items.iter().enumerate() {
             let fresh = lvp_workloads::by_name(w)
                 .expect("registered workload")
@@ -656,76 +482,76 @@ mod tests {
                 .fingerprint();
             assert_eq!(memoized_fingerprint(w, budget), Some(fresh), "{w}@{budget}");
             let doc = sim_request_doc(fresh, budget, scheme.name(), &SimConfig::default());
-            assert_eq!(run.outcomes.keys[i], svc.key(&doc), "{w}@{budget}");
+            assert_eq!(run.batch.keys[i], svc.key(&doc), "{w}@{budget}");
         }
     }
 
     #[test]
-    fn warm_hit_only_batch_builds_and_fingerprints_nothing() {
+    fn warm_hit_only_batch_emulates_and_fingerprints_nothing() {
         let items: Vec<Item> = vec![
             ("aifirf", 1_401, SchemeKind::Baseline),
             ("aifirf", 1_401, SchemeKind::Dlvp),
             ("nat", 1_401, SchemeKind::Baseline),
         ];
         let svc = SimService::in_memory();
-        let cold = sim(&svc, &items, &[]);
-        assert_eq!(traced(&cold), [("aifirf", 1_401), ("nat", 1_401)]);
-        assert_eq!(cold.outcomes.provenance, [Provenance::Computed; 3]);
+        let cold = sim(&svc, &items);
+        assert_eq!(cold.streamed, ["aifirf", "nat"]);
+        assert_eq!(cold.fingerprinted, ["aifirf", "nat"]);
+        assert_eq!(cold.batch.provenance, [Provenance::Computed; 3]);
 
-        let warm = sim(&svc, &items, &[]);
+        let warm = sim(&svc, &items);
         assert!(
-            traced(&warm).is_empty(),
-            "a warm hit-only batch traces nothing"
+            warm.streamed.is_empty() && warm.fingerprinted.is_empty(),
+            "a warm hit-only batch emulates nothing: {:?} {:?}",
+            warm.streamed,
+            warm.fingerprinted
         );
-        assert_eq!(warm.outcomes.provenance, [Provenance::Store; 3]);
-        assert_eq!(warm.outcomes.executed, ExecutedWork::default());
-        assert_eq!(warm.outcomes.keys, cold.outcomes.keys);
-        assert_eq!(warm.outcomes.results, cold.outcomes.results);
-
-        // A trace the caller reads is built even when every item hits.
-        let read = sim(&svc, &items, &[("nat", 1_401)]);
-        assert_eq!(traced(&read), [("nat", 1_401)]);
-        assert_eq!(read.outcomes.provenance, [Provenance::Store; 3]);
+        assert_eq!(warm.batch.provenance, [Provenance::Store; 3]);
+        assert_eq!(warm.batch.executed, ExecutedWork::default());
+        assert_eq!(warm.batch.keys, cold.batch.keys);
+        assert_eq!(warm.batch.results, cold.batch.results);
     }
 
     #[test]
-    fn mixed_batch_traces_exactly_the_workloads_that_miss() {
+    fn mixed_batch_streams_exactly_the_workloads_that_miss() {
         let svc = SimService::in_memory();
         let warmed: Vec<Item> = vec![
             ("aifirf", 1_501, SchemeKind::Baseline),
             ("nat", 1_501, SchemeKind::Baseline),
         ];
-        sim(&svc, &warmed, &[]);
+        sim(&svc, &warmed);
         let mut mixed = warmed.clone();
         // A known fingerprint that misses, then an unknown one.
         mixed.push(("aifirf", 1_501, SchemeKind::Dlvp));
         mixed.push(("gzip", 1_501, SchemeKind::Baseline));
-        let run = sim(&svc, &mixed, &[]);
-        assert_eq!(traced(&run), [("aifirf", 1_501), ("gzip", 1_501)]);
+        let run = sim(&svc, &mixed);
+        assert_eq!(run.streamed, ["aifirf", "gzip"]);
+        assert_eq!(run.fingerprinted, ["gzip"]);
         use Provenance::{Computed, Store};
-        assert_eq!(run.outcomes.provenance, [Store, Store, Computed, Computed]);
-        let fresh = sim(&SimService::disabled(), &mixed, &[]);
-        assert_eq!(run.outcomes.results, fresh.outcomes.results);
+        assert_eq!(run.batch.provenance, [Store, Store, Computed, Computed]);
+        let fresh = sim(&SimService::disabled(), &mixed);
+        assert_eq!(run.batch.results, fresh.batch.results);
     }
 
     #[test]
-    fn disabled_service_builds_every_trace_and_fingerprints_none() {
+    fn disabled_service_streams_every_workload_and_fingerprints_none() {
         let items: Vec<Item> = vec![
             ("aifirf", 1_601, SchemeKind::Baseline),
             ("nat", 1_601, SchemeKind::Baseline),
             ("aifirf", 1_601, SchemeKind::Dlvp),
         ];
         for _ in 0..2 {
-            let run = sim(&SimService::disabled(), &items, &[]);
-            assert_eq!(traced(&run), [("aifirf", 1_601), ("nat", 1_601)]);
-            assert!(run.outcomes.keys.is_empty());
-            assert_eq!(run.outcomes.provenance, [Provenance::Computed; 3]);
+            let run = sim(&SimService::disabled(), &items);
+            assert_eq!(run.streamed, ["aifirf", "nat"]);
+            assert!(run.fingerprinted.is_empty());
+            assert!(run.batch.keys.is_empty());
+            assert_eq!(run.batch.provenance, [Provenance::Computed; 3]);
         }
         assert_eq!(memoized_fingerprint("aifirf", 1_601), None);
     }
 
     #[test]
-    fn streams_group_sampled_points_and_split_to_fill_the_pool() {
+    fn streams_group_points_and_split_to_fill_the_pool() {
         let spec = lvp_uarch::SampleSpec {
             ff: 1_000,
             warmup: 500,
@@ -752,52 +578,39 @@ mod tests {
             })
             .collect();
         let refs: Vec<&SimPoint> = points.iter().collect();
-        let shape = |workers| -> Vec<Vec<usize>> {
-            plan_units(&refs, workers)
-                .into_iter()
-                .map(|u| match u {
-                    Unit::One(i) => vec![i],
-                    Unit::Stream(g) => g,
-                })
-                .collect()
-        };
-        let grouped = [vec![0, 3, 6], vec![2, 5, 8], vec![1], vec![4], vec![7]];
-        assert_eq!(shape(1), grouped);
-        assert_eq!(shape(5), grouped);
-        let split = shape(7);
+        let grouped = [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5, 8]];
+        assert_eq!(plan_streams(&refs, 1), grouped);
+        assert_eq!(plan_streams(&refs, 3), grouped);
+        let split = plan_streams(&refs, 7);
         assert_eq!(split.len(), 7);
         let mut covered: Vec<usize> = split.concat();
         covered.sort_unstable();
         assert_eq!(
             covered,
             (0..9).collect::<Vec<_>>(),
-            "every point in one unit"
+            "every point in one stream"
         );
 
-        // The outcomes do not depend on how the streams were split.
-        let items: Vec<Item> = vec![
-            ("aifirf", 9_001, SchemeKind::Baseline),
-            ("aifirf", 9_001, SchemeKind::Dlvp),
-            ("aifirf", 9_001, SchemeKind::Vtage),
-        ];
-        let run = |workers| {
-            simulate_cached(
-                &SimService::disabled(),
-                &items,
-                |&(workload, budget, scheme)| SimPoint {
-                    budget,
-                    ..point(workload, scheme, Some(spec))
-                },
-                &[],
-                workers,
-                &NullPhases,
-                &Progress::off(),
-                |_| String::new(),
-            )
-            .outcomes
-            .results
-        };
-        assert_eq!(run(1), run(3));
+        // The outcomes do not depend on how the streams were split, sampled
+        // or not.
+        let schemes = [SchemeKind::Baseline, SchemeKind::Dlvp, SchemeKind::Vtage];
+        for sample in [Some(spec), None] {
+            let run = |workers| {
+                simulate_cached(
+                    &SimService::disabled(),
+                    &schemes,
+                    |&scheme| SimPoint {
+                        budget: 9_001,
+                        ..point("aifirf", scheme, sample)
+                    },
+                    workers,
+                    &NullPhases,
+                    &Progress::off(),
+                )
+                .results
+            };
+            assert_eq!(run(1), run(3), "{sample:?}");
+        }
     }
 
     fn doc(n: &u64) -> Json {

@@ -6,11 +6,14 @@
 //! `render` function that formats the collected [`ResultSet`] into the
 //! byte-exact text the retired one-binary-per-figure harnesses printed.
 //! [`run_specs`] dedups the requests across every selected spec and hands
-//! the unique simulations to [`simulate_cached`], which builds each
-//! workload trace at most once and runs them on the deterministic worker
-//! pool — so
-//! `figs --all` simulates each design point exactly once even when several
-//! figures share it, and its output is bit-identical for any worker count.
+//! the unique simulations to [`simulate_cached`], which streams each
+//! workload's records from the emulator once per `(workload, budget)` and
+//! feeds them to every simulation on it, on the deterministic worker pool
+//! — so `figs --all` simulates each design point exactly once even when
+//! several figures share it, builds no trace, and its output is
+//! bit-identical for any worker count. The trace-characterization specs
+//! (Figs. 1, 2 and 4, Table 3) read a [`WorkloadProfile`] per workload,
+//! taken in one more streaming pass.
 //!
 //! Configurations are never constructed ad hoc here: every request names a
 //! `SimConfig` preset, so the full set of design points the evaluation
@@ -23,14 +26,16 @@ use crate::runner::par_map_metered;
 use crate::service::{simulate_cached, SimPoint};
 use crate::telemetry::Progress;
 use dlvp::{
-    evaluate_standalone, AddrEval, AddrWidth, AddressPredictor, AptLayout, Cap, CapConfig,
-    DlvpConfig, Pap, PapConfig, Vtage,
+    AddrEval, AddrWidth, AddressPredictor, AptLayout, Cap, CapConfig, DlvpConfig, Pap, PapConfig,
+    Vtage,
 };
 use lvp_analysis::{EdgeKind, XvalConfig};
 use lvp_energy::{PrfComparison, SramMacro};
 use lvp_obs::{NullPhases, PhaseSink};
 use lvp_store::SimService;
-use lvp_trace::{repeat::THRESHOLDS, ConflictProfile, RepeatProfile, Trace};
+use lvp_trace::{
+    repeat::THRESHOLDS, ConflictProfile, ConflictProfiler, RepeatProfile, RepeatProfiler,
+};
 use lvp_uarch::{CoreConfig, SimConfig, SimStats};
 use std::collections::{HashMap, HashSet};
 
@@ -58,15 +63,6 @@ pub struct SimRequest {
     pub preset: &'static str,
 }
 
-/// Which traces a spec's `render` reads directly (beyond those implied by
-/// its simulation requests): the trace-profiling figures need every
-/// workload's trace even though they simulate nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceNeed {
-    None,
-    All,
-}
-
 /// One figure/table/ablation, as data.
 pub struct ExperimentSpec {
     /// Spec name — also the old binary's name and the `results/<name>.txt`
@@ -74,19 +70,78 @@ pub struct ExperimentSpec {
     pub name: &'static str,
     /// One-line description for `figs --list`.
     pub title: &'static str,
-    /// Traces the render reads directly.
-    pub traces: TraceNeed,
+    /// Whether the render reads every workload's [`WorkloadProfile`]: the
+    /// trace-characterization figures need them even though they simulate
+    /// nothing.
+    pub profiles: bool,
     /// The simulations this spec draws from.
     pub sims: fn() -> Vec<SimRequest>,
     /// Formats the results — byte-identical to the retired binary's stdout.
     pub render: fn(&ResultSet) -> String,
 }
 
-/// Everything the render functions read: the per-workload traces plus every
-/// requested simulation's output, keyed by request.
+/// The CAP confidence thresholds Figure 4 sweeps.
+const CAP_CONFIDENCES: [u32; 6] = [3, 8, 16, 24, 32, 64];
+
+/// Everything the trace-characterization renders (Figs. 1, 2 and 4, Table
+/// 3) read about one workload, taken from one pass over its records.
+pub struct WorkloadProfile {
+    /// Load–store conflicts, split at a 96-instruction in-flight window
+    /// (Figure 1).
+    pub conflicts: ConflictProfile,
+    /// Address and value repeatability (Figure 2).
+    pub repeats: RepeatProfile,
+    /// Standalone PAP at its paper default (Figure 4).
+    pub pap: AddrEval,
+    /// Standalone CAP at each confidence Figure 4 sweeps: 3, 8, 16, 24, 32
+    /// and 64.
+    pub cap: [AddrEval; CAP_CONFIDENCES.len()],
+    /// The instruction mix (Table 3).
+    pub instructions: u64,
+    pub loads: u64,
+    pub stores: u64,
+    pub branches: u64,
+}
+
+impl WorkloadProfile {
+    /// Streams `workload`'s first `budget` records once through every
+    /// consumer, storing no record.
+    fn of(workload: &lvp_workloads::Workload, budget: u64) -> WorkloadProfile {
+        let mut conflicts = ConflictProfiler::new(INFLIGHT_WINDOW);
+        let mut repeats = RepeatProfiler::default();
+        let (mut pap, mut pap_eval) = (Pap::paper_default(), AddrEval::default());
+        let mut caps = CAP_CONFIDENCES.map(|c| (Cap::with_confidence(c), AddrEval::default()));
+        let (mut instructions, mut loads, mut stores, mut branches) = (0, 0, 0, 0);
+        for rec in workload.records(budget) {
+            conflicts.push(&rec);
+            repeats.push(&rec);
+            pap_eval.observe(&mut pap, &rec);
+            for (cap, eval) in &mut caps {
+                eval.observe(cap, &rec);
+            }
+            instructions += 1;
+            loads += u64::from(rec.inst.is_load());
+            stores += u64::from(rec.inst.is_store());
+            branches += u64::from(rec.inst.is_branch());
+        }
+        WorkloadProfile {
+            conflicts: conflicts.finish(),
+            repeats: repeats.finish(),
+            pap: pap_eval,
+            cap: caps.map(|(_, eval)| eval),
+            instructions,
+            loads,
+            stores,
+            branches,
+        }
+    }
+}
+
+/// Everything the render functions read: the per-workload profiles plus
+/// every requested simulation's output, keyed by request.
 pub struct ResultSet {
     budget: u64,
-    traces: HashMap<String, Trace>,
+    profiles: HashMap<&'static str, WorkloadProfile>,
     sims: HashMap<SimRequest, SchemeOutcome>,
 }
 
@@ -96,17 +151,15 @@ impl ResultSet {
         self.budget
     }
 
-    /// One workload's trace.
+    /// One workload's profile.
     ///
     /// # Panics
     ///
-    /// Panics if the spec did not declare the trace in its `traces` need: a
-    /// store-enabled run builds a simulated workload's trace only when one
-    /// of its simulations misses.
-    pub fn trace(&self, workload: &str) -> &Trace {
-        self.traces
+    /// Panics if no selected spec set `profiles`.
+    pub fn profile(&self, workload: &str) -> &WorkloadProfile {
+        self.profiles
             .get(workload)
-            .unwrap_or_else(|| panic!("spec did not request a trace for '{workload}'"))
+            .unwrap_or_else(|| panic!("spec did not request a profile of '{workload}'"))
     }
 
     /// One simulation's outcome.
@@ -151,8 +204,9 @@ pub struct RenderedSpec {
 }
 
 /// Executes the selected specs: dedups their simulation requests, runs
-/// the unique simulations through [`simulate_cached`] (each needed trace
-/// built once), and renders every spec from the shared [`ResultSet`].
+/// the unique simulations through [`simulate_cached`] (one emulator pass
+/// per workload), profiles every workload when a spec reads profiles, and
+/// renders every spec from the shared [`ResultSet`].
 ///
 /// Deterministic end to end: request order is first-seen spec order, the
 /// pool writes results into per-index slots, and renders are pure — the
@@ -161,11 +215,12 @@ pub fn run_specs(specs: &[&ExperimentSpec], budget: u64, workers: usize) -> Vec<
     run_specs_with(specs, budget, workers, &NullPhases, &Progress::off())
 }
 
-/// [`run_specs`] with host telemetry: trace building runs under a lane-0
-/// `build_traces` span, the deduped simulations under a `simulate` span
-/// with one `job:<workload>/<preset>/<scheme>` span per request (charged
-/// with its simulated cycles and instructions), and the renders, also on
-/// the pool, under a `render` span with one `render:<spec>` span each.
+/// [`run_specs`] with host telemetry: the profile pass runs under a lane-0
+/// `profile` span with one `profile:<workload>` span each, the deduped
+/// simulations under a `simulate` span with one `stream:<workload>` span
+/// per stream (charged with its simulations' cycles, instructions and
+/// count), and the renders, also on the pool, under a `render` span with
+/// one `render:<spec>` span each.
 /// Rendered texts are byte-identical to [`run_specs`]'s.
 pub fn run_specs_with<P: PhaseSink>(
     specs: &[&ExperimentSpec],
@@ -212,16 +267,26 @@ pub fn run_specs_serviced<P: PhaseSink>(
     }
     service.note_deduped(duplicates);
 
-    // Trace-profiling renders read every workload's trace.
-    let also_trace: Vec<(&str, u64)> = if specs.iter().any(|s| s.traces == TraceNeed::All) {
-        lvp_workloads::names()
-            .into_iter()
-            .map(|name| (name, budget))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let run = simulate_cached(
+    // Trace-characterization renders read every workload's profile, taken
+    // in a streaming pass of its own; the result store keeps simulations
+    // only.
+    let mut profiles = HashMap::new();
+    if specs.iter().any(|s| s.profiles) {
+        let workloads = lvp_workloads::all();
+        let taken = phases.time(0, "profile", || {
+            par_map_metered(
+                &workloads,
+                workers,
+                phases,
+                &Progress::off(),
+                |w| format!("profile:{}", w.name),
+                |p: &WorkloadProfile| (0, p.instructions, 0),
+                |w| WorkloadProfile::of(w, budget),
+            )
+        });
+        profiles = workloads.iter().map(|w| w.name).zip(taken).collect();
+    }
+    let results = simulate_cached(
         service,
         &requests,
         |req| SimPoint {
@@ -230,24 +295,15 @@ pub fn run_specs_serviced<P: PhaseSink>(
             scheme: req.scheme,
             config: SimConfig::preset(req.preset).expect("spec requests name registered presets"),
         },
-        &also_trace,
         workers,
         phases,
         progress,
-        |req| format!("job:{}/{}/{}", req.workload, req.preset, req.scheme.name()),
-    );
-    let sims: HashMap<SimRequest, SchemeOutcome> =
-        requests.iter().copied().zip(run.outcomes.results).collect();
-    let traces: HashMap<String, Trace> = run
-        .traces
-        .into_iter()
-        .map(|((name, _), trace)| (name.to_string(), trace))
-        .collect();
-
+    )
+    .results;
     let set = ResultSet {
         budget,
-        traces,
-        sims,
+        profiles,
+        sims: requests.iter().copied().zip(results).collect(),
     };
     // Renders are pure functions of the set: they run on the pool too, one
     // `render:<spec>` span each, and land in spec order.
@@ -258,7 +314,7 @@ pub fn run_specs_serviced<P: PhaseSink>(
             phases,
             &Progress::off(),
             |spec| format!("render:{}", spec.name),
-            |_| (0, 0),
+            |_| (0, 0, 0),
             |spec| RenderedSpec {
                 name: spec.name,
                 text: (spec.render)(&set),
@@ -366,7 +422,7 @@ fn fig01_render(set: &ResultSet) -> String {
     let mut total = ConflictProfile::default();
     let (mut cf, mut inf) = (Vec::new(), Vec::new());
     for w in lvp_workloads::all() {
-        let p = ConflictProfile::profile(set.trace(w.name), INFLIGHT_WINDOW);
+        let p = set.profile(w.name).conflicts;
         cf.push(p.committed_fraction());
         inf.push(p.inflight_fraction());
         outln!(
@@ -425,7 +481,7 @@ fn fig02_render(set: &ResultSet) -> String {
     );
     let mut avg = RepeatProfile::default();
     for w in lvp_workloads::all() {
-        avg.merge(&RepeatProfile::profile(set.trace(w.name)));
+        avg.merge(&set.profile(w.name).repeats);
     }
     outln!(
         o,
@@ -524,15 +580,14 @@ fn fig04_render(set: &ResultSet) -> String {
         "PAP vs CAP standalone (Figure 4)",
         set.budget(),
     );
-    let traces: Vec<&Trace> = lvp_workloads::all()
+    let profiles: Vec<&WorkloadProfile> = lvp_workloads::all()
         .iter()
-        .map(|w| set.trace(w.name))
+        .map(|w| set.profile(w.name))
         .collect();
 
     let mut pap_total = AddrEval::default();
-    for t in &traces {
-        let mut p = Pap::paper_default();
-        pap_total.merge(&evaluate_standalone(t, &mut p));
+    for p in &profiles {
+        pap_total.merge(&p.pap);
     }
     outln!(
         o,
@@ -548,11 +603,10 @@ fn fig04_render(set: &ResultSet) -> String {
         report::pct(pap_total.coverage()),
         report::pct(pap_total.accuracy())
     );
-    for conf in [3u32, 8, 16, 24, 32, 64] {
+    for (i, conf) in CAP_CONFIDENCES.into_iter().enumerate() {
         let mut cap_total = AddrEval::default();
-        for t in &traces {
-            let mut c = Cap::with_confidence(conf);
-            cap_total.merge(&evaluate_standalone(t, &mut c));
+        for p in &profiles {
+            cap_total.merge(&p.cap[i]);
         }
         let note = match conf {
             3 => "  (paper: CAP's original design point)",
@@ -1208,16 +1262,16 @@ fn table03_render(set: &ResultSet) -> String {
         "branch%"
     );
     for w in lvp_workloads::all() {
-        let t = set.trace(w.name);
-        let n = t.len() as f64;
+        let p = set.profile(w.name);
+        let n = p.instructions as f64;
         outln!(
             o,
             "{:<14} {:<8} {:>6.1}% {:>6.1}% {:>6.1}%  {}",
             w.name,
             w.suite.to_string(),
-            t.load_count() as f64 / n * 100.0,
-            t.store_count() as f64 / n * 100.0,
-            t.branch_count() as f64 / n * 100.0,
+            p.loads as f64 / n * 100.0,
+            p.stores as f64 / n * 100.0,
+            p.branches as f64 / n * 100.0,
             w.description
         );
     }
@@ -1757,126 +1811,126 @@ pub const SPECS: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig01_conflicts",
         title: "loads conflicting with stores (Figure 1)",
-        traces: TraceNeed::All,
+        profiles: true,
         sims: no_sims,
         render: fig01_render,
     },
     ExperimentSpec {
         name: "fig02_repeatability",
         title: "address vs value repeatability (Figure 2)",
-        traces: TraceNeed::All,
+        profiles: true,
         sims: no_sims,
         render: fig02_render,
     },
     ExperimentSpec {
         name: "fig03_pipeline",
         title: "pipeline with value prediction and DLVP (Figure 3)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: no_sims,
         render: fig03_render,
     },
     ExperimentSpec {
         name: "fig04_addr_pred",
         title: "PAP vs CAP standalone (Figure 4)",
-        traces: TraceNeed::All,
+        profiles: true,
         sims: no_sims,
         render: fig04_render,
     },
     ExperimentSpec {
         name: "fig05_prefetch",
         title: "DLVP prefetch on/off (Figure 5)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig05_sims,
         render: fig05_render,
     },
     ExperimentSpec {
         name: "fig06_comparison",
         title: "CAP vs VTAGE vs DLVP (Figure 6)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig06_sims,
         render: fig06_render,
     },
     ExperimentSpec {
         name: "fig07_vtage",
         title: "VTAGE filter/target study (Figure 7)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig07_sims,
         render: fig07_render,
     },
     ExperimentSpec {
         name: "fig08_tournament",
         title: "DLVP + VTAGE tournament (Figure 8)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig08_sims,
         render: fig08_render,
     },
     ExperimentSpec {
         name: "fig09_selected",
         title: "speedup vs coverage decoupling (Figure 9)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig09_sims,
         render: fig09_render,
     },
     ExperimentSpec {
         name: "fig10_recovery",
         title: "flush vs oracle replay (Figure 10)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: fig10_sims,
         render: fig10_render,
     },
     ExperimentSpec {
         name: "table01_apt",
         title: "APT entry layout and storage budget (Table 1)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: no_sims,
         render: table01_render,
     },
     ExperimentSpec {
         name: "table02_prf",
         title: "predicted-value communication designs (Table 2)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: no_sims,
         render: table02_render,
     },
     ExperimentSpec {
         name: "table03_workloads",
         title: "workload suite with dynamic-mix statistics (Table 3)",
-        traces: TraceNeed::All,
+        profiles: true,
         sims: no_sims,
         render: table03_render,
     },
     ExperimentSpec {
         name: "table04_config",
         title: "baseline core configuration (Table 4)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: no_sims,
         render: table04_render,
     },
     ExperimentSpec {
         name: "ablation_branch",
         title: "value prediction vs branch predictor quality",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: ablation_branch_sims,
         render: ablation_branch_render,
     },
     ExperimentSpec {
         name: "ablation_dlvp",
         title: "DLVP design-choice ablations",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: ablation_dlvp_sims,
         render: ablation_dlvp_render,
     },
     ExperimentSpec {
         name: "ext_dvtage",
         title: "extension: D-VTAGE vs VTAGE vs DLVP",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: ext_dvtage_sims,
         render: ext_dvtage_render,
     },
     ExperimentSpec {
         name: "table05_conflicts",
         title: "static vs dynamic store-conflict profile (dependence pass)",
-        traces: TraceNeed::None,
+        profiles: false,
         sims: no_sims,
         render: table05_render,
     },
@@ -1924,7 +1978,7 @@ mod tests {
     fn static_specs_render_without_simulating() {
         let set = ResultSet {
             budget: 0,
-            traces: HashMap::new(),
+            profiles: HashMap::new(),
             sims: HashMap::new(),
         };
         for name in [
@@ -1942,7 +1996,7 @@ mod tests {
 
     #[test]
     fn run_specs_is_schedule_invariant() {
-        // Several specs, trace-reading ones among them, render on the pool:
+        // Several specs, profile-reading ones among them, render on the pool:
         // identical texts in spec order at any worker count.
         let names = [
             "fig01_conflicts",

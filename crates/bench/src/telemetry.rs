@@ -26,9 +26,9 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// become [`JobRecord`]s in the manifest.
 pub const JOB_PREFIX: &str = "job:";
 
-/// Span-name prefix of a sampled stream: every sampled simulation that
-/// shares one emulator pass, charged with their summed work. Each becomes
-/// one [`JobRecord`], labelled with its full span name.
+/// Span-name prefix of a stream: the simulations that share one emulator
+/// pass, charged with their summed work and their count. Each becomes one
+/// [`JobRecord`], labelled with its full span name.
 pub const STREAM_PREFIX: &str = "stream:";
 
 /// Canonical configuration fingerprint: FNV-1a over the tool name and the
@@ -154,7 +154,9 @@ pub struct Manifest {
 impl Manifest {
     /// Assembles a manifest from a finished [`PhaseRecorder`]. Per-job
     /// records and work totals come from the `job:`- and `stream:`-prefixed
-    /// spans; pool occupancy from the worker lanes.
+    /// spans, and `jobs` sums the simulations each of them was charged
+    /// with (a stream runs several); pool occupancy comes from the worker
+    /// lanes.
     pub fn build(
         tool: &str,
         config: &Json,
@@ -166,22 +168,23 @@ impl Manifest {
     ) -> Manifest {
         let phases = rec.spans();
         let wall_ns = rec.total_ns();
-        let per_job: Vec<JobRecord> = phases
-            .iter()
-            .filter_map(|s| {
-                let label = match s.name.strip_prefix(JOB_PREFIX) {
-                    Some(job) => job,
-                    None if s.name.starts_with(STREAM_PREFIX) => &s.name,
-                    None => return None,
-                };
-                Some(JobRecord {
-                    label: label.to_string(),
-                    worker: (s.lane.max(1) - 1) as u64,
-                    wall_ns: s.dur_ns,
-                    sim_cycles: s.sim_cycles,
-                    instructions: s.instructions,
-                    sim_cycles_per_sec: sim_cycles_per_sec(s.sim_cycles, s.dur_ns),
+        let work = || {
+            phases
+                .iter()
+                .filter_map(|s| match s.name.strip_prefix(JOB_PREFIX) {
+                    Some(job) => Some((job, s)),
+                    None if s.name.starts_with(STREAM_PREFIX) => Some((s.name.as_str(), s)),
+                    None => None,
                 })
+        };
+        let per_job: Vec<JobRecord> = work()
+            .map(|(label, s)| JobRecord {
+                label: label.to_string(),
+                worker: (s.lane.max(1) - 1) as u64,
+                wall_ns: s.dur_ns,
+                sim_cycles: s.sim_cycles,
+                instructions: s.instructions,
+                sim_cycles_per_sec: sim_cycles_per_sec(s.sim_cycles, s.dur_ns),
             })
             .collect();
         let sim_cycles: u64 = per_job.iter().map(|j| j.sim_cycles).sum();
@@ -194,7 +197,7 @@ impl Manifest {
             workers: workers as u64,
             seeds,
             wall_ns,
-            jobs: per_job.len() as u64,
+            jobs: work().map(|(_, s)| s.jobs).sum(),
             sim_cycles,
             instructions,
             sim_cycles_per_sec: sim_cycles_per_sec(sim_cycles, wall_ns),

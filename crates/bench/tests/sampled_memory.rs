@@ -1,13 +1,15 @@
-//! A sampled simulation streams its records from the emulator instead of
-//! building a trace, so its memory does not depend on its budget. A
-//! counting global allocator tracks live heap bytes and their peak; a
-//! sampled matrix over 2N instructions must peak within a fixed margin of
-//! the same matrix over N (a resident trace would add ~72 bytes per
-//! record). The tests share one process-wide counter, so they run one at a
-//! time.
+//! Every simulation and every workload profile streams its records from
+//! the emulator instead of building a trace, so its memory does not depend
+//! on its budget. A counting global allocator tracks live heap bytes and
+//! their peak; a sampled matrix, an unsampled one and the profile-reading
+//! specs over 2N instructions must each peak within a fixed margin of the
+//! same run over N (a resident trace would add ~72 bytes per record). The
+//! tests share one process-wide counter, so they run one at a time.
 
 use lvp_bench::runner::{run_matrix, MatrixSpec};
-use lvp_bench::{simulate_cached, ExecutedWork, Progress, Provenance, SchemeKind, SimPoint};
+use lvp_bench::{
+    run_specs, simulate_cached, ExecutedWork, Progress, Provenance, SchemeKind, SimPoint,
+};
 use lvp_obs::NullPhases;
 use lvp_store::SimService;
 use lvp_uarch::{SampleSpec, SimConfig};
@@ -117,27 +119,68 @@ fn an_enabled_service_streams_sampled_items_and_answers_a_rerun_from_the_store()
                     ..SimConfig::default()
                 },
             },
-            &[],
             2,
             &NullPhases,
             &Progress::off(),
-            |_| String::new(),
         )
     };
     let service = SimService::in_memory();
     let cold = run(&service);
-    assert!(cold.traces.is_empty(), "a sampled item built a trace");
-    assert_eq!(cold.outcomes.provenance, [Provenance::Computed; 3]);
-    assert_eq!(cold.outcomes.executed.jobs, 3);
+    assert_eq!(cold.provenance, [Provenance::Computed; 3]);
+    assert_eq!(cold.executed.jobs, 3);
 
     let warm = run(&service);
-    assert!(warm.traces.is_empty());
-    assert_eq!(warm.outcomes.provenance, [Provenance::Store; 3]);
-    assert_eq!(warm.outcomes.executed, ExecutedWork::default());
-    assert_eq!(warm.outcomes.keys, cold.outcomes.keys);
-    assert_eq!(warm.outcomes.results, cold.outcomes.results);
+    assert_eq!(warm.provenance, [Provenance::Store; 3]);
+    assert_eq!(warm.executed, ExecutedWork::default());
+    assert_eq!(warm.keys, cold.keys);
+    assert_eq!(warm.results, cold.results);
 
     let disabled = run(&SimService::disabled());
-    assert!(disabled.traces.is_empty());
-    assert_eq!(disabled.outcomes.results, cold.outcomes.results);
+    assert_eq!(disabled.results, cold.results);
+}
+
+#[test]
+fn unsampled_matrix_peak_heap_does_not_grow_with_the_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const N: u64 = 100_000;
+    let unsampled = |budget| MatrixSpec {
+        sample: None,
+        ..matrix(budget)
+    };
+    run_matrix(&unsampled(N), 1);
+    let at_n = peak_during(|| {
+        run_matrix(&unsampled(N), 1);
+    });
+    let at_2n = peak_during(|| {
+        run_matrix(&unsampled(2 * N), 1);
+    });
+    assert!(
+        at_2n <= at_n + MARGIN,
+        "peak live heap grew with the budget: {at_n} B at {N}, {at_2n} B at {}",
+        2 * N
+    );
+}
+
+#[test]
+fn profile_renders_peak_heap_does_not_grow_with_the_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Every workload is profiled; a resident trace of each would add
+    // ~57 MB between the two budgets.
+    const N: u64 = 20_000;
+    let specs: Vec<_> = ["fig01_conflicts", "fig04_addr_pred", "table03_workloads"]
+        .iter()
+        .map(|n| lvp_bench::specs::by_name(n).expect("registered spec"))
+        .collect();
+    run_specs(&specs, N, 1);
+    let at_n = peak_during(|| {
+        run_specs(&specs, N, 1);
+    });
+    let at_2n = peak_during(|| {
+        run_specs(&specs, 2 * N, 1);
+    });
+    assert!(
+        at_2n <= at_n + MARGIN,
+        "peak live heap grew with the budget: {at_n} B at {N}, {at_2n} B at {}",
+        2 * N
+    );
 }

@@ -221,12 +221,14 @@ fn run_fig06_matrix(svc: &SimService) -> (String, u64) {
     (results.to_json().pretty(), executed_jobs(&rec))
 }
 
-/// Sim jobs a run actually executed: its `job:` spans.
+/// Sim jobs a run actually executed: the jobs charged on its `simulate`
+/// span.
 fn executed_jobs(rec: &PhaseRecorder) -> u64 {
     rec.spans()
         .iter()
-        .filter(|s| s.name.starts_with("job:"))
-        .count() as u64
+        .filter(|s| s.name == "simulate")
+        .map(|s| s.jobs)
+        .sum()
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn recorded_spec_renders_are_byte_identical() {
         assert_eq!(a.text, b.text);
     }
     let spans = rec.spans();
-    for phase in ["build_traces", "simulate", "render"] {
+    for phase in ["simulate", "render"] {
         assert!(spans.iter().any(|s| s.name == phase), "missing {phase}");
     }
 }
@@ -124,7 +124,7 @@ fn metered_pool_matches_plain_pool() {
         &rec,
         &Progress::off(),
         |x| format!("job:{x}"),
-        |r: &u64| (*r, 1),
+        |r: &u64| (*r, 1, 1),
         |&x| x * x,
     );
     assert_eq!(metered, plain);
@@ -137,6 +137,10 @@ fn metered_pool_matches_plain_pool() {
     assert!(jobs.iter().all(|s| s.lane >= 1), "jobs run on worker lanes");
     let charged: u64 = jobs.iter().map(|s| s.sim_cycles).sum();
     assert_eq!(charged, items.iter().map(|x| x * x).sum::<u64>());
+    assert!(
+        jobs.iter().all(|s| s.jobs == 1),
+        "each span charges its job"
+    );
 }
 
 /// The manifest's config hash is a function of the configuration alone —
@@ -157,7 +161,7 @@ fn manifest_round_trips_and_hash_ignores_workers() {
             &rec,
             None,
         );
-        assert_eq!(m.per_job.len(), spec.expand().len());
+        assert_eq!(m.jobs, spec.expand().len() as u64);
         assert!(m.per_job.iter().all(|j| (j.worker as usize) < workers));
         let parsed = Manifest::parse(&m.to_json()).expect("manifest parses back");
         assert_eq!(parsed.to_json().pretty(), m.to_json().pretty());
@@ -209,6 +213,7 @@ fn sampled_streams_are_accounted_in_the_manifest() {
     );
     let labels: Vec<&str> = m.per_job.iter().map(|j| j.label.as_str()).collect();
     assert_eq!(labels, ["stream:aifirf", "stream:libquantum"]);
+    assert_eq!(m.jobs, spec.expand().len() as u64, "jobs count simulations");
     let cycles: u64 = results.jobs.iter().map(|j| j.outcome.stats.cycles).sum();
     assert_eq!(m.sim_cycles, cycles);
 }

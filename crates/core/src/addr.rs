@@ -1,7 +1,7 @@
 //! The address-predictor interface shared by PAP and CAP, plus the
 //! standalone (timing-free) evaluation used for Figure 4.
 
-use lvp_trace::Trace;
+use lvp_trace::{Trace, TraceRecord};
 
 /// One address prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +91,23 @@ impl AddrEval {
         self.predicted += other.predicted;
         self.correct += other.correct;
     }
+
+    /// Evaluates `predictor` as a standalone address predictor on the next
+    /// record of a stream, counting it if it is a load (no timing,
+    /// immediate training — the Figure 4 methodology).
+    pub fn observe<P: AddressPredictor>(&mut self, predictor: &mut P, rec: &TraceRecord) {
+        let Some(lv) = rec.as_load() else { return };
+        self.loads += 1;
+        predictor.note_load(lv.pc);
+        let (pred, ctx) = predictor.lookup(lv.pc);
+        if let Some(p) = pred {
+            self.predicted += 1;
+            if p.addr == lv.addr {
+                self.correct += 1;
+            }
+        }
+        predictor.train(ctx, lv.addr, size_code_for(lv.bytes), None);
+    }
 }
 
 fn ratio(n: u64, d: u64) -> f64 {
@@ -102,21 +119,11 @@ fn ratio(n: u64, d: u64) -> f64 {
 }
 
 /// Evaluates `predictor` as a standalone address predictor over every
-/// dynamic load of `trace` (no timing, immediate training — the Figure 4
-/// methodology).
+/// dynamic load of `trace`: [`AddrEval::observe`] over its records.
 pub fn evaluate_standalone<P: AddressPredictor>(trace: &Trace, predictor: &mut P) -> AddrEval {
     let mut eval = AddrEval::default();
-    for lv in trace.loads() {
-        eval.loads += 1;
-        predictor.note_load(lv.pc);
-        let (pred, ctx) = predictor.lookup(lv.pc);
-        if let Some(p) = pred {
-            eval.predicted += 1;
-            if p.addr == lv.addr {
-                eval.correct += 1;
-            }
-        }
-        predictor.train(ctx, lv.addr, size_code_for(lv.bytes), None);
+    for rec in trace.records() {
+        eval.observe(predictor, rec);
     }
     eval
 }

@@ -91,13 +91,17 @@ fn kernel(n: u64) -> Trace {
 }
 
 /// Heap allocations of one full run — core construction, every step and
-/// the final stats — over `trace`.
+/// the final stats — over `trace`, fed to the core a slice at a time the
+/// way a record stream feeds it.
 fn run_allocations<S: VpScheme>(scheme: S, trace: &Trace) -> u64 {
     let before = allocations();
-    let core = Core::new(CoreConfig::default(), scheme);
-    let stats = core.run(trace);
+    let mut core = Core::new(CoreConfig::default(), scheme);
+    for chunk in trace.records().chunks(4_096) {
+        core.feed(chunk);
+    }
+    let finished = core.finish();
     let after = allocations();
-    std::hint::black_box(stats);
+    std::hint::black_box(finished);
     after - before
 }
 

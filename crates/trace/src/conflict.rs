@@ -8,7 +8,7 @@
 //! load is fetched — those are the conflicts address prediction *cannot*
 //! remove and which DLVP's LSCD filter must suppress.
 
-use crate::record::Trace;
+use crate::record::TraceRecord;
 use std::collections::HashMap;
 
 /// 8-byte granule key covering an address range.
@@ -59,46 +59,64 @@ impl ConflictProfile {
             self.committed_conflicts + self.inflight_conflicts,
         )
     }
+}
 
-    /// Profiles `trace` with an in-flight window of `window` instructions
-    /// (≈ ROB depth: a store less than `window` instructions older than the
-    /// load is considered still in flight at fetch).
-    pub fn profile(trace: &Trace, window: u64) -> ConflictProfile {
-        // granule -> seq of newest store touching it
-        let mut last_store: HashMap<u64, u64> = HashMap::new();
-        // static load pc -> (addr, seq) of its previous dynamic instance
-        let mut prev_load: HashMap<u64, (u64, u64)> = HashMap::new();
-        let mut out = ConflictProfile::default();
+/// Builds a [`ConflictProfile`] one record at a time, in program order.
+#[derive(Debug, Clone, Default)]
+pub struct ConflictProfiler {
+    window: u64,
+    /// granule -> seq of the newest store touching it
+    last_store: HashMap<u64, u64>,
+    /// static load pc -> (addr, seq) of its previous dynamic instance
+    prev_load: HashMap<u64, (u64, u64)>,
+    profile: ConflictProfile,
+}
 
-        for rec in trace.records() {
-            let bytes = rec.inst.mem_bytes().unwrap_or(0);
-            if rec.inst.is_store() {
-                for g in granules(rec.eff_addr, bytes) {
-                    last_store.insert(g, rec.seq);
-                }
-            } else if rec.inst.is_load() {
-                out.loads += 1;
-                if let Some(&(prev_addr, prev_seq)) = prev_load.get(&rec.pc) {
-                    if prev_addr == rec.eff_addr {
-                        // Newest store to any granule of this access since
-                        // the previous instance.
-                        let newest = granules(rec.eff_addr, bytes)
-                            .filter_map(|g| last_store.get(&g).copied())
-                            .filter(|&s| s > prev_seq)
-                            .max();
-                        if let Some(s) = newest {
-                            if rec.seq - s < window {
-                                out.inflight_conflicts += 1;
-                            } else {
-                                out.committed_conflicts += 1;
-                            }
+impl ConflictProfiler {
+    /// A profiler with an in-flight window of `window` instructions (≈ ROB
+    /// depth: a store less than `window` instructions older than the load
+    /// is considered still in flight at fetch).
+    pub fn new(window: u64) -> ConflictProfiler {
+        ConflictProfiler {
+            window,
+            ..ConflictProfiler::default()
+        }
+    }
+
+    /// Profiles the next record of the stream.
+    pub fn push(&mut self, rec: &TraceRecord) {
+        let bytes = rec.inst.mem_bytes().unwrap_or(0);
+        if rec.inst.is_store() {
+            for g in granules(rec.eff_addr, bytes) {
+                self.last_store.insert(g, rec.seq);
+            }
+        } else if rec.inst.is_load() {
+            let out = &mut self.profile;
+            out.loads += 1;
+            if let Some(&(prev_addr, prev_seq)) = self.prev_load.get(&rec.pc) {
+                if prev_addr == rec.eff_addr {
+                    // Newest store to any granule of this access since the
+                    // previous instance.
+                    let newest = granules(rec.eff_addr, bytes)
+                        .filter_map(|g| self.last_store.get(&g).copied())
+                        .filter(|&s| s > prev_seq)
+                        .max();
+                    if let Some(s) = newest {
+                        if rec.seq - s < self.window {
+                            out.inflight_conflicts += 1;
+                        } else {
+                            out.committed_conflicts += 1;
                         }
                     }
                 }
-                prev_load.insert(rec.pc, (rec.eff_addr, rec.seq));
             }
+            self.prev_load.insert(rec.pc, (rec.eff_addr, rec.seq));
         }
-        out
+    }
+
+    /// The profile of every record pushed so far.
+    pub fn finish(&self) -> ConflictProfile {
+        self.profile
     }
 }
 
@@ -116,12 +134,20 @@ mod tests {
     use crate::record::test_util::{load, store};
     use crate::Trace;
 
+    fn profile(t: &Trace, window: u64) -> ConflictProfile {
+        let mut p = ConflictProfiler::new(window);
+        for r in t.records() {
+            p.push(r);
+        }
+        p.finish()
+    }
+
     #[test]
     fn no_store_no_conflict() {
         let t: Trace = vec![load(0x10, 0x800, 1), load(0x10, 0x800, 1)]
             .into_iter()
             .collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.loads, 2);
         assert_eq!(p.committed_conflicts + p.inflight_conflicts, 0);
         assert_eq!(p.total_fraction(), 0.0);
@@ -137,7 +163,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.inflight_conflicts, 1);
         assert_eq!(p.committed_conflicts, 0);
     }
@@ -151,7 +177,7 @@ mod tests {
         }
         recs.push(load(0x10, 0x800, 2));
         let t: Trace = recs.into_iter().collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.committed_conflicts, 1);
         assert_eq!(p.inflight_conflicts, 0);
         assert!(p.committed_share() > 0.99);
@@ -167,7 +193,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.committed_conflicts + p.inflight_conflicts, 0);
     }
 
@@ -180,7 +206,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.committed_conflicts + p.inflight_conflicts, 0);
     }
 
@@ -194,7 +220,7 @@ mod tests {
         let mut l2 = load(0x10, 0x804, 7);
         l2.eff_addr = 0x804;
         let t: Trace = vec![l1, s, l2].into_iter().collect();
-        let p = ConflictProfile::profile(&t, 224);
+        let p = profile(&t, 224);
         assert_eq!(p.inflight_conflicts, 1);
     }
 }

@@ -6,12 +6,13 @@
 //! outcome), the effective address and the loaded/stored values.
 //!
 //! Besides the containers, this crate hosts the *trace-only* analyses from
-//! the paper's motivation section:
+//! the paper's motivation section, each a consumer fed one record at a
+//! time, so a record stream is profiled without being stored:
 //!
-//! * [`conflict::ConflictProfile`] — Figure 1: the fraction of dynamic loads
+//! * [`conflict::ConflictProfiler`] — Figure 1: the fraction of dynamic loads
 //!   that consume a value produced by a store since the prior dynamic
 //!   instance of that load, split into committed vs. in-flight stores.
-//! * [`repeat::RepeatProfile`] — Figure 2: the breakdown of dynamic loads by
+//! * [`repeat::RepeatProfiler`] — Figure 2: the breakdown of dynamic loads by
 //!   how many times their address (vs. their value) has repeated, which
 //!   motivates address prediction's lower confidence requirement.
 
@@ -20,7 +21,7 @@ pub mod io;
 pub mod record;
 pub mod repeat;
 
-pub use conflict::ConflictProfile;
+pub use conflict::{ConflictProfile, ConflictProfiler};
 pub use io::{read_trace, write_trace, TraceIoError, TraceWriter};
 pub use record::{Fingerprinter, LoadView, Trace, TraceRecord, ValueBuf, MAX_CHUNKS};
-pub use repeat::RepeatProfile;
+pub use repeat::{RepeatProfile, RepeatProfiler};

@@ -8,7 +8,7 @@
 //! confidence 8 could have covered, which is the basis of the paper's
 //! 91%-addresses-at-8 vs 80%-values-at-64 comparison.
 
-use crate::record::Trace;
+use crate::record::TraceRecord;
 use std::collections::HashMap;
 
 /// The repeat thresholds reported on Figure 2's x-axis.
@@ -27,29 +27,6 @@ pub struct RepeatProfile {
 }
 
 impl RepeatProfile {
-    /// Profiles a trace.
-    pub fn profile(trace: &Trace) -> RepeatProfile {
-        let mut addr_seen: HashMap<(u64, u64), u32> = HashMap::new();
-        let mut value_seen: HashMap<(u64, u64), u32> = HashMap::new();
-        let mut out = RepeatProfile::default();
-        for lv in trace.loads() {
-            out.loads += 1;
-            let a = addr_seen.entry((lv.pc, lv.addr)).or_insert(0);
-            *a = a.saturating_add(1);
-            let v = value_seen.entry((lv.pc, lv.value)).or_insert(0);
-            *v = v.saturating_add(1);
-            for (i, &t) in THRESHOLDS.iter().enumerate() {
-                if *a >= t {
-                    out.addr_ge[i] += 1;
-                }
-                if *v >= t {
-                    out.value_ge[i] += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// Fraction of loads whose address repeat count ≥ `THRESHOLDS[i]`.
     pub fn addr_fraction(&self, i: usize) -> f64 {
         frac(self.addr_ge[i], self.loads)
@@ -75,6 +52,42 @@ impl RepeatProfile {
     }
 }
 
+/// Builds a [`RepeatProfile`] one record at a time, in program order.
+#[derive(Debug, Clone, Default)]
+pub struct RepeatProfiler {
+    /// (static load pc, address) -> times observed
+    addr_seen: HashMap<(u64, u64), u32>,
+    /// (static load pc, first value chunk) -> times observed
+    value_seen: HashMap<(u64, u64), u32>,
+    profile: RepeatProfile,
+}
+
+impl RepeatProfiler {
+    /// Profiles the next record of the stream.
+    pub fn push(&mut self, rec: &TraceRecord) {
+        let Some(lv) = rec.as_load() else { return };
+        let out = &mut self.profile;
+        out.loads += 1;
+        let a = self.addr_seen.entry((lv.pc, lv.addr)).or_insert(0);
+        *a = a.saturating_add(1);
+        let v = self.value_seen.entry((lv.pc, lv.value)).or_insert(0);
+        *v = v.saturating_add(1);
+        for (i, &t) in THRESHOLDS.iter().enumerate() {
+            if *a >= t {
+                out.addr_ge[i] += 1;
+            }
+            if *v >= t {
+                out.value_ge[i] += 1;
+            }
+        }
+    }
+
+    /// The profile of every record pushed so far.
+    pub fn finish(&self) -> RepeatProfile {
+        self.profile.clone()
+    }
+}
+
 fn frac(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -89,10 +102,18 @@ mod tests {
     use crate::record::test_util::load;
     use crate::Trace;
 
+    fn profile(t: &Trace) -> RepeatProfile {
+        let mut p = RepeatProfiler::default();
+        for r in t.records() {
+            p.push(r);
+        }
+        p.finish()
+    }
+
     #[test]
     fn constant_address_and_value_counts_grow() {
         let t: Trace = (0..10).map(|_| load(0x10, 0x800, 5)).collect();
-        let p = RepeatProfile::profile(&t);
+        let p = profile(&t);
         assert_eq!(p.loads, 10);
         // occurrence counts 1..=10; loads with count >= 4 are instances
         // 4..=10 = 7 of them
@@ -111,7 +132,7 @@ mod tests {
         let t: Trace = (0..32)
             .map(|i| load(0x10, 0x800 + (i % 4) * 8, i))
             .collect();
-        let p = RepeatProfile::profile(&t);
+        let p = profile(&t);
         let i4 = RepeatProfile::threshold_index(4).unwrap();
         // Address occurrence reaches 4 on pass 4: instances 12..31 = 20.
         assert_eq!(p.addr_ge[i4], 20);
@@ -124,7 +145,7 @@ mod tests {
     #[test]
     fn stable_value_varying_address() {
         let t: Trace = (0..16).map(|i| load(0x10, 0x800 + i * 64, 42)).collect();
-        let p = RepeatProfile::profile(&t);
+        let p = profile(&t);
         let i8 = RepeatProfile::threshold_index(8).unwrap();
         assert_eq!(p.addr_ge[i8], 0);
         assert_eq!(
@@ -141,7 +162,7 @@ mod tests {
             recs.push(load(0x20, 0x800, 1));
         }
         let t: Trace = recs.into_iter().collect();
-        let p = RepeatProfile::profile(&t);
+        let p = profile(&t);
         let i4 = RepeatProfile::threshold_index(4).unwrap();
         assert_eq!(p.addr_ge[i4], 2, "each pc reaches count 4 exactly once");
     }
@@ -149,7 +170,7 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let t: Trace = (0..4).map(|_| load(0x10, 0x800, 5)).collect();
-        let p1 = RepeatProfile::profile(&t);
+        let p1 = profile(&t);
         let mut m = RepeatProfile::default();
         m.merge(&p1);
         m.merge(&p1);
@@ -162,7 +183,7 @@ mod tests {
         let t: Trace = (0..5)
             .map(|i| load(0x10 + i * 4, 0x800 + i * 64, i))
             .collect();
-        let p = RepeatProfile::profile(&t);
+        let p = profile(&t);
         assert_eq!(p.addr_ge[0], 5);
         assert_eq!(p.value_ge[0], 5);
         assert_eq!(p.addr_fraction(0), 1.0);

@@ -377,14 +377,22 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
     /// Runs the trace and returns the statistics, the scheme and the sink
     /// (holding whatever the sink recorded).
     pub fn run_traced(mut self, trace: &Trace) -> (SimStats, S, K) {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        (self.stats, self.scheme, self.sink)
+        self.feed(trace.records());
+        self.finish()
     }
 
-    fn finalize(&mut self) {
+    /// Steps the core through `records`, the next stretch of its record
+    /// stream. A stream fed in any number of slices ends exactly as it
+    /// would fed whole: the core keeps no per-call state.
+    pub fn feed(&mut self, records: &[TraceRecord]) {
+        for rec in records {
+            self.step(rec);
+        }
+    }
+
+    /// Ends the run: returns the statistics, the scheme and the sink
+    /// (holding whatever the sink recorded).
+    pub fn finish(mut self) -> (SimStats, S, K) {
         self.stats.cycles = self.commit_cycle_cursor;
         self.stats.mem = self.mem.stats();
         let vpe = self.vpe.stats();
@@ -392,6 +400,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         self.stats.pvt_reads = vpe.pvt_reads;
         self.stats.prf_reads = vpe.prf_reads;
         self.stats.per_pc.extend(self.predecode.loads.drain(..));
+        (self.stats, self.scheme, self.sink)
     }
 
     // ------------------------------------------------------------------

@@ -338,14 +338,16 @@ fn idct() -> Program {
 mod tests {
     use super::*;
     use lvp_emu::Emulator;
-    use lvp_trace::RepeatProfile;
+    use lvp_trace::{RepeatProfile, RepeatProfiler};
 
     #[test]
     fn aifirf_addresses_repeat_values_do_not() {
         let t = Emulator::new(crate::eembc_aifirf::build())
             .run(60_000)
             .trace;
-        let p = RepeatProfile::profile(&t);
+        let mut p = RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         let i8 = RepeatProfile::threshold_index(8).unwrap();
         let i64x = RepeatProfile::threshold_index(64).unwrap();
         assert!(
@@ -364,7 +366,9 @@ mod tests {
     #[test]
     fn nat_values_repeat() {
         let t = Emulator::new(nat()).run(60_000).trace;
-        let p = RepeatProfile::profile(&t);
+        let mut p = RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         let i2 = RepeatProfile::threshold_index(2).unwrap();
         // The translation loads return stable values; at least the table
         // loads should show value repetition well above address repetition.

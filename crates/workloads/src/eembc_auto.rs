@@ -302,7 +302,9 @@ mod tests {
         // Three of the five loads per iteration read fixed calibration
         // cells — the read-mostly class PAP covers at confidence 8.
         let t = Emulator::new(a2time()).run(40_000).trace;
-        let p = lvp_trace::RepeatProfile::profile(&t);
+        let mut p = lvp_trace::RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         let i8 = lvp_trace::RepeatProfile::threshold_index(8).unwrap();
         assert!(p.addr_fraction(i8) > 0.5, "got {}", p.addr_fraction(i8));
     }

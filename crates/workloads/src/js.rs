@@ -332,12 +332,14 @@ fn browsermark() -> Program {
 mod tests {
     use super::*;
     use lvp_emu::Emulator;
-    use lvp_trace::RepeatProfile;
+    use lvp_trace::{RepeatProfile, RepeatProfiler};
 
     #[test]
     fn pdfjs_values_highly_repeatable() {
         let t = Emulator::new(pdfjs()).run(60_000).trace;
-        let p = RepeatProfile::profile(&t);
+        let mut p = RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         let i8 = RepeatProfile::threshold_index(8).unwrap();
         assert!(
             p.value_fraction(i8) > 0.3,
@@ -358,7 +360,9 @@ mod tests {
     #[test]
     fn dromaeo_walks_repeat() {
         let t = Emulator::new(dromaeo()).run(60_000).trace;
-        let p = RepeatProfile::profile(&t);
+        let mut p = RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         // The same traversal repeats, so addresses recur per static load
         // (run-length resets per node, but CAP/PAP context would catch it;
         // here we just sanity-check the walk executes loads).

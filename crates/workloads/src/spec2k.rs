@@ -455,7 +455,9 @@ mod tests {
     #[test]
     fn gzip_rereads_stored_head_entries() {
         let t = Emulator::new(gzip()).run(50_000).trace;
-        let p = lvp_trace::ConflictProfile::profile(&t, 224);
+        let mut p = lvp_trace::ConflictProfiler::new(224);
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         assert!(
             p.total_fraction() > 0.02,
             "head-table conflicts expected, got {}",

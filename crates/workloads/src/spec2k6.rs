@@ -415,12 +415,14 @@ fn hmmer() -> Program {
 mod tests {
     use super::*;
     use lvp_emu::Emulator;
-    use lvp_trace::{ConflictProfile, RepeatProfile};
+    use lvp_trace::{ConflictProfiler, RepeatProfile, RepeatProfiler};
 
     #[test]
     fn mcf_addresses_do_not_repeat_per_pc() {
         let t = Emulator::new(mcf()).run(30_000).trace;
-        let p = RepeatProfile::profile(&t);
+        let mut p = RepeatProfiler::default();
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         let i8 = RepeatProfile::threshold_index(8).unwrap();
         assert!(
             p.addr_fraction(i8) < 0.2,
@@ -433,7 +435,9 @@ mod tests {
         // The phase is written back every 8th gate; the read right after a
         // write-back conflicts with the (usually still in-flight) store.
         let t = Emulator::new(libquantum()).run(60_000).trace;
-        let p = ConflictProfile::profile(&t, 96);
+        let mut p = ConflictProfiler::new(96);
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         assert!(p.total_fraction() > 0.02, "got {}", p.total_fraction());
         assert!(
             p.inflight_fraction() > p.committed_fraction(),
@@ -444,7 +448,9 @@ mod tests {
     #[test]
     fn hmmer_checksum_conflicts() {
         let t = Emulator::new(hmmer()).run(80_000).trace;
-        let p = ConflictProfile::profile(&t, 96);
+        let mut p = ConflictProfiler::new(96);
+        t.records().iter().for_each(|r| p.push(r));
+        let p = p.finish();
         assert!(p.total_fraction() > 0.02, "got {}", p.total_fraction());
     }
 

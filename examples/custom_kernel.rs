@@ -10,7 +10,7 @@
 
 use lvp_emu::Emulator;
 use lvp_isa::{Asm, MemSize, Reg};
-use lvp_trace::{ConflictProfile, RepeatProfile};
+use lvp_trace::{ConflictProfiler, RepeatProfile, RepeatProfiler};
 use lvp_uarch::{simulate, NoVp};
 
 fn build() -> lvp_isa::Program {
@@ -57,7 +57,13 @@ fn main() {
     let trace = Emulator::new(build()).run(100_000).trace;
 
     println!("-- trace profile -------------------------------------------------");
-    let rep = RepeatProfile::profile(&trace);
+    let mut rep = RepeatProfiler::default();
+    let mut conf = ConflictProfiler::new(96);
+    for rec in trace.records() {
+        rep.push(rec);
+        conf.push(rec);
+    }
+    let (rep, conf) = (rep.finish(), conf.finish());
     let i8 = RepeatProfile::threshold_index(8).unwrap();
     let i64x = RepeatProfile::threshold_index(64).unwrap();
     println!(
@@ -68,7 +74,6 @@ fn main() {
         "loads with values seen >=64x   : {:.1}%",
         rep.value_fraction(i64x) * 100.0
     );
-    let conf = ConflictProfile::profile(&trace, 96);
     println!(
         "store-conflicting loads        : {:.1}% (committed {:.1}%)",
         conf.total_fraction() * 100.0,

@@ -14,7 +14,7 @@
 //! ```
 
 use dlvp::{Dlvp, DlvpConfig, Pap};
-use lvp_trace::ConflictProfile;
+use lvp_trace::ConflictProfiler;
 use lvp_uarch::{simulate, Core, CoreConfig};
 
 fn main() {
@@ -23,8 +23,11 @@ fn main() {
     println!("-- Figure 1 view: who conflicts with stores ---------------------");
     println!("{:<12} {:>10} {:>10}", "workload", "committed", "in-flight");
     for name in ["aifirf", "h264ref", "libquantum", "gzip", "mcf"] {
-        let t = lvp_workloads::by_name(name).unwrap().trace(budget);
-        let p = ConflictProfile::profile(&t, 96);
+        let mut p = ConflictProfiler::new(96);
+        for rec in lvp_workloads::by_name(name).unwrap().records(budget) {
+            p.push(&rec);
+        }
+        let p = p.finish();
         println!(
             "{:<12} {:>9.1}% {:>9.1}%",
             name,

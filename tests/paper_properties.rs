@@ -3,7 +3,7 @@
 
 use dlvp::{evaluate_standalone, AddrEval, AddrWidth, AptLayout, Cap, Pap, PapConfig};
 use lvp_energy::PrfComparison;
-use lvp_trace::{ConflictProfile, RepeatProfile};
+use lvp_trace::{ConflictProfiler, RepeatProfile, RepeatProfiler};
 
 const BUDGET: u64 = 60_000;
 
@@ -42,7 +42,9 @@ fn figure2_addresses_out_repeat_values_at_the_thresholds_that_matter() {
     // repeating >=64 times — the asymmetry PAP's confidence-8 exploits.
     let mut avg = RepeatProfile::default();
     for w in lvp_workloads::all() {
-        avg.merge(&RepeatProfile::profile(&w.trace(BUDGET)));
+        let mut p = RepeatProfiler::default();
+        w.records(BUDGET).for_each(|r| p.push(&r));
+        avg.merge(&p.finish());
     }
     let i8 = RepeatProfile::threshold_index(8).unwrap();
     let i64 = RepeatProfile::threshold_index(64).unwrap();
@@ -59,7 +61,9 @@ fn figure1_committed_conflicts_dominate_across_workloads() {
     // Paper: ~67% of load-store conflicts involve already-committed stores.
     let (mut committed, mut inflight) = (0.0, 0.0);
     for w in lvp_workloads::all() {
-        let p = ConflictProfile::profile(&w.trace(BUDGET), 96);
+        let mut p = ConflictProfiler::new(96);
+        w.records(BUDGET).for_each(|r| p.push(&r));
+        let p = p.finish();
         committed += p.committed_fraction();
         inflight += p.inflight_fraction();
     }
