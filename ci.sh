@@ -287,10 +287,23 @@ echo "== sim-throughput regression gate =="
 # DESIGN.md §12 for the baseline-refresh policy.
 ./target/release/bench --check
 # Prove the gate bites: a deliberate busy-loop in the core step (results
-# stay bit-identical) must blow through the band and fail the check.
+# stay bit-identical) must blow through the band and fail the check. It
+# must fail for being slower and for nothing else: at least one simcore
+# cell exceeds its baseline, and no deterministic counter drifts and no
+# cell or counter goes missing.
 if ./target/release/bench --check --inject-slowdown \
-     --warmup-ms 1 --min-sample-ms 1 > /dev/null 2>&1; then
+     --warmup-ms 1 --min-sample-ms 1 > /dev/null 2> "$tmp/inject.err"; then
   echo "bench --inject-slowdown was NOT caught by the gate" >&2
+  exit 1
+fi
+if ! grep -q '^  simcore/.* exceeds baseline' "$tmp/inject.err"; then
+  echo "bench --inject-slowdown failed, but no simcore cell exceeded its baseline:" >&2
+  cat "$tmp/inject.err" >&2
+  exit 1
+fi
+if grep -E 'drifted|not in baseline|not in the current matrix|missing|budget changed' \
+     "$tmp/inject.err" >&2; then
+  echo "bench --inject-slowdown changed deterministic results or the matrix" >&2
   exit 1
 fi
 echo "throughput gate passes at HEAD and catches the injected slowdown"

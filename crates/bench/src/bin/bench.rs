@@ -27,9 +27,10 @@
 
 use lvp_bench::cli::{self, Args};
 use lvp_bench::perf::{
-    bench_doc, check, run_benchmarks, tier_speedups, Baseline, BenchPolicy, ANALYZE_BUDGET,
-    ANALYZE_WORKLOAD, DEFAULT_TOL_REL, FUZZ_PROFILE, FUZZ_SEEDS, INJECT_SPIN, MEM_PHASE,
-    SIMCORE_BUDGET, SIMCORE_SCHEMES, SIMCORE_WORKLOADS, STORE_PHASES, TIER_PHASES, TIER_SAMPLE,
+    bench_doc, check, run_benchmarks, Baseline, BenchPolicy, ANALYZE_BUDGET, ANALYZE_WORKLOAD,
+    DEFAULT_TOL_REL, EMU_PHASE, FUZZ_PROFILE, FUZZ_SEEDS, INJECT_SPIN, MEM_PHASE, PREDICTORS,
+    PREDICTORS_PHASE, PREDICTORS_WORKLOAD, SIMCORE_BUDGET, SIMCORE_SCHEMES, SIMCORE_WORKLOADS,
+    STORE_PHASES, TIER_SAMPLE, TIER_SAMPLED_PHASE,
 };
 use lvp_bench::telemetry::{fmt_rate, Manifest};
 use lvp_json::{Json, ToJson};
@@ -91,6 +92,14 @@ fn print_matrix() {
         }
     }
     println!(
+        "emu       : {} workloads' record streams drained from the emulator, budget {}",
+        SIMCORE_WORKLOADS.len(),
+        SIMCORE_BUDGET
+    );
+    for w in SIMCORE_WORKLOADS {
+        println!("  {EMU_PHASE}/{w}/records");
+    }
+    println!(
         "mem       : {} workloads' loads and stores through the hierarchy, budget {}",
         SIMCORE_WORKLOADS.len(),
         SIMCORE_BUDGET
@@ -99,9 +108,8 @@ fn print_matrix() {
         println!("  {MEM_PHASE}/{w}/hierarchy");
     }
     println!(
-        "tiers     : {} workloads x {} tiers, budget {} (sampled: ff {} / warm {} / detail {} / period {})",
+        "sampled   : {} workloads x DLVP, budget {} (ff {} / warm {} / detail {} / period {})",
         SIMCORE_WORKLOADS.len(),
-        TIER_PHASES.len(),
         SIMCORE_BUDGET,
         TIER_SAMPLE.ff,
         TIER_SAMPLE.warmup,
@@ -109,9 +117,7 @@ fn print_matrix() {
         TIER_SAMPLE.period,
     );
     for w in SIMCORE_WORKLOADS {
-        for p in TIER_PHASES {
-            println!("  {p}/{w}");
-        }
+        println!("  {TIER_SAMPLED_PHASE}/{w}/DLVP");
     }
     println!(
         "store     : {} workloads x {{cold miss, warm hit}}, budget {}",
@@ -120,8 +126,15 @@ fn print_matrix() {
     );
     for w in SIMCORE_WORKLOADS {
         for p in STORE_PHASES {
-            println!("  {p}/{w}");
+            println!("  {p}/{w}/DLVP");
         }
+    }
+    println!(
+        "predictors: {} lookup+train on {PREDICTORS_WORKLOAD}'s trace, budget {SIMCORE_BUDGET}",
+        PREDICTORS.map(|(p, _)| p).join(", ")
+    );
+    for (p, _) in PREDICTORS {
+        println!("  {PREDICTORS_PHASE}/{PREDICTORS_WORKLOAD}/{p}");
     }
     println!("analyze   : {ANALYZE_WORKLOAD}, budget {ANALYZE_BUDGET}");
     println!("fuzz_oracle: profile {FUZZ_PROFILE}, seeds 0..{FUZZ_SEEDS}");
@@ -193,20 +206,6 @@ fn run(args: &mut Args) -> cli::Result<ExitCode> {
             fmt_rate(r.sim_cycles_per_sec)
         );
     }
-    // Tier summary: wall-clock speedup of each tier over cycle-level DLVP
-    // on the same workloads (geometric mean).
-    let speedups = tier_speedups(&rows);
-    if !speedups.is_empty() {
-        let parts: Vec<String> = speedups
-            .iter()
-            .map(|(phase, x)| format!("{} {:.1}x", phase.trim_start_matches("tier_"), x))
-            .collect();
-        println!(
-            "tier speedup vs cycle-level DLVP (geomean): {}",
-            parts.join(", ")
-        );
-    }
-
     if let Some(path) = &out {
         let doc = bench_doc(&policy, tol_override.unwrap_or(DEFAULT_TOL_REL), &rows);
         cli::write(path, &(doc.pretty() + "\n"))?;

@@ -1,12 +1,13 @@
 //! The one timing harness (std-only; the offline build environment has no
 //! `criterion`): median wall time per iteration over several samples, after
 //! a discarded warm-up. The `bench` regression gate times every cell with
-//! [`BenchPolicy::measure`]; [`Bench`] prints the same measurement for the
-//! cargo benches under `benches/`.
+//! [`BenchPolicy::measure`] and compares the medians, and the cells' exact
+//! deterministic counters, against its committed baseline.
 //!
-//! ```no_run
-//! use lvp_bench::microbench::Bench;
-//! Bench::new("example").elements(1000).run(|| std::hint::black_box(40 + 2));
+//! ```
+//! use lvp_bench::microbench::BenchPolicy;
+//! let m = BenchPolicy::default().measure(|| std::hint::black_box(40 + 2));
+//! assert!(m.min <= m.median && m.median <= m.max);
 //! ```
 
 use std::time::{Duration, Instant};
@@ -91,51 +92,6 @@ pub struct Measurement {
     pub samples: usize,
     /// Iterations per timed sample, chosen during warm-up.
     pub iters_per_sample: u64,
-}
-
-/// One named, printed measurement under the default [`BenchPolicy`].
-pub struct Bench {
-    name: String,
-    elements: Option<u64>,
-}
-
-impl Bench {
-    pub fn new(name: impl Into<String>) -> Bench {
-        Bench {
-            name: name.into(),
-            elements: None,
-        }
-    }
-
-    /// Report per-element throughput (e.g. trace records per second).
-    pub fn elements(mut self, n: u64) -> Bench {
-        self.elements = Some(n);
-        self
-    }
-
-    /// Measures `f` and prints `name: median time [min .. max]`. Returns
-    /// the median per-iteration time.
-    pub fn run<T>(self, f: impl FnMut() -> T) -> Duration {
-        let m = BenchPolicy::default().measure(f);
-        match self.elements {
-            Some(n) if m.median > Duration::ZERO => {
-                let rate = n as f64 / m.median.as_secs_f64();
-                println!(
-                    "{:<28} {:>12?} [{:?} .. {:?}]  {:.1} Melem/s",
-                    self.name,
-                    m.median,
-                    m.min,
-                    m.max,
-                    rate / 1e6
-                );
-            }
-            _ => println!(
-                "{:<28} {:>12?} [{:?} .. {:?}]",
-                self.name, m.median, m.min, m.max
-            ),
-        }
-        m.median
-    }
 }
 
 #[cfg(test)]

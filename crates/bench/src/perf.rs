@@ -2,12 +2,20 @@
 //! committed baseline (`BENCH_simcore.json`), and a tolerance-banded
 //! comparison CI runs on every change.
 //!
-//! The matrix covers the three hot paths a perf regression can hide in:
+//! The matrix covers the hot paths a perf regression can hide in, end to
+//! end and layer by layer:
 //!
-//! * **simcore** — six workloads × three registry schemes through the
+//! * **simcore** — six workloads × four registry schemes through the
 //!   cycle-level `Core::run` loop at a fixed budget;
+//! * **emu** — the same six workloads' record streams drained from the
+//!   emulator;
 //! * **mem** — the same six workloads' loads and stores replayed through
 //!   the memory hierarchy alone;
+//! * **tier_sampled** — fast-forward + sampled cycle-level DLVP on the
+//!   same six workloads;
+//! * **store** — the result store's cold-miss and warm-hit paths;
+//! * **predictors** — PAP, CAP, TAGE and VTAGE lookup+train on their own
+//!   over one workload's trace;
 //! * **analyze** — the static + dependence passes plus the validating DLVP
 //!   simulation on one workload;
 //! * **fuzz_oracle** — synthesize/execute/differential-check over a fixed
@@ -35,14 +43,17 @@ pub use crate::microbench::BenchPolicy;
 use crate::microbench::Measurement;
 use crate::service::sim_request_doc;
 use crate::{SchemeKind, SchemeOutcome};
-use dlvp::{DlvpConfig, PapConfig};
+use dlvp::{evaluate_standalone, AddrEval, Cap, DlvpConfig, Pap, PapConfig, Vtage};
 use lvp_analysis::XvalConfig;
+use lvp_branch::{GlobalHistory, Tage};
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
+use lvp_isa::BranchKind;
 use lvp_json::{DecodeError, Fields, FromJson, Json, ToJson};
 use lvp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 use lvp_obs::{NullSink, PhaseSink};
 use lvp_store::{request_key, Store};
-use lvp_uarch::{CoreConfig, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier};
+use lvp_trace::{Fingerprinter, Trace};
+use lvp_uarch::{SampleSpec, SimConfig, SimStats, VpScheme};
 
 /// The simcore phase's workload list (≥ 6, spanning suites and behaviours).
 pub const SIMCORE_WORKLOADS: [&str; 6] = [
@@ -55,17 +66,26 @@ pub const SIMCORE_WORKLOADS: [&str; 6] = [
 ];
 
 /// The simcore phase's registry schemes.
-pub const SIMCORE_SCHEMES: [SchemeKind; 3] =
-    [SchemeKind::Baseline, SchemeKind::Vtage, SchemeKind::Dlvp];
+pub const SIMCORE_SCHEMES: [SchemeKind; 4] = [
+    SchemeKind::Baseline,
+    SchemeKind::Vtage,
+    SchemeKind::Dlvp,
+    SchemeKind::Tournament,
+];
 
 /// Per-workload budget of the simcore phase (matches the historical
 /// `BENCH_simcore.json` rows).
 pub const SIMCORE_BUDGET: u64 = 50_000;
 
-/// The tier phases: the same six workloads through the cheap execution
-/// tiers (`tier_functional`, `tier_simple`) and through fast-forward +
-/// sampled cycle-level DLVP (`tier_sampled`), at the simcore budget.
-pub const TIER_PHASES: [&str; 3] = ["tier_functional", "tier_simple", "tier_sampled"];
+/// The emu phase: each simcore workload's record stream drained from the
+/// emulator at the simcore budget. Its deterministic counters are the
+/// architectural counts and the stream's fingerprint, which pins the
+/// emulator's output exactly.
+pub const EMU_PHASE: &str = "emu";
+
+/// The fast-forward + sampled phase: cycle-level DLVP over the six simcore
+/// workloads under [`TIER_SAMPLE`].
+pub const TIER_SAMPLED_PHASE: &str = "tier_sampled";
 
 /// The `tier_sampled` phase's sampling spec: skip the first 10k
 /// instructions, then per 10k-instruction period run 2k warm-only and 4k
@@ -88,6 +108,28 @@ pub const MEM_PHASE: &str = "mem";
 /// and `store_warm` (hit: lookup + payload decode, no simulation), both
 /// against an on-disk sharded store so the cells time the real CAS path.
 pub const STORE_PHASES: [&str; 2] = ["store_cold", "store_warm"];
+
+/// The predictors phase: each predictor's lookup+train on its own over
+/// this workload's trace at the simcore budget, outside the core, by name
+/// with the run that returns its deterministic counters.
+pub const PREDICTORS_PHASE: &str = "predictors";
+pub const PREDICTORS_WORKLOAD: &str = "aifirf";
+pub const PREDICTORS: [(&str, PredictorRun); 4] = [
+    ("PAP", |t| {
+        addr_det(evaluate_standalone(t, &mut Pap::paper_default()))
+    }),
+    ("CAP", |t| {
+        addr_det(evaluate_standalone(t, &mut Cap::with_confidence(8)))
+    }),
+    ("TAGE", run_tage),
+    ("VTAGE", run_vtage),
+];
+
+/// A cell's deterministic counters, by name.
+pub type Det = Vec<(&'static str, u64)>;
+
+/// One predictors cell's run over a trace.
+pub type PredictorRun = fn(&Trace) -> Det;
 
 /// The analyze phase's workload and budget.
 pub const ANALYZE_WORKLOAD: &str = "perlbmk";
@@ -238,10 +280,6 @@ impl FromJson for BenchRow {
     }
 }
 
-/// One tier benchmark cell: phase name, scheme label, and the measured
-/// closure (which borrows the tier and the trace).
-type TierCell<'a> = (&'static str, String, Box<dyn FnMut() -> SimStats + 'a>);
-
 /// Runs the full benchmark matrix serially (measurement never shares the
 /// machine with other jobs of the same run) and returns one row per cell.
 /// `spin > 0` injects the deliberate host-side slowdown into the simcore
@@ -250,7 +288,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let policy = policy.normalized();
     let mut rows = Vec::new();
     let cfg = SimConfig::default();
-    let run = |trace: &lvp_trace::Trace, scheme: SchemeKind, cfg: &SimConfig| {
+    let run = |trace: &Trace, scheme: SchemeKind, cfg: &SimConfig| {
         run_scheme_with(trace, scheme, cfg, NullSink, spin).0
     };
 
@@ -260,27 +298,50 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
         let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
         let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
         for scheme in SIMCORE_SCHEMES {
-            let mut cell = if P::ENABLED {
-                Some(phases.span(0, &format!("job:{}/simcore/{}", name, scheme.name())))
-            } else {
-                None
-            };
-            let outcome = run(&trace, scheme, &cfg);
-            let m = policy.measure(|| std::hint::black_box(run(&trace, scheme, &cfg)));
-            if let Some(c) = cell.as_mut() {
-                c.charge(outcome.stats.cycles, outcome.stats.instructions, 1);
-                c.finish();
-            }
-            total_cycles += outcome.stats.cycles;
-            total_instr += outcome.stats.instructions;
-            rows.push(BenchRow::sim(
-                ("simcore", name, outcome.scheme.name()),
-                &outcome.stats,
-                &m,
-            ));
+            let (row, stats) = sim_cell(phases, &policy, ("simcore", name, scheme.name()), || {
+                run(&trace, scheme, &cfg).stats
+            });
+            total_cycles += stats.cycles;
+            total_instr += stats.instructions;
+            rows.push(row);
         }
     }
     span.charge(total_cycles, total_instr, rows.len() as u64);
+    span.finish();
+
+    let mut span = phases.span(0, "bench:emu");
+    let mut emu_instr = 0u64;
+    for name in SIMCORE_WORKLOADS {
+        let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
+        let drain = || {
+            let (mut n, mut f) = ([0u64; 4], Fingerprinter::new());
+            for r in w.records(SIMCORE_BUDGET) {
+                n[0] += 1;
+                n[1] += u64::from(r.inst.is_load());
+                n[2] += u64::from(r.inst.is_store());
+                n[3] += u64::from(r.inst.is_branch());
+                f.push(&r);
+            }
+            vec![
+                ("instructions", n[0]),
+                ("loads", n[1]),
+                ("stores", n[2]),
+                ("branches", n[3]),
+                ("fingerprint", f.finish()),
+            ]
+        };
+        let det = drain();
+        let m = policy.measure(|| std::hint::black_box(drain()));
+        emu_instr += det[0].1;
+        rows.push(BenchRow::measured(
+            (EMU_PHASE, name, "records"),
+            SIMCORE_BUDGET,
+            det,
+            0,
+            &m,
+        ));
+    }
+    span.charge(0, emu_instr, SIMCORE_WORKLOADS.len() as u64);
     span.finish();
 
     let mut span = phases.span(0, "bench:mem");
@@ -311,10 +372,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     span.charge(0, mem_accesses, SIMCORE_WORKLOADS.len() as u64);
     span.finish();
 
-    // Tier cells: same workloads, alternative execution tiers. The spin
-    // reaches every tier (the functional tier included), so
-    // `--inject-slowdown` provably trips the gate on the fastest path too.
-    let mut span = phases.span(0, "bench:tiers");
+    let mut span = phases.span(0, "bench:tier_sampled");
     let (mut tier_cycles, mut tier_instr) = (0u64, 0u64);
     let sampled_cfg = SimConfig {
         sample: Some(TIER_SAMPLE),
@@ -323,49 +381,16 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     for name in SIMCORE_WORKLOADS {
         let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
         let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
-        let mut functional = FunctionalTier::new();
-        functional.set_host_spin(spin);
-        let mut simple = SimpleTier::new(CoreConfig::default());
-        simple.set_host_spin(spin);
-        let cells: [TierCell<'_>; 3] = [
-            (
-                "tier_functional",
-                "functional".into(),
-                Box::new(|| functional.run(&trace)),
-            ),
-            (
-                "tier_simple",
-                "simple".into(),
-                Box::new(|| simple.run(&trace)),
-            ),
-            (
-                "tier_sampled",
-                SchemeKind::Dlvp.name().into(),
-                Box::new(|| run(&trace, SchemeKind::Dlvp, &sampled_cfg).stats),
-            ),
-        ];
-        for (phase, scheme, mut run) in cells {
-            let mut cell = if P::ENABLED {
-                Some(phases.span(0, &format!("job:{}/{}/{}", name, phase, scheme)))
-            } else {
-                None
-            };
-            let stats = run();
-            let m = policy.measure(|| std::hint::black_box(run()));
-            if let Some(c) = cell.as_mut() {
-                c.charge(stats.cycles, stats.instructions, 1);
-                c.finish();
-            }
-            tier_cycles += stats.cycles;
-            tier_instr += stats.instructions;
-            rows.push(BenchRow::sim((phase, name, &scheme), &stats, &m));
-        }
+        let scheme = SchemeKind::Dlvp;
+        let id = (TIER_SAMPLED_PHASE, name, scheme.name());
+        let (row, stats) = sim_cell(phases, &policy, id, || {
+            run(&trace, scheme, &sampled_cfg).stats
+        });
+        tier_cycles += stats.cycles;
+        tier_instr += stats.instructions;
+        rows.push(row);
     }
-    span.charge(
-        tier_cycles,
-        tier_instr,
-        (SIMCORE_WORKLOADS.len() * 3) as u64,
-    );
+    span.charge(tier_cycles, tier_instr, SIMCORE_WORKLOADS.len() as u64);
     span.finish();
 
     // Store-path cells: cold-miss (evict, lookup, simulate, record) vs
@@ -433,6 +458,23 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
         store_instr,
         (SIMCORE_WORKLOADS.len() * STORE_PHASES.len()) as u64,
     );
+    span.finish();
+
+    let mut span = phases.span(0, "bench:predictors");
+    let w = lvp_workloads::by_name(PREDICTORS_WORKLOAD).expect("fixed benchmark workload");
+    let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
+    for (predictor, run) in PREDICTORS {
+        let det = run(&trace);
+        let m = policy.measure(|| std::hint::black_box(run(&trace)));
+        rows.push(BenchRow::measured(
+            (PREDICTORS_PHASE, PREDICTORS_WORKLOAD, predictor),
+            SIMCORE_BUDGET,
+            det,
+            0,
+            &m,
+        ));
+    }
+    span.charge(0, trace.len() as u64, PREDICTORS.len() as u64);
     span.finish();
 
     let mut span = phases.span(0, "bench:analyze");
@@ -506,9 +548,28 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     rows
 }
 
+/// Measures one simulation cell `id` = (phase, workload, scheme) under a
+/// `job:` span charged with its simulated work, and returns its row and
+/// stats.
+fn sim_cell<P: PhaseSink>(
+    phases: &P,
+    policy: &BenchPolicy,
+    id: (&str, &str, &str),
+    mut run: impl FnMut() -> SimStats,
+) -> (BenchRow, SimStats) {
+    let mut job = P::ENABLED.then(|| phases.span(0, &format!("job:{}/{}/{}", id.1, id.0, id.2)));
+    let stats = run();
+    let m = policy.measure(|| std::hint::black_box(run()));
+    if let Some(j) = job.as_mut() {
+        j.charge(stats.cycles, stats.instructions, 1);
+        j.finish();
+    }
+    (BenchRow::sim(id, &stats, &m), stats)
+}
+
 /// Replays every load and store of `trace`, in order, through a fresh
 /// hierarchy built from `cfg` and returns its counters.
-fn replay_memory(trace: &lvp_trace::Trace, cfg: HierarchyConfig) -> HierarchyStats {
+fn replay_memory(trace: &Trace, cfg: HierarchyConfig) -> HierarchyStats {
     let mut mem = MemoryHierarchy::new(cfg);
     for r in trace.records() {
         let is_load = r.inst.is_load();
@@ -519,26 +580,56 @@ fn replay_memory(trace: &lvp_trace::Trace, cfg: HierarchyConfig) -> HierarchySta
     mem.stats()
 }
 
-/// Geometric-mean wall-clock speedup of each tier phase over the
-/// cycle-level simcore DLVP cell on the same workload — the bench CLI's
-/// tier summary line. Phases without matching cells are omitted.
-pub fn tier_speedups(rows: &[BenchRow]) -> Vec<(&'static str, f64)> {
-    TIER_PHASES
-        .iter()
-        .filter_map(|&phase| {
-            let (mut log_sum, mut n) = (0f64, 0u32);
-            for r in rows.iter().filter(|r| r.phase == phase) {
-                let base = rows.iter().find(|b| {
-                    b.phase == "simcore"
-                        && b.workload == r.workload
-                        && b.scheme == SchemeKind::Dlvp.name()
-                })?;
-                log_sum += (base.median_ns.max(1) as f64 / r.median_ns.max(1) as f64).ln();
-                n += 1;
-            }
-            (n > 0).then(|| (phase, (log_sum / n as f64).exp()))
-        })
-        .collect()
+/// A standalone address predictor's (loads, predicted, correct).
+fn addr_det(e: AddrEval) -> Det {
+    vec![
+        ("loads", e.loads),
+        ("predicted", e.predicted),
+        ("correct", e.correct),
+    ]
+}
+
+/// TAGE over every conditional branch of `trace`, reading and pushing one
+/// tracked history as the core does: (branches, mispredicts).
+fn run_tage(trace: &Trace) -> Det {
+    let (mut tage, mut hist) = (Tage::default_32kb(), GlobalHistory::new());
+    tage.track_history(&mut hist);
+    let (mut branches, mut mispredicts) = (0, 0);
+    for r in trace.records() {
+        if r.inst.branch_kind() == Some(BranchKind::Conditional) {
+            let taken = r.taken();
+            let p = tage.predict(r.pc, &hist);
+            tage.update(r.pc, &hist, taken, p);
+            hist.push(taken);
+            branches += 1;
+            mispredicts += u64::from(p.taken != taken);
+        }
+    }
+    vec![("branches", branches), ("mispredicts", mispredicts)]
+}
+
+/// VTAGE first-chunk predict and train over every load of `trace`, under
+/// the history of its conditional branches: (loads, predicted, correct).
+fn run_vtage(trace: &Trace) -> Det {
+    let (mut vtage, mut hist) = (Vtage::paper_default(), GlobalHistory::new());
+    vtage.track_history(&mut hist);
+    let (mut loads, mut predicted, mut correct) = (0, 0, 0);
+    for r in trace.records() {
+        if r.inst.is_load() {
+            let p = vtage.predict_first_chunk(r.pc, &hist);
+            vtage.train_first_chunk(r.pc, &hist, r.value);
+            loads += 1;
+            predicted += u64::from(p.is_some());
+            correct += u64::from(p == Some(r.value));
+        } else if r.inst.branch_kind() == Some(BranchKind::Conditional) {
+            hist.push(r.taken());
+        }
+    }
+    vec![
+        ("loads", loads),
+        ("predicted", predicted),
+        ("correct", correct),
+    ]
 }
 
 /// Serializes a benchmark run as the baseline document (schema v2: v1's
@@ -789,33 +880,6 @@ mod tests {
     fn tier_sample_spec_is_valid() {
         TIER_SAMPLE.validate().expect("fixed tier sampling spec");
         assert_eq!(TIER_SAMPLE.period, 10_000);
-    }
-
-    #[test]
-    fn tier_speedups_geomean_over_matching_workloads() {
-        let mk = |phase: &str, workload: &str, scheme: &str, median: u64| BenchRow {
-            phase: phase.into(),
-            workload: workload.into(),
-            scheme: scheme.into(),
-            budget: 50_000,
-            det: vec![],
-            median_ns: median,
-            min_ns: median,
-            max_ns: median,
-            sim_cycles_per_sec: 0.0,
-        };
-        let rows = vec![
-            mk("simcore", "aifirf", "DLVP", 8_000),
-            mk("simcore", "nat", "DLVP", 2_000),
-            mk("tier_functional", "aifirf", "functional", 1_000),
-            mk("tier_functional", "nat", "functional", 1_000),
-        ];
-        let sp = tier_speedups(&rows);
-        assert_eq!(sp.len(), 1);
-        assert_eq!(sp[0].0, "tier_functional");
-        // geomean(8x, 2x) = 4x
-        assert!((sp[0].1 - 4.0).abs() < 1e-9, "got {}", sp[0].1);
-        assert!(tier_speedups(&[]).is_empty());
     }
 
     #[test]

@@ -8,15 +8,21 @@
 //!   plus geometrically-growing tagged history tables);
 //! * [`Ittage`] — indirect branch target predictor;
 //! * [`Ras`] — return address stack;
-//! * [`GlobalHistory`] — the global branch history register that VTAGE
-//!   hashes into its table indices.
+//! * [`GlobalHistory`] — the global branch history register the core
+//!   keeps once and that TAGE, gshare, ITTAGE and VTAGE hash into their
+//!   table indices.
 //!
 //! ```
-//! use lvp_branch::Tage;
-//! let mut t = Tage::default_32kb();
+//! use lvp_branch::{GlobalHistory, Tage};
+//! let (mut t, mut h) = (Tage::default_32kb(), GlobalHistory::new());
+//! t.track_history(&mut h);
 //! // A strongly-biased branch becomes predictable after a few outcomes.
-//! for _ in 0..16 { let p = t.predict(0x400); t.update(0x400, true, p); }
-//! assert!(t.predict(0x400).taken);
+//! for _ in 0..16 {
+//!     let p = t.predict(0x400, &h);
+//!     t.update(0x400, &h, true, p);
+//!     h.push(true);
+//! }
+//! assert!(t.predict(0x400, &h).taken);
 //! ```
 
 pub mod btb;

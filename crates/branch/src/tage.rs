@@ -59,12 +59,9 @@ pub struct Tage {
     cfg: TageConfig,
     base: Vec<i8>, // 2-bit counters, taken when >= 0
     tables: Vec<Vec<TaggedEntry>>,
-    history: GlobalHistory,
     /// Per tagged table: the history folded to the index width, the tag
-    /// width and the tag width less one, maintained incrementally.
+    /// width and the tag width less one (see [`Tage::track_history`]).
     folds: Vec<[Fold; 3]>,
-    mispredicts: u64,
-    predictions: u64,
 }
 
 impl Tage {
@@ -76,15 +73,14 @@ impl Tage {
             .iter()
             .map(|_| vec![TaggedEntry::default(); 1 << cfg.tagged_log2])
             .collect();
-        let mut history = GlobalHistory::new();
         let folds = cfg
             .history_lengths
             .iter()
             .map(|&hl| {
                 [
-                    history.track(hl, cfg.tagged_log2),
-                    history.track(hl, cfg.tag_bits),
-                    history.track(hl, cfg.tag_bits - 1),
+                    Fold::untracked(hl, cfg.tagged_log2),
+                    Fold::untracked(hl, cfg.tag_bits),
+                    Fold::untracked(hl, cfg.tag_bits - 1),
                 ]
             })
             .collect();
@@ -92,10 +88,7 @@ impl Tage {
             cfg,
             base,
             tables,
-            history,
             folds,
-            mispredicts: 0,
-            predictions: 0,
         }
     }
 
@@ -104,42 +97,41 @@ impl Tage {
         Tage::new(TageConfig::default_32kb())
     }
 
-    /// (predictions, mispredictions) so far.
-    pub fn accuracy_counters(&self) -> (u64, u64) {
-        (self.predictions, self.mispredicts)
-    }
-
-    /// Read access to the internal global history (shared with VTAGE-style
-    /// consumers that want the same speculation point).
-    pub fn history(&self) -> &GlobalHistory {
-        &self.history
+    /// Has `hist` maintain this predictor's folds incrementally, so
+    /// lookups against it read registers instead of re-folding the whole
+    /// history. Lookups against any other history stay correct.
+    pub fn track_history(&mut self, hist: &mut GlobalHistory) {
+        for f in &mut self.folds {
+            *f = f.map(|f| hist.track(f.history_len(), f.width()));
+        }
     }
 
     fn base_index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & ((1 << self.cfg.base_log2) - 1)
     }
 
-    fn tagged_index(&self, pc: u64, t: usize) -> usize {
-        let folded = self.history.fold(self.folds[t][0]);
+    fn tagged_index(&self, pc: u64, hist: &GlobalHistory, t: usize) -> usize {
+        let folded = hist.fold(self.folds[t][0]);
         (((pc >> 2) ^ (pc >> (2 + self.cfg.tagged_log2 as u64)) ^ folded) as usize)
             & ((1 << self.cfg.tagged_log2) - 1)
     }
 
-    fn tag_of(&self, pc: u64, t: usize) -> u16 {
-        let f1 = self.history.fold(self.folds[t][1]);
-        let f2 = self.history.fold(self.folds[t][2]) << 1;
+    fn tag_of(&self, pc: u64, hist: &GlobalHistory, t: usize) -> u16 {
+        let f1 = hist.fold(self.folds[t][1]);
+        let f2 = hist.fold(self.folds[t][2]) << 1;
         (((pc >> 2) ^ f1 ^ f2) & ((1 << self.cfg.tag_bits) - 1)) as u16
     }
 
-    /// Predicts the direction of the conditional branch at `pc`.
+    /// Predicts the direction of the conditional branch at `pc` under
+    /// `hist`.
     #[inline]
-    pub fn predict(&self, pc: u64) -> TagePrediction {
+    pub fn predict(&self, pc: u64, hist: &GlobalHistory) -> TagePrediction {
         let mut provider = None;
         let mut provider_taken = self.base[self.base_index(pc)] >= 0;
         let mut alt_taken = provider_taken;
         for t in 0..self.tables.len() {
-            let e = self.tables[t][self.tagged_index(pc, t)];
-            if e.tag == self.tag_of(pc, t) {
+            let e = self.tables[t][self.tagged_index(pc, hist, t)];
+            if e.tag == self.tag_of(pc, hist, t) {
                 alt_taken = provider_taken;
                 provider = Some(t);
                 provider_taken = e.ctr >= 0;
@@ -152,19 +144,16 @@ impl Tage {
         }
     }
 
-    /// Updates with the actual outcome; call with the prediction returned by
-    /// [`Tage::predict`] for this branch. Also advances the global history.
+    /// Updates with the actual outcome; call with the history and the
+    /// prediction [`Tage::predict`] used for this branch, before the
+    /// outcome is pushed into `hist`.
     #[inline]
-    pub fn update(&mut self, pc: u64, taken: bool, pred: TagePrediction) {
-        self.predictions += 1;
+    pub fn update(&mut self, pc: u64, hist: &GlobalHistory, taken: bool, pred: TagePrediction) {
         let correct = pred.taken == taken;
-        if !correct {
-            self.mispredicts += 1;
-        }
 
         match pred.provider {
             Some(t) => {
-                let idx = self.tagged_index(pc, t);
+                let idx = self.tagged_index(pc, hist, t);
                 let e = &mut self.tables[t][idx];
                 e.ctr = bump(e.ctr, taken, 3);
                 if pred.taken != pred.alt_taken {
@@ -187,8 +176,8 @@ impl Tage {
             let start = pred.provider.map_or(0, |t| t + 1);
             let mut allocated = false;
             for t in start..self.tables.len() {
-                let idx = self.tagged_index(pc, t);
-                let tag = self.tag_of(pc, t);
+                let idx = self.tagged_index(pc, hist, t);
+                let tag = self.tag_of(pc, hist, t);
                 let e = &mut self.tables[t][idx];
                 if e.useful == 0 {
                     *e = TaggedEntry {
@@ -203,14 +192,12 @@ impl Tage {
             if !allocated {
                 // Decay usefulness to make room eventually.
                 for t in start..self.tables.len() {
-                    let idx = self.tagged_index(pc, t);
+                    let idx = self.tagged_index(pc, hist, t);
                     let e = &mut self.tables[t][idx];
                     e.useful = e.useful.saturating_sub(1);
                 }
             }
         }
-
-        self.history.push(taken);
     }
 }
 
@@ -229,31 +216,35 @@ fn bump(ctr: i8, up: bool, bits: u32) -> i8 {
 mod tests {
     use super::*;
 
+    /// Predicts, trains and pushes one outcome; returns the predicted
+    /// direction.
+    fn step(t: &mut Tage, h: &mut GlobalHistory, pc: u64, taken: bool) -> bool {
+        let p = t.predict(pc, h);
+        t.update(pc, h, taken, p);
+        h.push(taken);
+        p.taken
+    }
+
     #[test]
     fn biased_branch_learns() {
-        let mut t = Tage::default_32kb();
-        for _ in 0..32 {
-            let p = t.predict(0x1000);
-            t.update(0x1000, true, p);
-        }
-        assert!(t.predict(0x1000).taken);
-        let (preds, misp) = t.accuracy_counters();
-        assert_eq!(preds, 32);
+        let (mut t, mut h) = (Tage::default_32kb(), GlobalHistory::new());
+        let misp = (0..32)
+            .filter(|_| !step(&mut t, &mut h, 0x1000, true))
+            .count();
+        assert!(t.predict(0x1000, &h).taken);
         assert!(misp <= 2, "at most the cold mispredicts");
     }
 
     #[test]
     fn alternating_pattern_learned_via_history() {
         // T,N,T,N ... is unpredictable for bimodal but trivial with history.
-        let mut t = Tage::default_32kb();
+        let (mut t, mut h) = (Tage::default_32kb(), GlobalHistory::new());
         let mut wrong_late = 0;
         for i in 0..400 {
             let taken = i % 2 == 0;
-            let p = t.predict(0x2000);
-            if i >= 200 && p.taken != taken {
+            if step(&mut t, &mut h, 0x2000, taken) != taken && i >= 200 {
                 wrong_late += 1;
             }
-            t.update(0x2000, taken, p);
         }
         assert!(
             wrong_late < 20,
@@ -264,15 +255,13 @@ mod tests {
     #[test]
     fn loop_exit_pattern() {
         // 7 taken then 1 not-taken, repeated: needs ~3 bits of history.
-        let mut t = Tage::default_32kb();
+        let (mut t, mut h) = (Tage::default_32kb(), GlobalHistory::new());
         let mut wrong_late = 0;
         for i in 0..800 {
             let taken = i % 8 != 7;
-            let p = t.predict(0x3000);
-            if i >= 400 && p.taken != taken {
+            if step(&mut t, &mut h, 0x3000, taken) != taken && i >= 400 {
                 wrong_late += 1;
             }
-            t.update(0x3000, taken, p);
         }
         assert!(
             wrong_late < 30,
@@ -281,16 +270,30 @@ mod tests {
     }
 
     #[test]
-    fn independent_branches_do_not_thrash_base() {
-        let mut t = Tage::default_32kb();
-        for _ in 0..64 {
-            let p1 = t.predict(0x1000);
-            t.update(0x1000, true, p1);
-            let p2 = t.predict(0x5000);
-            t.update(0x5000, false, p2);
+    fn tracked_and_untracked_histories_predict_alike() {
+        let (mut a, mut ha) = (Tage::default_32kb(), GlobalHistory::new());
+        let (mut b, mut hb) = (Tage::default_32kb(), GlobalHistory::new());
+        b.track_history(&mut hb);
+        for i in 0..2000u64 {
+            let pc = 0x1000 + (i % 7) * 4;
+            let taken = (i * 2_654_435_761) % 5 < 3;
+            assert_eq!(
+                step(&mut a, &mut ha, pc, taken),
+                step(&mut b, &mut hb, pc, taken),
+                "branch {i}"
+            );
         }
-        assert!(t.predict(0x1000).taken);
-        assert!(!t.predict(0x5000).taken);
+    }
+
+    #[test]
+    fn independent_branches_do_not_thrash_base() {
+        let (mut t, mut h) = (Tage::default_32kb(), GlobalHistory::new());
+        for _ in 0..64 {
+            step(&mut t, &mut h, 0x1000, true);
+            step(&mut t, &mut h, 0x5000, false);
+        }
+        assert!(t.predict(0x1000, &h).taken);
+        assert!(!t.predict(0x5000, &h).taken);
     }
 
     #[test]

@@ -128,17 +128,6 @@ impl Pap {
         &self.history
     }
 
-    /// Snapshot of the speculative history register (§2.2: taken after each
-    /// speculative update, restored on misprediction recovery).
-    pub fn history_snapshot(&self) -> u64 {
-        self.history.snapshot()
-    }
-
-    /// Restores a history snapshot after a flush.
-    pub fn restore_history(&mut self, snap: u64) {
-        self.history.restore(snap);
-    }
-
     fn index_tag(&self, pc: u64) -> (u32, u64) {
         let idx_bits = self.cfg.entries.trailing_zeros();
         let folded_idx = self.history.folded(idx_bits.max(1));

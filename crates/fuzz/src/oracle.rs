@@ -12,30 +12,27 @@
 //!    statistics and scheme counters (observation must not perturb);
 //! 3. **obs-reconcile** — the lvp-obs lifecycle report rebuilt from the
 //!    traced events reconciles 1:1 with `SimStats::per_pc`;
-//! 4. **differential-counts** — architectural counters (instructions,
-//!    loads, stores, branches) agree across all schemes of the registry,
-//!    since they simulate the same trace;
-//! 5. **stats-sanity** — per-run and per-PC counter algebra holds
+//! 4. **stats-sanity** — per-run and per-PC counter algebra holds
 //!    (`correct <= injected <= executions`, squashes bounded by
 //!    mispredictions, per-PC injections summing to the run total);
-//! 6. **squash-alias** — conflict squashes and conflict exposure only
+//! 5. **squash-alias** — conflict squashes and conflict exposure only
 //!    occur on loads the alias pass could not prove conflict-free;
-//! 7. **xval** — the cross-validation gate over a DLVP run: the PR 2 rules
+//! 6. **xval** — the cross-validation gate over a DLVP run: the PR 2 rules
 //!    (R1-R4) plus the dependence rules R5-R7 driven by the path-sensitive
 //!    [`lvp_analysis::DepAnalysis`] (must-conflict exposure, coverage
 //!    bounds, LSCD-suppression subset) — between them these catch both the
 //!    injected training bug and the injected LSCD bug;
-//! 8. **const-value-accuracy** — a conflict-free constant-address load
+//! 7. **const-value-accuracy** — a conflict-free constant-address load
 //!    reads a cell only the data-segment initializer ever wrote, so once
 //!    the DLVP predictor commits to it, its *value* accuracy must be high.
 //!    The check is pruned by the static verdicts: loads whose coverage
 //!    bound caps injection are skipped, since they cannot accumulate a
 //!    meaningful injection sample;
-//! 9. **tier-equivalence** — the execution tiers agree on the program's
+//! 8. **tier-equivalence** — the run paths agree on the program's
 //!    architecture: a streaming [`Emulator::step_record`] replay yields
-//!    record-for-record the same trace as the batch run, and the
-//!    [`FunctionalTier`] reproduces the cycle-level core's architectural
-//!    counters (with IPC ≡ 1).
+//!    record-for-record the same trace as the batch run, and every scheme's
+//!    core counts exactly the trace's own instructions, loads, stores and
+//!    branches.
 
 use crate::synth::SynthProgram;
 use dlvp::{DlvpSimSlice, SchemeKind};
@@ -46,7 +43,7 @@ use lvp_emu::{Emulator, RunOutcome, StopReason};
 use lvp_json::{json_struct, FromJson, ToJson};
 use lvp_obs::{LifecycleReport, RingSink, RunMeta};
 use lvp_store::SimService;
-use lvp_uarch::{Core, FunctionalTier, SimConfig, SimStats};
+use lvp_uarch::{Core, SimConfig, SimStats};
 use std::collections::BTreeMap;
 
 /// Configuration for one oracle evaluation.
@@ -231,7 +228,12 @@ pub fn check_serviced(
         .map(|l| (l.pc, l.conflict_free()))
         .collect();
 
-    let mut arch: Option<(u64, u64, u64, u64, &'static str)> = None;
+    let trace_counts = (
+        trace.len() as u64,
+        trace.load_count() as u64,
+        trace.store_count() as u64,
+        trace.branch_count() as u64,
+    );
     for kind in SchemeKind::all() {
         let core = Core::new(cfg.sim.core.clone(), kind.build(&cfg.sim));
         let (stats, scheme) = core.run_with_scheme(trace);
@@ -282,30 +284,11 @@ pub fn check_serviced(
             }
         }
 
-        // 4. Architectural counters agree across schemes.
-        let sig = (
-            stats.instructions,
-            stats.loads,
-            stats.stores,
-            stats.branches,
-        );
-        match arch {
-            None => arch = Some((sig.0, sig.1, sig.2, sig.3, kind.label())),
-            Some((i, l, s, b, first)) if (i, l, s, b) != sig => {
-                out.push(Finding::new(
-                    kind.label(),
-                    "differential-counts",
-                    format!(
-                        "architectural counters diverged from {first}: \
-                         (instructions, loads, stores, branches) {sig:?} vs {:?}",
-                        (i, l, s, b)
-                    ),
-                ));
-            }
-            Some(_) => {}
-        }
+        // 8. Architectural counters equal the trace's own counts (so they
+        // also agree across schemes).
+        out.extend(arch_counts_match(kind.label(), &stats, trace_counts));
 
-        // 5. Counter algebra.
+        // 4. Counter algebra.
         sanity(&mut out, kind.label(), &stats);
         if kind == SchemeKind::Baseline && stats.vp_predicted != 0 {
             out.push(Finding::new(
@@ -315,7 +298,7 @@ pub fn check_serviced(
             ));
         }
 
-        // 6. Squashes only where the alias pass allows them.
+        // 5. Squashes only where the alias pass allows them.
         for &(pc, free) in &conflict_free {
             if !free {
                 continue;
@@ -336,9 +319,8 @@ pub fn check_serviced(
         }
     }
 
-    // 9. Tier equivalence: the streaming emulator replays the batch run
-    // record-for-record, and the functional tier reproduces the cycle-level
-    // core's architectural counters.
+    // 8. Tier equivalence: the streaming emulator replays the batch run
+    // record-for-record.
     let mut streamed = lvp_trace::Trace::new();
     for rec in Emulator::new(sp.program.clone()).records(sp.budget) {
         streamed.push(rec);
@@ -354,38 +336,8 @@ pub fn check_serviced(
             ),
         ));
     }
-    let fstats = FunctionalTier::new().run(trace);
-    if fstats.cycles != fstats.instructions {
-        out.push(Finding::new(
-            "-",
-            "tier-equivalence",
-            format!(
-                "functional tier cycles {} != instructions {}",
-                fstats.cycles, fstats.instructions
-            ),
-        ));
-    }
-    if let Some((i, l, s, b, first)) = arch {
-        let fsig = (
-            fstats.instructions,
-            fstats.loads,
-            fstats.stores,
-            fstats.branches,
-        );
-        if fsig != (i, l, s, b) {
-            out.push(Finding::new(
-                "-",
-                "tier-equivalence",
-                format!(
-                    "functional tier architectural counters (instructions, \
-                     loads, stores, branches) {fsig:?} diverged from {first} {:?}",
-                    (i, l, s, b)
-                ),
-            ));
-        }
-    }
 
-    // 7.+8. DLVP deep check: engine counters, xval gate (R1-R7), value
+    // 6.+7. DLVP deep check: engine counters, xval gate (R1-R7), value
     // accuracy. The simulation goes through the result service — repeated
     // traces (minimizer rounds, duplicate seeds) are served from cache.
     let dep = DepAnalysis::analyze(&sp.program, &analysis);
@@ -502,6 +454,35 @@ fn must_exercised(trace: &lvp_trace::Trace, dep: &DepAnalysis) -> BTreeMap<(u64,
         .collect()
 }
 
+/// Architectural counters: (instructions, loads, stores, branches).
+type ArchCounts = (u64, u64, u64, u64);
+
+fn arch_counts(stats: &SimStats) -> ArchCounts {
+    (
+        stats.instructions,
+        stats.loads,
+        stats.stores,
+        stats.branches,
+    )
+}
+
+/// Family 8's counter check: a `tier-equivalence` finding when a scheme's
+/// core counted other architectural counters than the trace it ran, whose
+/// `len`/`load_count`/`store_count`/`branch_count` use the same predicates.
+fn arch_counts_match(scheme: &str, stats: &SimStats, trace: ArchCounts) -> Option<Finding> {
+    let core = arch_counts(stats);
+    (core != trace).then(|| {
+        Finding::new(
+            scheme,
+            "tier-equivalence",
+            format!(
+                "core architectural counters (instructions, loads, stores, \
+                 branches) {core:?} diverged from the trace's {trace:?}"
+            ),
+        )
+    })
+}
+
 fn sanity(out: &mut Vec<Finding>, scheme: &str, stats: &SimStats) {
     let mut push = |detail: String| {
         out.push(Finding::new(scheme, "stats-sanity", detail));
@@ -545,5 +526,32 @@ fn sanity(out: &mut Vec<Finding>, scheme: &str, stats: &SimStats) {
                 s.injected - s.correct.min(s.injected)
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_load_too_many_is_a_tier_equivalence_finding() {
+        let stats = SimStats {
+            instructions: 100,
+            loads: 20,
+            stores: 10,
+            branches: 5,
+            ..SimStats::default()
+        };
+        let trace = (100, 20, 10, 5);
+        assert_eq!(arch_counts_match("DLVP", &stats, trace), None);
+        let extra = SimStats { loads: 21, ..stats };
+        let finding = arch_counts_match("DLVP", &extra, trace).expect("a finding");
+        assert_eq!(finding.invariant, "tier-equivalence");
+        assert_eq!(finding.scheme, "DLVP");
+        assert!(
+            finding.detail.contains("(100, 21, 10, 5)"),
+            "{}",
+            finding.detail
+        );
     }
 }

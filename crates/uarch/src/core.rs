@@ -53,18 +53,25 @@ impl DirectionPredictor {
         }
     }
 
-    /// Predicts, trains with the actual outcome, and returns the predicted
-    /// direction.
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+    /// Has `hist` maintain the folds this predictor reads.
+    fn track_history(&mut self, hist: &mut GlobalHistory) {
+        if let DirectionPredictor::Tage(t) = self {
+            t.track_history(hist);
+        }
+    }
+
+    /// Predicts under `hist`, trains with the actual outcome, and returns
+    /// the predicted direction. The caller pushes the outcome into `hist`.
+    fn predict_and_update(&mut self, pc: u64, hist: &GlobalHistory, taken: bool) -> bool {
         match self {
             DirectionPredictor::Tage(t) => {
-                let p = t.predict(pc);
-                t.update(pc, taken, p);
+                let p = t.predict(pc, hist);
+                t.update(pc, hist, taken, p);
                 p.taken
             }
             DirectionPredictor::Gshare(g) => {
-                let p = g.predict(pc);
-                g.update(pc, taken);
+                let p = g.predict(pc, hist);
+                g.update(pc, hist, taken);
                 p
             }
         }
@@ -244,6 +251,8 @@ pub struct Core<S: VpScheme, K: EventSink = NullSink> {
     btb: Option<Btb>,
     ittage: Ittage,
     ras: Ras,
+    /// The one global branch history: the direction predictor, ITTAGE and
+    /// the scheme all read it, and only a conditional branch pushes it.
     hist: GlobalHistory,
     mdp: StoreSets,
     lanes: LaneTracker,
@@ -308,12 +317,14 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
     /// `sink`.
     pub fn with_sink(cfg: CoreConfig, mut scheme: S, sink: K) -> Core<S, K> {
         let mut hist = GlobalHistory::new();
+        let mut direction = DirectionPredictor::new(cfg.branch_predictor);
+        direction.track_history(&mut hist);
         let mut ittage = Ittage::default_32kb();
         ittage.track_history(&mut hist);
         scheme.track_history(&mut hist);
         Core {
             mem: MemoryHierarchy::new(cfg.mem),
-            direction: DirectionPredictor::new(cfg.branch_predictor),
+            direction,
             btb: cfg.btb.map(Btb::new),
             ittage,
             ras: Ras::default_16(),
@@ -487,7 +498,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             let taken = rec.taken();
             match kind {
                 BranchKind::Conditional => {
-                    let predicted = self.direction.predict_and_update(rec.pc, taken);
+                    let predicted = self.direction.predict_and_update(rec.pc, &self.hist, taken);
                     branch_mispredicted = predicted != taken;
                     // A correctly-predicted-taken branch still needs its
                     // target from the BTB when one is modelled.

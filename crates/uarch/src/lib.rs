@@ -41,7 +41,7 @@ pub use simconfig::{
     VtageConfig, VtageFilter, VtageTargets,
 };
 pub use stats::{fmt_pct, SamplingStats, SimStats, StatsError};
-pub use tier::{run_sampled, FunctionalTier, SampledRun, SimpleTier};
+pub use tier::{run_sampled, SampledRun};
 pub use u64map::{MulHasher, U64Map};
 pub use vp::{
     ExecInfo, FetchCtx, FetchSlot, NoVp, OracleLoadVp, RenamePrediction, VpScheme, VpVerdict,

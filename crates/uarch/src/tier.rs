@@ -1,135 +1,23 @@
-//! Cheap execution tiers and the fast-forward + sampled driver.
+//! The fast-forward + sampled driver: the cycle-level [`Core`] run over
+//! sampled windows of a record stream.
 //!
-//! The cycle-level [`Core`] is one way to consume a trace; it
-//! is also by far the most expensive. The cheaper tiers turn a trace into
-//! [`SimStats`] at lower timing fidelity:
-//!
-//! * [`FunctionalTier`] — atomic execution: architectural counters only,
-//!   one "cycle" per instruction. The speed ceiling of the simulator.
-//! * [`SimpleTier`] — a 1-cycle-per-instruction in-order timing model that
-//!   still charges real memory-hierarchy latencies for loads and stores.
-//!
-//! Both only promise that architectural counters (instructions, loads,
-//! stores, branches) reflect the trace exactly.
-//!
-//! [`run_sampled`] combines the tiers SMARTS-style: skip a fast-forward
-//! prefix functionally, then alternate per-period `warmup` windows (the
-//! scheme trains through [`VpScheme::set_warm_only`] but injects nothing,
-//! stats discarded) with `detail` windows whose stats accumulate, skipping
-//! the remainder of each period. It consumes a record *stream* and holds
-//! one window at a time, so its memory does not depend on the stream's
-//! length, and one stream drives any number of [`SampledRun`]s. Sampling
-//! never changes any unsampled artifact: the driver is only entered when a
-//! [`SampleSpec`] is present.
+//! [`run_sampled`] samples SMARTS-style: skip a fast-forward prefix, then
+//! alternate per-period `warmup` windows (the scheme trains through
+//! [`VpScheme::set_warm_only`] but injects nothing, stats discarded) with
+//! `detail` windows whose stats accumulate, skipping the remainder of each
+//! period. It consumes a record *stream* and holds one window at a time,
+//! so its memory does not depend on the stream's length, and one stream
+//! drives any number of [`SampledRun`]s. Sampling never changes any
+//! unsampled artifact: the driver is only entered when a [`SampleSpec`] is
+//! present.
 
 use crate::config::CoreConfig;
 use crate::core::Core;
 use crate::simconfig::SampleSpec;
 use crate::stats::{SamplingStats, SimStats};
 use crate::vp::VpScheme;
-use lvp_mem::MemoryHierarchy;
 use lvp_obs::{EventSink, ObsEvent, TierKind};
 use lvp_trace::{Trace, TraceRecord};
-
-/// Burns host time without touching simulated state — the same wall-clock
-/// tax as [`Core::set_host_spin`], used by `bench --inject-slowdown` to
-/// prove the throughput gate bites on non-OoO tiers too.
-fn host_spin(iters: u32) {
-    if iters == 0 {
-        return;
-    }
-    let mut x = 0u64;
-    for i in 0..iters as u64 {
-        x = std::hint::black_box(x ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    }
-    std::hint::black_box(x);
-}
-
-/// Counts the record into the architectural counters shared by every tier.
-fn count_arch(stats: &mut SimStats, rec: &TraceRecord) {
-    stats.instructions += 1;
-    if rec.inst.is_load() {
-        stats.loads += 1;
-    }
-    if rec.inst.is_store() {
-        stats.stores += 1;
-    }
-    if rec.inst.is_branch() {
-        stats.branches += 1;
-    }
-}
-
-/// Atomic functional execution: no timing model at all. Cycles are defined
-/// as the instruction count (IPC ≡ 1), every microarchitectural counter
-/// stays zero.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FunctionalTier {
-    spin: u32,
-}
-
-impl FunctionalTier {
-    /// Builds the tier.
-    pub fn new() -> FunctionalTier {
-        FunctionalTier::default()
-    }
-
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-
-    /// Executes the whole trace and returns the statistics.
-    pub fn run(&self, trace: &Trace) -> SimStats {
-        let mut stats = SimStats::default();
-        for rec in trace.records() {
-            host_spin(self.spin);
-            count_arch(&mut stats, rec);
-        }
-        stats.cycles = stats.instructions;
-        stats
-    }
-}
-
-/// A 1-cycle-per-instruction in-order timing model with a real memory
-/// hierarchy: each load/store additionally pays its
-/// [`MemoryHierarchy::access_data`] latency. No branch prediction, no
-/// value prediction, no overlap — a cheap middle ground between
-/// [`FunctionalTier`] and the OoO core.
-#[derive(Debug, Clone)]
-pub struct SimpleTier {
-    cfg: CoreConfig,
-    spin: u32,
-}
-
-impl SimpleTier {
-    /// Builds the tier; the memory hierarchy comes from `cfg.mem`.
-    pub fn new(cfg: CoreConfig) -> SimpleTier {
-        SimpleTier { cfg, spin: 0 }
-    }
-
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-
-    /// Executes the whole trace and returns the statistics.
-    pub fn run(&self, trace: &Trace) -> SimStats {
-        let mut stats = SimStats::default();
-        let mut mem = MemoryHierarchy::new(self.cfg.mem);
-        for rec in trace.records() {
-            host_spin(self.spin);
-            count_arch(&mut stats, rec);
-            stats.cycles += 1;
-            let is_load = rec.inst.is_load();
-            if is_load || rec.inst.is_store() {
-                let access = mem.access_data(rec.pc, rec.eff_addr, is_load);
-                stats.cycles += access.latency as u64;
-            }
-        }
-        stats.mem = mem.stats();
-        stats
-    }
-}
 
 /// Refills `window` with up to `n` records from the stream, numbered
 /// densely from 0, reusing its allocation.
@@ -313,35 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn functional_tier_matches_ooo_architectural_counters() {
+    fn core_architectural_counters_match_the_trace() {
         let t = trace("nat", 20_000);
         let ooo = simulate(&t, NoVp);
-        let f = FunctionalTier::new().run(&t);
-        assert_eq!(f.instructions, ooo.instructions);
-        assert_eq!(f.loads, ooo.loads);
-        assert_eq!(f.stores, ooo.stores);
-        assert_eq!(f.branches, ooo.branches);
-        assert_eq!(
-            f.cycles, f.instructions,
-            "functional IPC is 1 by definition"
-        );
-        assert_eq!(f.mem.l1d.accesses, 0, "no timing model, no hierarchy");
-    }
-
-    #[test]
-    fn simple_tier_sits_between_functional_and_ooo() {
-        let t = trace("autcor", 20_000);
-        let s = SimpleTier::new(CoreConfig::default()).run(&t);
-        assert_eq!(s.instructions, t.len() as u64);
-        assert!(
-            s.cycles >= s.instructions,
-            "memory latency can only add cycles"
-        );
-        assert_eq!(
-            s.mem.l1d.accesses,
-            s.loads + s.stores,
-            "every memory op touches the hierarchy"
-        );
+        assert_eq!(ooo.instructions, t.len() as u64);
+        assert_eq!(ooo.loads, t.load_count() as u64);
+        assert_eq!(ooo.stores, t.store_count() as u64);
+        assert_eq!(ooo.branches, t.branch_count() as u64);
     }
 
     #[test]
